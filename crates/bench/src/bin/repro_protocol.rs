@@ -13,14 +13,13 @@
 //!    measurement the CI gate has always tracked.
 //! 2. **Wire ladder**: pipelined request/response exchanges over real
 //!    loopback TCP at {1, 64, 1024, 4096} concurrent connections, under
-//!    four server/codec combinations — the poll reactor with the
+//!    three server/codec combinations — the single-shard server with the
 //!    negotiated binary codec (PROTOCOL.md §4–§5), the sharded server
 //!    ([`LADDER_SHARDS`] shard reactors behind the accept-and-route
-//!    layer, binary codec), the single reactor with the JSON codec (§3),
-//!    and the legacy two-threads-per-connection server (JSON, §2.3) as
-//!    the baseline the reactor replaced. The ladder is the scaling curve
-//!    behind the reactor's headline claim: at ≥1k connections the
-//!    reactor sustains ≥10× the baseline's req/s.
+//!    layer, binary codec), and the single-shard server with the JSON
+//!    codec (§3). (The thread-per-connection baseline the reactor
+//!    replaced — 20× slower at 1024 connections — is recorded in
+//!    CHANGES.md PR 8 and no longer exists as code.)
 //!
 //! Each ladder connection deposits as its own user (user = global
 //! connection index), so on the sharded rung the connections spread
@@ -32,8 +31,8 @@
 //! host. See BENCHMARKS.md § Sharded ladder.
 //!
 //! Emits `BENCH_repro_protocol.json` for the `spq-bench compare` CI
-//! gate; the per-rung req/s and reactor-vs-threaded speedups land in the
-//! telemetry `config` map (keys `c<conns>_<mode>_rps`, `c<conns>_speedup`,
+//! gate; the per-rung req/s and sharded-vs-single speedups land in the
+//! telemetry `config` map (keys `c<conns>_<mode>_rps`,
 //! `c<conns>_sharded_speedup`).
 //!
 //! `--scale` multiplies the number of concurrent BoTs in the in-process
@@ -48,14 +47,13 @@ use spequlos::protocol::{Request, Response, SpqService};
 use spequlos::{BotProgress, SpeQuloS, StrategyCombo, UserId};
 use spq_bench::{telemetry, Opts};
 use spq_server::frame::{
-    read_binary_frame, read_frame, read_hello_ack, write_binary_frame, write_frame, write_hello,
-    Codec,
+    read_binary_frame, read_frame, read_hello_ack, write_frame, write_hello, Codec,
 };
 use spq_server::{
     binary, RequestEnvelope, ResponseEnvelope, Server, ServerConfig, ServerHandle, ShardConfig,
     ShardedHandle, ShardedServer,
 };
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
@@ -155,12 +153,6 @@ const WINDOW: usize = 16;
 /// every connection sends at least one window.
 const RUNG_TARGET: usize = 32_000;
 
-/// The threaded baseline spawns two OS threads per connection; past this
-/// many connections measuring it stops being informative (and starts
-/// brushing task limits), so the ladder stops comparing there. The
-/// reactor rungs keep climbing.
-const THREADED_MAX_CONNS: usize = 1024;
-
 /// Shard count of the sharded ladder rung. Four keeps the rung honest
 /// on small hosts (thread oversubscription stays mild) while still
 /// exercising the router + per-shard reactors end to end.
@@ -190,9 +182,6 @@ enum WireMode {
     ShardedBin,
     /// Poll reactor, negotiated JSON codec (§3).
     ReactorJson,
-    /// Legacy two-threads-per-connection server, JSON without a hello
-    /// (§2.3) — the baseline the reactor replaced.
-    ThreadedJson,
 }
 
 impl WireMode {
@@ -201,16 +190,11 @@ impl WireMode {
             WireMode::ReactorBin => "reactor_bin",
             WireMode::ShardedBin => "sharded_bin",
             WireMode::ReactorJson => "reactor_json",
-            WireMode::ThreadedJson => "threaded_json",
         }
     }
 
     fn spawn(self) -> io::Result<LadderServer> {
         match self {
-            WireMode::ThreadedJson => {
-                Server::spawn_threaded(SpeQuloS::new(), "127.0.0.1:0", ServerConfig::default())
-                    .map(LadderServer::Single)
-            }
             WireMode::ShardedBin => {
                 ShardedServer::spawn_loopback(SpeQuloS::new(), ShardConfig::new(LADDER_SHARDS))
                     .map(LadderServer::Sharded)
@@ -223,14 +207,17 @@ impl WireMode {
     fn codec(self) -> Codec {
         match self {
             WireMode::ReactorBin | WireMode::ShardedBin => Codec::Binary,
-            _ => Codec::Json,
+            WireMode::ReactorJson => Codec::Json,
         }
     }
 }
 
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// One pipelined window of request frames, built here and written in
+    /// one `write_all`.
+    wire: Vec<u8>,
     next_id: u64,
     /// The account this connection deposits into: the global connection
     /// index, so the sharded rung spreads connections across shards and
@@ -238,31 +225,28 @@ struct Conn {
     user: u64,
 }
 
-/// Connects one ladder client, performing the hello exchange on the
-/// reactor modes (the threaded baseline predates negotiation).
+/// Connects one ladder client and performs the hello exchange.
 fn connect(addr: SocketAddr, mode: WireMode, user: u64) -> io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::with_capacity(4096, stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(4096, stream);
-    if mode != WireMode::ThreadedJson {
-        write_hello(&mut writer, mode.codec())?;
-        writer.flush()?;
-        read_hello_ack(&mut reader)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    }
+    let mut writer = TcpStream::connect(addr)?;
+    writer.set_nodelay(true)?;
+    let mut reader = BufReader::with_capacity(4096, writer.try_clone()?);
+    write_hello(&mut writer, mode.codec())?;
+    read_hello_ack(&mut reader)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     Ok(Conn {
         reader,
         writer,
+        wire: Vec::new(),
         next_id: 0,
         user,
     })
 }
 
-/// Writes one pipelined window (`WINDOW` deposits, one flush) without
+/// Writes one pipelined window (`WINDOW` deposits, one write) without
 /// waiting for replies, so a client thread can put its whole hand of
 /// connections in flight before it starts reading.
 fn write_window(conn: &mut Conn, codec: Codec) -> io::Result<()> {
+    conn.wire.clear();
     for _ in 0..WINDOW {
         let envelope = RequestEnvelope {
             id: conn.next_id,
@@ -274,13 +258,11 @@ fn write_window(conn: &mut Conn, codec: Codec) -> io::Result<()> {
         };
         conn.next_id += 1;
         match codec {
-            Codec::Json => write_frame(&mut conn.writer, &envelope.to_json())?,
-            Codec::Binary => {
-                write_binary_frame(&mut conn.writer, &binary::encode_request(&envelope))?
-            }
+            Codec::Json => write_frame(&mut conn.wire, codec, envelope.to_json().as_bytes()),
+            Codec::Binary => write_frame(&mut conn.wire, codec, &binary::encode_request(&envelope)),
         }
     }
-    conn.writer.flush()
+    conn.writer.write_all(&conn.wire)
 }
 
 /// Reads the window of correlated replies written by [`write_window`].
@@ -406,12 +388,10 @@ fn main() {
 
         text.push_str(&format!(
             "\nWire ladder — pipelined loopback exchanges, window {WINDOW}\n\
-             (reactor = poll loop, sharded = {LADDER_SHARDS} shard reactors behind the router,\n\
-              threaded = 2-threads-per-connection baseline)\n\n"
+             (reactor = one shard, no router; sharded = {LADDER_SHARDS} shard reactors behind the router)\n\n"
         ));
         text.push_str(
-            "conns    reactor+bin req/s   sharded+bin req/s   reactor+json req/s   \
-             threaded+json req/s   bin speedup   shard speedup\n",
+            "conns    reactor+bin req/s   sharded+bin req/s   reactor+json req/s   shard speedup\n",
         );
         for &conns in &LADDER {
             let client_threads = if o.threads > 0 {
@@ -420,19 +400,13 @@ fn main() {
                 conns.min(8)
             };
             let mut row: Vec<String> = vec![format!("{conns:<8}")];
-            let mut threaded_rps = None;
             let mut bin_rps = None;
             let mut sharded_rps = None;
             for mode in [
                 WireMode::ReactorBin,
                 WireMode::ShardedBin,
                 WireMode::ReactorJson,
-                WireMode::ThreadedJson,
             ] {
-                if mode == WireMode::ThreadedJson && conns > THREADED_MAX_CONNS {
-                    row.push(format!("{:>21}", "(not measured)"));
-                    continue;
-                }
                 match rung(mode, conns, client_threads) {
                     Ok((served, wall)) => {
                         let rps = served as f64 / wall.max(1e-9);
@@ -441,7 +415,6 @@ fn main() {
                         match mode {
                             WireMode::ReactorBin => bin_rps = Some(rps),
                             WireMode::ShardedBin => sharded_rps = Some(rps),
-                            WireMode::ThreadedJson => threaded_rps = Some(rps),
                             WireMode::ReactorJson => {}
                         }
                         row.push(format!("{rps:>21.0}"));
@@ -451,10 +424,6 @@ fn main() {
                         row.push(format!("{:>21}", "(failed)"));
                     }
                 }
-            }
-            match (bin_rps, threaded_rps) {
-                (Some(b), Some(t)) if t > 0.0 => row.push(format!("{:>12.1}x", b / t)),
-                _ => row.push(format!("{:>13}", "—")),
             }
             match (sharded_rps, bin_rps) {
                 (Some(s), Some(b)) if b > 0.0 => row.push(format!("{:>14.2}x", s / b)),
@@ -471,8 +440,8 @@ fn main() {
     let mut tele = tele
         .with_config("bots", bots)
         .with_config("ladder_shards", LADDER_SHARDS);
-    /// Per-rung throughput by mode: (reactor_bin, threaded_json, sharded_bin).
-    type RungRates = (Option<f64>, Option<f64>, Option<f64>);
+    /// Per-rung throughput by mode: (reactor_bin, sharded_bin).
+    type RungRates = (Option<f64>, Option<f64>);
     let mut by_rung: std::collections::BTreeMap<usize, RungRates> =
         std::collections::BTreeMap::new();
     for &(conns, key, rps) in &curve {
@@ -480,17 +449,11 @@ fn main() {
         let entry = by_rung.entry(conns).or_default();
         match key {
             "reactor_bin" => entry.0 = Some(rps),
-            "threaded_json" => entry.1 = Some(rps),
-            "sharded_bin" => entry.2 = Some(rps),
+            "sharded_bin" => entry.1 = Some(rps),
             _ => {}
         }
     }
-    for (conns, (bin, threaded, sharded)) in by_rung {
-        if let (Some(b), Some(t)) = (bin, threaded) {
-            if t > 0.0 {
-                tele = tele.with_config(&format!("c{conns}_speedup"), format!("{:.1}", b / t));
-            }
-        }
+    for (conns, (bin, sharded)) in by_rung {
         if let (Some(s), Some(b)) = (sharded, bin) {
             if b > 0.0 {
                 tele = tele.with_config(

@@ -69,7 +69,7 @@ use spequlos::protocol::{Request, Response, SpqService};
 use spequlos::{BotProgress, SpeQuloS, StrategyCombo, UserId};
 use spq_harness::workload::{Recorder, RequestKind, RequestMix};
 use spq_harness::{Experiment, MwKind, Scenario};
-use spq_server::{read_frame, write_frame, RemoteService, RequestEnvelope, MAX_FRAME_BYTES};
+use spq_server::{read_frame, write_frame, Codec, RemoteService, RequestEnvelope, MAX_FRAME_BYTES};
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
@@ -360,6 +360,7 @@ fn drive_writer(
     mut state: ConnState,
     inflight: &Mutex<VecDeque<(Instant, bool)>>,
 ) -> io::Result<u64> {
+    let mut wire = Vec::new();
     for (i, arrival) in arrivals.iter().enumerate() {
         let target = base + Duration::from_nanos(arrival.at_nanos);
         let now = Instant::now();
@@ -380,7 +381,9 @@ fn drive_writer(
             .lock()
             .expect("inflight queue poisoned")
             .push_back((target, arrival.warmup));
-        write_frame(&mut stream, &envelope.to_json())?;
+        wire.clear();
+        write_frame(&mut wire, Codec::Json, envelope.to_json().as_bytes());
+        stream.write_all(&wire)?;
     }
     stream.flush()?;
     stream.shutdown(Shutdown::Write)?;

@@ -26,8 +26,10 @@
 //!   its fleet is stopped.
 
 use crate::credit::UserId;
-use crate::protocol::Request;
+use crate::protocol::{Request, RequestError, Response, SpqService};
+use crate::service::SpeQuloS;
 use botwork::BotId;
+use simcore::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,6 +78,25 @@ pub fn route_request(request: &Request, shards: u32) -> Option<u32> {
         | Request::Complete { bot } => Some(shard_of_bot(*bot, shards)),
         Request::Batch(items) => items.iter().find_map(|r| route_request(r, shards)),
     }
+}
+
+/// [`route_request`] for execution: a batch is atomic on one service, so
+/// one whose items belong to different shards cannot be — it is refused
+/// with a typed error rather than half-applied. Every sharded endpoint
+/// (the server's shards, the harness's in-process router) routes through
+/// here, so they refuse the same batches with the same words.
+pub fn route_atomic(request: &Request, shards: u32) -> Result<Option<u32>, RequestError> {
+    let Request::Batch(items) = request else {
+        return Ok(route_request(request, shards));
+    };
+    let mut targets = items.iter().filter_map(|r| route_request(r, shards));
+    let first = targets.next();
+    if targets.any(|t| Some(t) != first) {
+        return Err(RequestError::Invalid(
+            "batch spans shards: split it per tenant".into(),
+        ));
+    }
+    Ok(first)
 }
 
 /// One shard's slot in the [`PoolLedger`]: the quota it may admit
@@ -304,6 +325,74 @@ impl PoolLease {
     /// The ledger this lease draws from.
     pub fn ledger(&self) -> &PoolLedger {
         &self.ledger
+    }
+}
+
+/// One shard's execute step under a sharded pool: the shard's
+/// [`PoolLease`] plus the deterministic rebalance trigger, wrapped around
+/// `SpeQuloS::handle` so every sharded endpoint makes the same admission
+/// decisions at the same points in the request stream.
+#[derive(Debug)]
+pub struct ShardQuota {
+    lease: PoolLease,
+    /// Run a ledger pass after every this many requests, counted across
+    /// all shards on the shared counter.
+    rebalance: Option<(u64, Arc<AtomicU64>)>,
+}
+
+impl ShardQuota {
+    /// Splits a fresh `template` into `shards` services
+    /// ([`SpeQuloS::into_shards`]), each paired with its quota on the
+    /// split pool — `None` for a pool-less template. With
+    /// `rebalance_every`, the shards share one handled-request counter
+    /// and whichever handles the K-th request runs the
+    /// [`PoolLedger::rebalance`] pass.
+    pub fn split(
+        template: SpeQuloS,
+        shards: u32,
+        floor: u32,
+        rebalance_every: Option<u64>,
+    ) -> Vec<(SpeQuloS, Option<ShardQuota>)> {
+        let (services, ledger) = template.into_shards(shards, floor);
+        let handled = Arc::new(AtomicU64::new(0));
+        let mut shard_leases = ledger.into_iter().flat_map(|(_, per_shard)| per_shard);
+        services
+            .into_iter()
+            .map(|service| {
+                let quota = shard_leases.next().map(|lease| ShardQuota {
+                    lease,
+                    rebalance: rebalance_every.map(|k| (k.max(1), Arc::clone(&handled))),
+                });
+                (service, quota)
+            })
+            .collect()
+    }
+
+    /// The ledger this shard's lease draws from.
+    pub fn ledger(&self) -> &PoolLedger {
+        self.lease.ledger()
+    }
+
+    /// Publishes `service`'s current load to the ledger.
+    pub fn publish(&self, service: &SpeQuloS) {
+        let in_use = service.pool().map_or(0, |p| p.in_use());
+        self.lease
+            .publish(in_use, service.credits.total_outstanding());
+    }
+
+    /// Handles one request this shard owns: sync the pool capacity to
+    /// the lease quota, dispatch, publish the load the request left
+    /// behind, and fire the every-K rebalance trigger.
+    pub fn handle(&self, service: &mut SpeQuloS, request: Request, now: SimTime) -> Response {
+        service.set_pool_capacity(self.lease.quota());
+        let response = service.handle(request, now);
+        self.publish(service);
+        if let Some((every, handled)) = &self.rebalance {
+            if (handled.fetch_add(1, Ordering::AcqRel) + 1) % every == 0 {
+                self.ledger().rebalance();
+            }
+        }
+        response
     }
 }
 

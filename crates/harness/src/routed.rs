@@ -5,18 +5,16 @@
 //! experiments against partitioned state on both transports: in-process
 //! it drives a `RoutedService`, over loopback it spawns a real
 //! `ShardedServer`. For the results to be bit-identical the two must
-//! make the same decisions in the same order, so this type mirrors the
-//! server's per-request execute path exactly — route by tenant key
-//! ([`spequlos::tenancy::route_request`]), sync the owning shard's pool
-//! capacity to its [`PoolLease`] quota, dispatch, publish the shard's
-//! load and outstanding credits back to the ledger, and run a
-//! deterministic [`PoolLedger::rebalance`] pass every
-//! `rebalance_every` handled requests. Cross-shard batches are refused
-//! with the same typed error the server gives.
+//! make the same decisions in the same order, and they do by sharing
+//! the code that makes them: routing — cross-shard batch refusal
+//! included — is [`spequlos::tenancy::route_atomic`], and the per-request
+//! execute step (lease sync, dispatch, load publication, the every-K
+//! rebalance trigger) is [`ShardQuota::handle`], the very functions the
+//! server's shards call.
 
 use simcore::SimTime;
-use spequlos::protocol::{Request, RequestError, Response, SpqService};
-use spequlos::tenancy::{route_request, PoolLease, PoolLedger};
+use spequlos::protocol::{Request, Response, SpqService};
+use spequlos::tenancy::{route_atomic, PoolLedger, ShardQuota};
 use spequlos::SpeQuloS;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,10 +25,7 @@ use std::rc::Rc;
 #[derive(Debug)]
 pub struct RoutedService {
     shards: Vec<SpeQuloS>,
-    leases: Vec<Option<PoolLease>>,
-    ledger: Option<PoolLedger>,
-    rebalance_every: u64,
-    handled: u64,
+    quotas: Vec<Option<ShardQuota>>,
 }
 
 impl RoutedService {
@@ -45,18 +40,10 @@ impl RoutedService {
     /// [`SpeQuloS::into_shards`]) or `shards == 0`.
     pub fn new(template: SpeQuloS, shards: u32, floor: u32, rebalance_every: u64) -> Self {
         assert!(shards >= 1, "a routed service needs at least one shard");
-        let (shards, ledger) = template.into_shards(shards, floor);
-        let (ledger, leases) = match ledger {
-            Some((ledger, leases)) => (Some(ledger), leases.into_iter().map(Some).collect()),
-            None => (None, shards.iter().map(|_| None).collect()),
-        };
-        RoutedService {
-            shards,
-            leases,
-            ledger,
-            rebalance_every: rebalance_every.max(1),
-            handled: 0,
-        }
+        let (shards, quotas) = ShardQuota::split(template, shards, floor, Some(rebalance_every))
+            .into_iter()
+            .unzip();
+        RoutedService { shards, quotas }
     }
 
     /// Number of shards behind the endpoint.
@@ -76,43 +63,20 @@ impl RoutedService {
 
     /// The quota ledger, when the template carried a pool.
     pub fn ledger(&self) -> Option<&PoolLedger> {
-        self.ledger.as_ref()
-    }
-
-    fn execute(&mut self, shard: usize, request: Request, now: SimTime) -> Response {
-        if let Some(lease) = self.leases[shard].as_ref() {
-            self.shards[shard].set_pool_capacity(lease.quota());
-        }
-        let response = self.shards[shard].handle(request, now);
-        if let Some(lease) = self.leases[shard].as_ref() {
-            let in_use = self.shards[shard].pool().map_or(0, |p| p.in_use());
-            lease.publish(in_use, self.shards[shard].credits.total_outstanding());
-        }
-        self.handled += 1;
-        if let Some(ledger) = self.ledger.as_ref() {
-            if self.handled % self.rebalance_every == 0 {
-                ledger.rebalance();
-            }
-        }
-        response
+        self.quotas.first()?.as_ref().map(ShardQuota::ledger)
     }
 }
 
 impl SpqService for RoutedService {
     fn handle(&mut self, request: Request, now: SimTime) -> Response {
-        let n = self.shard_count();
-        if let Request::Batch(items) = &request {
-            let mut targets = items.iter().filter_map(|r| route_request(r, n));
-            if let Some(first) = targets.next() {
-                if targets.any(|t| t != first) {
-                    return Response::Error(RequestError::Invalid(
-                        "batch spans shards: split it per tenant".into(),
-                    ));
-                }
-            }
+        let shard = match route_atomic(&request, self.shard_count()) {
+            Ok(shard) => shard.unwrap_or(0) as usize,
+            Err(refusal) => return Response::Error(refusal),
+        };
+        match &self.quotas[shard] {
+            Some(quota) => quota.handle(&mut self.shards[shard], request, now),
+            None => self.shards[shard].handle(request, now),
         }
-        let shard = route_request(&request, n).unwrap_or(0) as usize;
-        self.execute(shard, request, now)
     }
 }
 
@@ -148,6 +112,7 @@ impl SpqService for SharedRouted {
 mod tests {
     use super::*;
     use spequlos::tenancy::shard_of_user;
+    use spequlos::RequestError;
     use spequlos::UserId;
 
     #[test]

@@ -111,20 +111,24 @@ pub const SIM_CRATES: &[&str] = &[
     "simcore", "core", "dgrid", "betrace", "unicloud", "botwork", "harness",
 ];
 
-/// `spq-server` files on the connection/dispatch path.
-pub const HOT_FILES: &[&str] = &[
-    "crates/server/src/server.rs",
-    "crates/server/src/shard.rs",
-    "crates/server/src/frame.rs",
-    "crates/server/src/binary.rs",
-    "crates/server/src/wire.rs",
-];
+/// Whether `rel` is on `spq-server`'s connection/dispatch path: every
+/// module in `crates/server/src/` is, except the client half, the crate
+/// root and the binaries under `bin/` — so a module added to the server
+/// is born under the panic-freedom rules rather than opted in later.
+fn is_hot(rel: &str) -> bool {
+    rel.strip_prefix("crates/server/src/").is_some_and(|file| {
+        file.ends_with(".rs") && !file.contains('/') && file != "client.rs" && file != "lib.rs"
+    })
+}
 
-/// The subset of [`HOT_FILES`] that decode untrusted wire bytes.
+/// The hot files that decode untrusted wire bytes: the frame, envelope
+/// and binary parsers, and the connection core that slices its buffers
+/// for them.
 pub const DECODE_FILES: &[&str] = &[
     "crates/server/src/frame.rs",
     "crates/server/src/binary.rs",
     "crates/server/src/wire.rs",
+    "crates/server/src/conn.rs",
 ];
 
 /// Classifies a repo-relative path (unix separators) into its [`Role`].
@@ -135,7 +139,7 @@ pub fn classify(rel: &str) -> Role {
             role.sim = true;
         }
     }
-    role.hot = HOT_FILES.contains(&rel);
+    role.hot = is_hot(rel);
     role.decode = DECODE_FILES.contains(&rel);
     role.unsafe_ok = rel.starts_with("compat/polling/");
     role.crate_root = rel == "src/lib.rs"

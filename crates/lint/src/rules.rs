@@ -637,6 +637,27 @@ mod tests {
     }
 
     #[test]
+    fn the_hot_set_follows_the_server_module_tree() {
+        let src =
+            "pub fn f(buf: &[u8]) -> u8 {\n    let x = buf.first().unwrap();\n    buf[0]\n}\n";
+        // A module nobody listed is hot from birth; the core is decode too.
+        let born = fire("crates/server/src/brand_new_module.rs", src);
+        assert_eq!(born, vec![("panic-unwrap", 2)], "{born:?}");
+        let core = fire("crates/server/src/conn.rs", src);
+        assert!(core.contains(&("panic-unwrap", 2)), "{core:?}");
+        assert!(core.contains(&("panic-index", 3)), "{core:?}");
+        // The client half, the crate root and the binaries are not.
+        for cold in [
+            "crates/server/src/client.rs",
+            "crates/server/src/bin/durable_server.rs",
+            "crates/server/tests/shutdown.rs",
+        ] {
+            assert!(fire(cold, src).is_empty(), "{cold}");
+        }
+        assert!(!crate::classify("crates/server/src/lib.rs").hot);
+    }
+
+    #[test]
     fn strings_comments_and_tests_never_fire() {
         let src = "fn f() {\n    let s = \"Instant::now() .unwrap() unsafe panic!\";\n    // Instant::now() and .unwrap() in prose\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let x = std::env::var(\"H\").unwrap();\n        panic!(\"tests may\");\n    }\n}\n";
         assert!(fire(SIM, src).is_empty());

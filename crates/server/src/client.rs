@@ -18,7 +18,7 @@ use crate::frame::{
 use crate::wire::{RequestEnvelope, ResponseEnvelope};
 use simcore::SimTime;
 use spequlos::protocol::{Request, RequestError, Response, SpqService};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 /// A connection to a `spq-server`, speaking framed request/response
@@ -27,7 +27,10 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 /// of the in-process service.
 pub struct RemoteService {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// The write half, and the buffer each outgoing frame is built in:
+    /// one buffer, one `write_all` per exchange.
+    writer: TcpStream,
+    wbuf: Vec<u8>,
     codec: Codec,
     next_id: u64,
     max_frame_bytes: usize,
@@ -49,10 +52,11 @@ impl RemoteService {
     /// `InvalidData` error — the server does not speak this protocol
     /// revision or codec.
     pub fn connect_with(addr: impl ToSocketAddrs, codec: Codec) -> io::Result<RemoteService> {
-        let mut remote = Self::connect_raw(addr, codec)?;
-        write_hello(&mut remote.writer, codec)?;
-        remote.writer.flush()?;
-        let granted = read_hello_ack(&mut remote.reader).map_err(|e| match e {
+        let mut writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
+        let mut reader = BufReader::new(writer.try_clone()?);
+        write_hello(&mut writer, codec)?;
+        let granted = read_hello_ack(&mut reader).map_err(|e| match e {
             FrameError::Io(e) => e,
             other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
         })?;
@@ -62,25 +66,10 @@ impl RemoteService {
                 format!("asked for codec {codec}, server granted {granted}"),
             ));
         }
-        Ok(remote)
-    }
-
-    /// Connects without a hello exchange — the legacy JSON path
-    /// (PROTOCOL.md §2.3) that pre-negotiation servers such as the
-    /// [`crate::Server::spawn_threaded`] benchmark baseline expect. The
-    /// first bytes on the wire are a frame header, and no
-    /// acknowledgement line is read.
-    pub fn connect_legacy(addr: impl ToSocketAddrs) -> io::Result<RemoteService> {
-        Self::connect_raw(addr, Codec::Json)
-    }
-
-    fn connect_raw(addr: impl ToSocketAddrs, codec: Codec) -> io::Result<RemoteService> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(RemoteService {
             reader,
-            writer: BufWriter::new(stream),
+            writer,
+            wbuf: Vec::new(),
             codec,
             next_id: 0,
             max_frame_bytes: MAX_FRAME_BYTES,
@@ -88,8 +77,7 @@ impl RemoteService {
         })
     }
 
-    /// The frame codec this connection negotiated (or assumed, for
-    /// [`RemoteService::connect_legacy`]).
+    /// The frame codec this connection negotiated.
     pub fn codec(&self) -> Codec {
         self.codec
     }
@@ -141,11 +129,20 @@ impl RemoteService {
             at: now,
             request,
         };
+        self.wbuf.clear();
+        match self.codec {
+            Codec::Json => write_frame(&mut self.wbuf, Codec::Json, envelope.to_json().as_bytes()),
+            Codec::Binary => write_frame(
+                &mut self.wbuf,
+                Codec::Binary,
+                &binary::encode_request(&envelope),
+            ),
+        }
+        self.writer
+            .write_all(&self.wbuf)
+            .map_err(|e| format!("send: {e}"))?;
         let reply = match self.codec {
             Codec::Json => {
-                write_frame(&mut self.writer, &envelope.to_json())
-                    .map_err(|e| format!("send: {e}"))?;
-                self.writer.flush().map_err(|e| format!("send: {e}"))?;
                 let payload = match read_frame(&mut self.reader, self.max_frame_bytes) {
                     Ok(Some(payload)) => payload,
                     Ok(None) => return Err("server closed the connection".to_string()),
@@ -155,12 +152,6 @@ impl RemoteService {
                 ResponseEnvelope::from_json(&payload).map_err(|e| format!("decode: {e}"))?
             }
             Codec::Binary => {
-                crate::frame::write_binary_frame(
-                    &mut self.writer,
-                    &binary::encode_request(&envelope),
-                )
-                .map_err(|e| format!("send: {e}"))?;
-                self.writer.flush().map_err(|e| format!("send: {e}"))?;
                 let payload = match read_binary_frame(&mut self.reader, self.max_frame_bytes) {
                     Ok(Some(payload)) => payload,
                     Ok(None) => return Err("server closed the connection".to_string()),

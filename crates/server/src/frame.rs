@@ -148,24 +148,32 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame. The caller flushes (frames are usually batched with
-/// a `BufWriter` and flushed once per exchange).
-pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    let mut header = payload.len().to_string();
-    header.push('\n');
-    w.write_all(header.as_bytes())?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")
-}
-
-/// Appends one JSON frame to an in-memory write buffer — the reactor's
-/// write path, where [`write_frame`]'s `io::Error` has no failure mode
-/// and would otherwise force an `expect` on the hot path.
-pub fn write_frame_vec(buf: &mut Vec<u8>, payload: &str) {
-    buf.extend_from_slice(payload.len().to_string().as_bytes());
-    buf.push(b'\n');
-    buf.extend_from_slice(payload.as_bytes());
-    buf.push(b'\n');
+/// Appends one frame carrying `payload` to `buf` in `codec`'s format —
+/// the only frame writer: the server encodes replies straight into a
+/// connection's write buffer, and a caller that holds a socket builds the
+/// exchange in a buffer and hands it to `write_all` once. Appending to
+/// memory cannot fail, so the serving path has no error to `expect` away.
+///
+/// A JSON payload must be UTF-8 text (the reader rejects anything else).
+/// A binary length prefix saturates at `u32::MAX` for payloads the wire
+/// format cannot represent — the protocol encoders never produce one
+/// (envelopes sit far below [`MAX_FRAME_BYTES`]), and if one ever did the
+/// peer's length check would reject the frame instead of this side
+/// panicking mid-reactor.
+pub fn write_frame(buf: &mut Vec<u8>, codec: Codec, payload: &[u8]) {
+    match codec {
+        Codec::Json => {
+            buf.extend_from_slice(payload.len().to_string().as_bytes());
+            buf.push(b'\n');
+            buf.extend_from_slice(payload);
+            buf.push(b'\n');
+        }
+        Codec::Binary => {
+            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(payload);
+        }
+    }
 }
 
 /// Reads one frame, enforcing `max` on the declared payload length.
@@ -256,31 +264,6 @@ fn parse_header_digits(header: &[u8]) -> Option<u64> {
 // ---------------------------------------------------------------------------
 // Binary framing (PROTOCOL.md §4)
 // ---------------------------------------------------------------------------
-
-/// Writes one binary frame: 4-byte little-endian payload length, then the
-/// payload. The caller flushes.
-pub fn write_binary_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "binary frame payload exceeds u32::MAX",
-        )
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
-}
-
-/// Appends one binary frame to an in-memory write buffer; the infallible
-/// twin of [`write_binary_frame`]. The length prefix saturates at
-/// `u32::MAX` for payloads the wire format cannot represent — the
-/// protocol encoder never produces one (responses sit far below
-/// [`MAX_FRAME_BYTES`]), and if it ever did the peer's length check
-/// would reject the frame instead of this side panicking mid-reactor.
-pub fn write_binary_frame_vec(buf: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-}
 
 /// Reads one binary frame, enforcing `max` on the declared length.
 /// `Ok(None)` on clean EOF at a frame boundary; EOF inside a frame is
@@ -496,7 +479,7 @@ mod tests {
 
     fn roundtrip(payload: &str) -> String {
         let mut buf = Vec::new();
-        write_frame(&mut buf, payload).expect("write");
+        write_frame(&mut buf, Codec::Json, payload.as_bytes());
         let mut r = Cursor::new(buf);
         read_frame(&mut r, MAX_FRAME_BYTES)
             .expect("read")
@@ -513,30 +496,15 @@ mod tests {
     #[test]
     fn wire_shape_is_length_newline_payload_newline() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"x\":1.0}").unwrap();
+        write_frame(&mut buf, Codec::Json, b"{\"x\":1.0}");
         assert_eq!(buf, b"9\n{\"x\":1.0}\n");
-    }
-
-    #[test]
-    fn vec_writers_emit_the_same_bytes_as_the_io_writers() {
-        let mut io_buf = Vec::new();
-        write_frame(&mut io_buf, "{\"x\":1.0}").unwrap();
-        let mut vec_buf = Vec::new();
-        write_frame_vec(&mut vec_buf, "{\"x\":1.0}");
-        assert_eq!(io_buf, vec_buf);
-
-        let mut io_buf = Vec::new();
-        write_binary_frame(&mut io_buf, &[0xff, 0x00, 0x7f]).unwrap();
-        let mut vec_buf = Vec::new();
-        write_binary_frame_vec(&mut vec_buf, &[0xff, 0x00, 0x7f]);
-        assert_eq!(io_buf, vec_buf);
     }
 
     #[test]
     fn several_frames_stream_back_to_back() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "one").unwrap();
-        write_frame(&mut buf, "two").unwrap();
+        write_frame(&mut buf, Codec::Json, b"one");
+        write_frame(&mut buf, Codec::Json, b"two");
         let mut r = Cursor::new(buf);
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), "one");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), "two");
@@ -551,7 +519,7 @@ mod tests {
         // Every proper prefix of a valid frame must error, never panic,
         // never return a frame.
         let mut full = Vec::new();
-        write_frame(&mut full, "payload").unwrap();
+        write_frame(&mut full, Codec::Json, b"payload");
         for cut in 1..full.len() {
             let mut r = Cursor::new(full[..cut].to_vec());
             let out = read_frame(&mut r, 64);
@@ -611,8 +579,8 @@ mod tests {
     #[test]
     fn binary_frames_roundtrip_and_stream() {
         let mut buf = Vec::new();
-        write_binary_frame(&mut buf, b"").unwrap();
-        write_binary_frame(&mut buf, &[0xff, 0x00, 0x7f]).unwrap();
+        write_frame(&mut buf, Codec::Binary, b"");
+        write_frame(&mut buf, Codec::Binary, &[0xff, 0x00, 0x7f]);
         assert_eq!(&buf[..4], &[0, 0, 0, 0], "little-endian length prefix");
         assert_eq!(&buf[4..8], &[3, 0, 0, 0]);
         let mut r = Cursor::new(buf);
@@ -630,7 +598,7 @@ mod tests {
     #[test]
     fn binary_truncation_and_oversize_error() {
         let mut full = Vec::new();
-        write_binary_frame(&mut full, b"payload").unwrap();
+        write_frame(&mut full, Codec::Binary, b"payload");
         for cut in 1..full.len() {
             let mut r = Cursor::new(full[..cut].to_vec());
             assert!(
@@ -728,8 +696,8 @@ mod tests {
     #[test]
     fn incremental_json_decode_agrees_with_the_blocking_reader() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, "{\"x\":1.0}").unwrap();
-        write_frame(&mut wire, "two").unwrap();
+        write_frame(&mut wire, Codec::Json, b"{\"x\":1.0}");
+        write_frame(&mut wire, Codec::Json, b"two");
         // Every proper prefix is incomplete, never an error.
         for cut in 0..12 {
             assert_eq!(decode_json_frame(&wire[..cut], 64).unwrap(), None, "{cut}");
@@ -775,8 +743,8 @@ mod tests {
     #[test]
     fn incremental_binary_decode_streams_and_bounds() {
         let mut wire = Vec::new();
-        write_binary_frame(&mut wire, &[1, 2, 3]).unwrap();
-        write_binary_frame(&mut wire, &[]).unwrap();
+        write_frame(&mut wire, Codec::Binary, &[1, 2, 3]);
+        write_frame(&mut wire, Codec::Binary, &[]);
         for cut in 0..7 {
             assert_eq!(
                 decode_binary_frame(&wire[..cut], 64).unwrap(),

@@ -13,7 +13,7 @@
 //!
 //! The wire protocol is specified normatively in `PROTOCOL.md` at the
 //! repository root; section references (§N) throughout this crate point
-//! there. Four layers, one module each:
+//! there. One module per layer:
 //!
 //! * [`frame`] — length-prefixed newline-JSON framing: `<len>\n<payload>\n`.
 //!   Truncated or oversized frames are typed [`frame::FrameError`]s, never
@@ -25,14 +25,22 @@
 //!   `id` and the service time `t`; the response frame echoes the `id`. A
 //!   `Request::Batch` lets a client pipeline a whole monitoring tick in a
 //!   single frame.
-//! * [`server`] / [`client`] — the poll-based reactor [`Server`]: one
-//!   I/O thread owns the listener, every connection's read/write buffers
-//!   and the service itself, dispatching requests inline (FIFO per
-//!   connection, per-connection byte-denominated backpressure, §9) — and
-//!   the [`RemoteService`] client.
+//! * [`conn`] — the sans-I/O connection core: one connection's buffers,
+//!   hello phase, frame decode, reply encode, half-close drain and
+//!   byte-denominated backpressure (§9), bytes in → requests → bytes out
+//!   with no socket in it. The only serving-side reader, decoder and
+//!   flusher in the crate.
+//! * [`shard`] — the one serving engine: poll-based shard reactors, each
+//!   a thread owning its connections (cores around non-blocking sockets)
+//!   and its service, dispatching requests inline; with more than one
+//!   shard ([`ShardedServer`]), an accept-and-route thread in front and
+//!   tenant-partitioned state behind.
+//! * [`server`] / [`client`] — [`Server`], the one-shard configuration of
+//!   that engine (the shard owns the listener; no router thread), and the
+//!   [`RemoteService`] client.
 //!
-//! A fifth concern, durability, composes with the reactor rather
-//! than adding a layer: [`Server::spawn_durable`] appends every request
+//! Durability composes with the request path rather than adding a
+//! layer: [`Server::spawn_durable`] appends every request
 //! to a write-ahead log ([`spequlos::wal`]) and fsyncs *before*
 //! dispatching it, snapshots the full service state periodically, and on
 //! startup recovers snapshot + log tail through the ordinary
@@ -63,6 +71,7 @@
 
 pub mod binary;
 pub mod client;
+pub mod conn;
 pub mod frame;
 pub mod server;
 pub mod shard;

@@ -1,86 +1,46 @@
-//! The multi-client protocol server: a poll-based reactor.
+//! The single-service protocol server: the one-shard configuration of
+//! the engine in [`crate::shard`].
 //!
-//! One I/O thread — the *reactor* — owns the listener, every connection,
-//! and the [`SpeQuloS`] service itself. It parks in `poll(2)` (via the
-//! vendored [`polling`] shim) until a socket is ready, moves bytes
-//! between per-connection read/write buffers and the kernel, and
-//! dispatches each complete request *inline*: decode → (durable append)
-//! → `service.handle` → encode, with no cross-thread handoff anywhere on
-//! the request path. That is how one thread services thousands of
-//! connections where the previous design spent two threads per
-//! connection plus a mailbox hop per request (that design survives as
-//! [`Server::spawn_threaded`], kept as the benchmark baseline —
-//! `repro_protocol` measures the two against each other).
-//!
-//! Each connection negotiates its frame format with a first-line hello
-//! (PROTOCOL.md §2): newline-JSON frames (§3) or length-prefixed binary
-//! frames (§4) carrying the compact envelope encoding of
-//! [`crate::binary`]. A connection that opens with a bare digit — a JSON
-//! frame header — is a legacy client and speaks JSON with no hello
-//! exchange (§2.3), which keeps `nc` sessions and pre-negotiation
-//! clients working.
-//!
-//! Ordering guarantees are unchanged from the threaded design: FIFO per
-//! connection (frames are decoded and served in arrival order from the
-//! connection's read buffer), global order = the order the reactor
-//! drains readiness events, and a `Request::Batch` is served atomically
-//! because `service.handle` sees it as one request. Backpressure is now
-//! per-connection and byte-denominated (PROTOCOL.md §9): when a
-//! connection's write buffer exceeds [`ServerConfig::write_highwater`],
-//! the reactor stops reading *that* socket — kernel buffers fill, TCP
-//! flow control pushes back on that client — while every other
-//! connection proceeds undisturbed.
-//!
-//! Durability composes exactly as before: [`Server::spawn_durable`]
-//! appends each request to the write-ahead log *before* dispatching it,
-//! inline on the reactor thread, so "acknowledged ⇒ durable" holds
-//! per-request with no reordering window (a reply cannot even be
-//! *encoded* until the append returned).
+//! [`Server::spawn`] starts exactly one shard thread. It owns the
+//! listener, every connection (a [`crate::conn::Conn`] core around a
+//! non-blocking socket) and the [`SpeQuloS`] itself, and dispatches each
+//! complete request *inline* — decode → (durable append) →
+//! `service.handle` → encode — with no cross-thread handoff anywhere on
+//! the request path; no router thread is started and nothing is routed.
+//! Codec negotiation, ordering and backpressure are the engine's and are
+//! described there; [`Server::spawn_durable`] puts the write-ahead log
+//! in front of dispatch, so "acknowledged ⇒ durable" holds per request
+//! (a reply cannot even be *encoded* until the append returned).
 //!
 //! Shutdown recovers the service: [`ServerHandle::into_service`] wakes
-//! the reactor, which drops the listener and every connection and
-//! returns the `SpeQuloS` with all the state the request stream built —
-//! how the harness pins remote runs bit-identical to in-process ones.
+//! the shard, which drops the listener and every connection and returns
+//! the `SpeQuloS` with all the state the request stream built — how the
+//! harness pins remote runs bit-identical to in-process ones.
 
-use crate::binary;
-use crate::frame::{self, Codec, FrameError, HelloOutcome, MAX_FRAME_BYTES};
-use crate::wire::{peek_id, RequestEnvelope, ResponseEnvelope};
-use polling::{Event, Poller};
-use spequlos::protocol::{RequestError, Response, SpqService};
-use spequlos::wal::{FsyncPolicy, RecoveryReport, WalError, WalStore};
+use crate::frame::MAX_FRAME_BYTES;
+use crate::shard::{self, ShardConfig, ShardedHandle, Store};
+use spequlos::wal::{FsyncPolicy, RecoveryReport, WalError};
 use spequlos::SpeQuloS;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
-/// Server tuning knobs; [`ServerConfig::default`] suits tests and
+/// Per-connection bounds; [`ServerConfig::default`] suits tests and
 /// loopback experiment runs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Mailbox depth of the legacy thread-per-connection backend
-    /// ([`Server::spawn_threaded`]): how many decoded requests may wait
-    /// for its dispatch loop before session threads block. The reactor
-    /// does not use a mailbox; it backpressures by byte count
-    /// ([`ServerConfig::write_highwater`]) instead.
-    pub mailbox_depth: usize,
     /// Maximum accepted frame payload, in bytes.
     pub max_frame_bytes: usize,
     /// Per-connection write-buffer high-water mark, in bytes
     /// (PROTOCOL.md §9). When a connection's buffered-but-unsent replies
-    /// exceed this, the reactor stops reading that socket until the
-    /// buffer drains, letting TCP flow control push back on that one
-    /// client.
+    /// exceed this, its shard stops reading that socket until the buffer
+    /// drains, letting TCP flow control push back on that one client.
     pub write_highwater: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            mailbox_depth: 64,
             max_frame_bytes: MAX_FRAME_BYTES,
             write_highwater: 256 * 1024,
         }
@@ -146,21 +106,13 @@ impl From<io::Error> for DurableError {
     }
 }
 
-/// Runtime durability state owned by the reactor (or, for the legacy
-/// backend, its dispatch loop).
-pub(crate) struct DurableState {
-    pub(crate) wal: WalStore,
-    pub(crate) snapshot_every: u64,
-    pub(crate) since_snapshot: u64,
-}
-
 /// Per-request timing observer for [`Server::spawn_observed`]: called
 /// after each served request with the request's wire tag
 /// ([`spequlos::protocol::Request::kind`]; batches report as `"batch"`)
 /// and the wall-clock time `SpqService::handle` took — service time
 /// only, excluding framing, buffering and socket I/O.
 ///
-/// The observer runs on the reactor thread, between requests: keep it
+/// The observer runs on the shard thread, between requests: keep it
 /// cheap (a histogram record, a counter bump), because its cost is
 /// serialized into the request path exactly like the service itself.
 pub type RequestObserver = Box<dyn FnMut(&'static str, std::time::Duration) + Send>;
@@ -178,7 +130,7 @@ impl Server {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        Self::spawn_inner(service, addr, config, None, None)
+        Self::spawn_store(Store::new(service), addr, config)
     }
 
     /// Binds `addr` and serves a *durable* service: every request is
@@ -194,30 +146,23 @@ impl Server {
     /// state came from.
     ///
     /// A failed append is answered with a typed
-    /// [`RequestError::Transport`] error and the request is *not*
-    /// dispatched: the client knows durability was not achieved, and the
-    /// on-disk log never lags the in-memory state. Snapshot failures are
-    /// non-fatal (the log alone recovers exactly); they only cost
-    /// recovery time.
+    /// [`spequlos::RequestError::Transport`] error and the request is
+    /// *not* dispatched: the client knows durability was not achieved,
+    /// and the on-disk log never lags the in-memory state. Snapshot
+    /// failures are non-fatal (the log alone recovers exactly); they
+    /// only cost recovery time.
     pub fn spawn_durable(
         template: SpeQuloS,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
         durability: DurabilityConfig,
     ) -> Result<(ServerHandle, RecoveryReport), DurableError> {
-        let (wal, recovery) = WalStore::open(&durability.dir, durability.fsync)?;
-        let (service, report) = recovery.recover(template)?;
-        let durable = DurableState {
-            wal,
-            snapshot_every: durability.snapshot_every,
-            since_snapshot: 0,
-        };
-        let handle = Self::spawn_inner(service, addr, config, None, Some(durable))?;
-        Ok((handle, report))
+        let (store, report) = Store::recover(template, &durability.dir, &durability)?;
+        Ok((Self::spawn_store(store, addr, config)?, report))
     }
 
     /// [`Server::spawn`] with a per-request timing hook: `observer` sees
-    /// every request the reactor serves (kind tag + service time). This
+    /// every request the server executes (kind tag + service time). This
     /// is how the load generator's `repro_load` separates *service* time
     /// from *sojourn* time — under open-loop overload the client-side
     /// latency explodes while the per-request service time stays flat,
@@ -230,61 +175,7 @@ impl Server {
         config: ServerConfig,
         observer: RequestObserver,
     ) -> io::Result<ServerHandle> {
-        Self::spawn_inner(service, addr, config, Some(observer), None)
-    }
-
-    fn spawn_inner(
-        service: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        observer: Option<RequestObserver>,
-        durable: Option<DurableState>,
-    ) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poller = Arc::new(Poller::new()?);
-        poller.add(&listener, Event::readable(reactor::LISTENER_KEY))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let thread = {
-            let poller = Arc::clone(&poller);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                reactor::Reactor::new(poller, listener, service, observer, durable, config)
-                    .run(&shutdown)
-            })
-        };
-
-        Ok(ServerHandle {
-            addr,
-            backend: Some(Backend::Reactor {
-                shutdown,
-                poller,
-                thread,
-            }),
-        })
-    }
-
-    /// The previous thread-per-connection deployment, retained as the
-    /// benchmark baseline `repro_protocol` compares the reactor against:
-    /// one accept thread, one session thread per connection, a bounded
-    /// mailbox ([`ServerConfig::mailbox_depth`]) into a single dispatch
-    /// thread that owns the service.
-    ///
-    /// Legacy JSON only — it predates the hello exchange, so connect
-    /// with [`crate::RemoteService::connect_legacy`]. Not durable, not
-    /// observed. New deployments should not use this.
-    pub fn spawn_threaded(
-        service: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        let (addr, parts) = threaded::spawn(service, addr, config)?;
-        Ok(ServerHandle {
-            addr,
-            backend: Some(Backend::Threaded(parts)),
-        })
+        Self::spawn_store(Store::new(service).observed(observer), addr, config)
     }
 
     /// [`Server::spawn`] on `127.0.0.1:0` with the default configuration —
@@ -293,642 +184,36 @@ impl Server {
     pub fn spawn_loopback(service: SpeQuloS) -> io::Result<ServerHandle> {
         Server::spawn(service, "127.0.0.1:0", ServerConfig::default())
     }
-}
 
-enum Backend {
-    Reactor {
-        shutdown: Arc<AtomicBool>,
-        poller: Arc<Poller>,
-        thread: JoinHandle<SpeQuloS>,
-    },
-    Threaded(threaded::Parts),
+    /// The engine with one shard. The service is taken as it is — a
+    /// recovered or pre-loaded one included — not split from a template.
+    fn spawn_store(
+        store: Store,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+    ) -> io::Result<ServerHandle> {
+        shard::spawn_parts(vec![store], addr, config, ShardConfig::new(1)).map(ServerHandle)
+    }
 }
 
 /// A running server. Dropping the handle shuts the server down (and
 /// discards the service); call [`ServerHandle::into_service`] to shut
 /// down *and* recover the service state.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    backend: Option<Backend>,
-}
+pub struct ServerHandle(ShardedHandle);
 
 impl ServerHandle {
     /// The bound address — with `"127.0.0.1:0"` this carries the actual
     /// port clients must connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Stops the server and returns the service with every state change
     /// the request stream produced. In-flight requests finish first;
     /// connections still open are dropped.
-    pub fn into_service(mut self) -> SpeQuloS {
-        // spq-lint: allow(panic-unwrap) — `self` is consumed whole, so this is provably the first stop
-        self.stop().expect("first stop returns the service")
-    }
-
-    /// Idempotent teardown; returns the service on the first call.
-    fn stop(&mut self) -> Option<SpeQuloS> {
-        match self.backend.take()? {
-            Backend::Reactor {
-                shutdown,
-                poller,
-                thread,
-            } => {
-                shutdown.store(true, Ordering::Release);
-                let _ = poller.notify();
-                // A join fails only if the reactor panicked; re-raise
-                // that panic on this thread instead of minting a new one.
-                Some(
-                    thread
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                )
-            }
-            Backend::Threaded(parts) => Some(parts.stop(self.addr)),
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        let _ = self.stop();
-    }
-}
-
-mod reactor {
-    //! The event loop. Everything here runs on the one reactor thread;
-    //! the only cross-thread touchpoints are the shutdown flag and
-    //! `Poller::notify`.
-
-    use super::*;
-
-    /// Poller key of the listening socket; connections get `slot + 1`.
-    pub(super) const LISTENER_KEY: usize = 0;
-
-    /// How far a connection's first bytes have gotten (PROTOCOL.md §2).
-    enum Phase {
-        /// Nothing classified yet: the next bytes are a hello line or a
-        /// legacy JSON frame header.
-        AwaitHello,
-        /// Negotiation done; every further frame uses this codec.
-        Ready(Codec),
-    }
-
-    struct Conn {
-        stream: TcpStream,
-        phase: Phase,
-        /// Bytes read but not yet decoded. `rpos` marks how much of the
-        /// front has been consumed; the buffer compacts once per event
-        /// so per-frame consumption is O(1), not O(buffer).
-        rbuf: Vec<u8>,
-        rpos: usize,
-        /// Encoded replies not yet accepted by the kernel, `wpos` sent.
-        wbuf: Vec<u8>,
-        wpos: usize,
-        /// Drain `wbuf`, then close (used for hello refusals, §2.2).
-        close_after_flush: bool,
-        /// The peer half-closed its write side (§1): serve what is
-        /// buffered, flush every reply, then close — a client may
-        /// pipeline its whole workload and shut down its write half to
-        /// ask for exactly this drain.
-        read_closed: bool,
-    }
-
-    impl Conn {
-        fn pending_write(&self) -> usize {
-            self.wbuf.len() - self.wpos
-        }
-    }
-
-    /// What a connection event handler decided about the connection.
-    enum Verdict {
-        Keep,
-        Close,
-    }
-
-    pub(super) struct Reactor {
-        poller: Arc<Poller>,
-        listener: TcpListener,
-        conns: Vec<Option<Conn>>,
-        free: Vec<usize>,
-        service: SpeQuloS,
-        observer: Option<RequestObserver>,
-        durable: Option<DurableState>,
-        max_frame: usize,
-        highwater: usize,
-    }
-
-    impl Reactor {
-        pub(super) fn new(
-            poller: Arc<Poller>,
-            listener: TcpListener,
-            service: SpeQuloS,
-            observer: Option<RequestObserver>,
-            durable: Option<DurableState>,
-            config: ServerConfig,
-        ) -> Reactor {
-            Reactor {
-                poller,
-                listener,
-                conns: Vec::new(),
-                free: Vec::new(),
-                service,
-                observer,
-                durable,
-                max_frame: config.max_frame_bytes,
-                highwater: config.write_highwater.max(1),
-            }
-        }
-
-        /// The event loop; returns the service on shutdown.
-        pub(super) fn run(mut self, shutdown: &AtomicBool) -> SpeQuloS {
-            let mut events: Vec<Event> = Vec::new();
-            while !shutdown.load(Ordering::Acquire) {
-                events.clear();
-                // The timeout is a belt-and-braces re-check of the
-                // shutdown flag; `notify` is the real wakeup.
-                if self
-                    .poller
-                    .wait(&mut events, Some(Duration::from_millis(500)))
-                    .is_err()
-                {
-                    break;
-                }
-                for event in events.drain(..) {
-                    if event.key == LISTENER_KEY {
-                        self.accept_burst();
-                    } else {
-                        self.drive(event.key - 1, event.readable, event.writable);
-                    }
-                }
-            }
-            self.service
-        }
-
-        /// Accepts until the listener runs dry, then re-arms it.
-        fn accept_burst(&mut self) {
-            loop {
-                let stream = match self.listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                };
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                // Replies are single small frames; Nagle only adds latency.
-                let _ = stream.set_nodelay(true);
-                let slot = match self.free.pop() {
-                    Some(slot) => slot,
-                    None => {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    }
-                };
-                if self.poller.add(&stream, Event::readable(slot + 1)).is_err() {
-                    // Out of poller budget: refuse by dropping the socket.
-                    self.free.push(slot);
-                    continue;
-                }
-                self.conns[slot] = Some(Conn {
-                    stream,
-                    phase: Phase::AwaitHello,
-                    rbuf: Vec::new(),
-                    rpos: 0,
-                    wbuf: Vec::new(),
-                    wpos: 0,
-                    close_after_flush: false,
-                    read_closed: false,
-                });
-            }
-            let _ = self
-                .poller
-                .modify(&self.listener, Event::readable(LISTENER_KEY));
-        }
-
-        /// One connection's turn: pull bytes, serve complete frames,
-        /// push replies, re-arm or close.
-        fn drive(&mut self, slot: usize, readable: bool, writable: bool) {
-            // Take the connection out of its slot so serving requests can
-            // borrow the service mutably alongside it.
-            let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-                return;
-            };
-            let verdict = self.step(&mut conn, readable, writable);
-            match verdict {
-                Verdict::Close => {
-                    let _ = self.poller.delete(&conn.stream);
-                    self.free.push(slot);
-                }
-                Verdict::Keep => {
-                    // Re-arm (oneshot poller): read unless backpressured
-                    // or closing, write only while replies are queued.
-                    let interest = Event {
-                        key: slot + 1,
-                        readable: !conn.close_after_flush
-                            && !conn.read_closed
-                            && conn.pending_write() < self.highwater,
-                        writable: conn.pending_write() > 0,
-                    };
-                    if self.poller.modify(&conn.stream, interest).is_err() {
-                        self.free.push(slot);
-                        return;
-                    }
-                    self.conns[slot] = Some(conn);
-                }
-            }
-        }
-
-        fn step(&mut self, conn: &mut Conn, readable: bool, writable: bool) -> Verdict {
-            if readable && !conn.close_after_flush && !conn.read_closed {
-                match self.fill(conn) {
-                    Ok(()) => {}
-                    Err(()) => return Verdict::Close,
-                }
-            }
-            if let Err(()) = self.serve_buffered(conn) {
-                return Verdict::Close;
-            }
-            if (writable || conn.pending_write() > 0) && self.flush(conn).is_err() {
-                return Verdict::Close;
-            }
-            // Flushing may have drained below the high-water mark:
-            // consume requests that were parked behind backpressure.
-            if let Err(()) = self.serve_buffered(conn) {
-                return Verdict::Close;
-            }
-            if conn.close_after_flush && conn.pending_write() == 0 {
-                return Verdict::Close;
-            }
-            // Half-close drain complete: every decodable request served
-            // (serve_buffered ran to exhaustion) and every reply flushed.
-            if conn.read_closed && conn.pending_write() == 0 {
-                return Verdict::Close;
-            }
-            Verdict::Keep
-        }
-
-        /// Reads the socket dry (or until the frame-size bound says the
-        /// peer is misbehaving). `Err(())` = peer gone.
-        fn fill(&mut self, conn: &mut Conn) -> Result<(), ()> {
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                // A well-formed frame fits in max_frame + header slack; a
-                // buffer beyond that holds garbage the decoder will
-                // reject — stop amplifying it.
-                if conn.rbuf.len() - conn.rpos > self.max_frame + 64 {
-                    return Ok(());
-                }
-                if conn.pending_write() >= self.highwater {
-                    return Ok(()); // backpressured: let the kernel queue it
-                }
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        // EOF: the peer is done writing, but requests may
-                        // still be buffered and replies unflushed — drain
-                        // before closing (half-close, §1).
-                        conn.read_closed = true;
-                        return Ok(());
-                    }
-                    Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Err(()),
-                }
-            }
-        }
-
-        /// Decodes and serves every complete frame buffered, stopping at
-        /// the backpressure bound. `Err(())` = unrecoverable stream
-        /// (framing violation, hello garbage): drop the connection.
-        fn serve_buffered(&mut self, conn: &mut Conn) -> Result<(), ()> {
-            loop {
-                if conn.pending_write() >= self.highwater || conn.close_after_flush {
-                    break;
-                }
-                let buf = &conn.rbuf[conn.rpos..];
-                match conn.phase {
-                    Phase::AwaitHello => match frame::decode_hello(buf) {
-                        Ok(None) => break,
-                        Ok(Some((HelloOutcome::Legacy, consumed))) => {
-                            conn.rpos += consumed;
-                            conn.phase = Phase::Ready(Codec::Json);
-                        }
-                        Ok(Some((HelloOutcome::Hello(codec), consumed))) => {
-                            conn.rpos += consumed;
-                            conn.wbuf
-                                .extend_from_slice(frame::hello_ack_line(codec).as_bytes());
-                            conn.phase = Phase::Ready(codec);
-                        }
-                        Err(FrameError::BadHello(reason)) => {
-                            // A recognizable-but-wrong hello gets a
-                            // refusal line before the close (§2.2);
-                            // arbitrary garbage gets nothing.
-                            if buf.first() == Some(&b'S') {
-                                conn.wbuf
-                                    .extend_from_slice(frame::hello_err_line(&reason).as_bytes());
-                                conn.close_after_flush = true;
-                                break;
-                            }
-                            self.compact(conn);
-                            return Err(());
-                        }
-                        Err(_) => {
-                            self.compact(conn);
-                            return Err(());
-                        }
-                    },
-                    Phase::Ready(Codec::Json) => {
-                        match frame::decode_json_frame(buf, self.max_frame) {
-                            Ok(None) => break,
-                            Ok(Some((payload, consumed))) => {
-                                conn.rpos += consumed;
-                                let reply = self.serve_json(&payload);
-                                frame::write_frame_vec(&mut conn.wbuf, &reply.to_json());
-                            }
-                            Err(_) => {
-                                // Framing violation: reader and writer
-                                // have lost agreement — no resync.
-                                self.compact(conn);
-                                return Err(());
-                            }
-                        }
-                    }
-                    Phase::Ready(Codec::Binary) => {
-                        match frame::decode_binary_frame(buf, self.max_frame) {
-                            Ok(None) => break,
-                            Ok(Some((payload, consumed))) => {
-                                conn.rpos += consumed;
-                                let reply = self.serve_binary(&payload);
-                                frame::write_binary_frame_vec(
-                                    &mut conn.wbuf,
-                                    &binary::encode_response(&reply),
-                                );
-                            }
-                            Err(_) => {
-                                self.compact(conn);
-                                return Err(());
-                            }
-                        }
-                    }
-                }
-            }
-            self.compact(conn);
-            Ok(())
-        }
-
-        /// Drops the consumed front of the read buffer — once per event,
-        /// so serving N buffered frames costs one memmove, not N.
-        fn compact(&self, conn: &mut Conn) {
-            if conn.rpos > 0 {
-                conn.rbuf.drain(..conn.rpos);
-                conn.rpos = 0;
-            }
-        }
-
-        fn serve_json(&mut self, payload: &str) -> ResponseEnvelope {
-            match RequestEnvelope::from_json(payload) {
-                Ok(envelope) => self.serve(envelope),
-                // A decodable frame with a bad payload is answered, not
-                // dropped: the stream itself is still healthy (§7).
-                Err(e) => ResponseEnvelope {
-                    id: peek_id(payload).unwrap_or(0),
-                    response: Response::Error(RequestError::Invalid(format!("bad envelope: {e}"))),
-                },
-            }
-        }
-
-        fn serve_binary(&mut self, payload: &[u8]) -> ResponseEnvelope {
-            match binary::decode_request(payload) {
-                Ok(envelope) => self.serve(envelope),
-                Err(e) => ResponseEnvelope {
-                    id: binary::peek_id(payload).unwrap_or(0),
-                    response: Response::Error(RequestError::Invalid(format!("bad envelope: {e}"))),
-                },
-            }
-        }
-
-        /// The request path: append-before-dispatch, handle, snapshot
-        /// bookkeeping — inline, exactly what the threaded design's
-        /// dispatch loop did per mailbox job.
-        fn serve(&mut self, envelope: RequestEnvelope) -> ResponseEnvelope {
-            let RequestEnvelope { id, at, request } = envelope;
-            // Write-ahead: the record must be durable before the state
-            // changes. A batch is one record — atomic in the log exactly
-            // as it is atomic in dispatch.
-            if let Some(d) = self.durable.as_mut() {
-                if let Err(e) = d.wal.append(at, &request) {
-                    let response = Response::Error(RequestError::Transport(format!(
-                        "write-ahead log append failed: {e}"
-                    )));
-                    return ResponseEnvelope { id, response }; // not durable ⇒ not dispatched
-                }
-            }
-            let response = match self.observer.as_mut() {
-                None => self.service.handle(request, at),
-                Some(observe) => {
-                    let kind = request.kind();
-                    let start = std::time::Instant::now();
-                    let response = self.service.handle(request, at);
-                    observe(kind, start.elapsed());
-                    response
-                }
-            };
-            if let Some(d) = self.durable.as_mut() {
-                d.since_snapshot += 1;
-                if d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every {
-                    // The service now reflects exactly the appended
-                    // records, so the snapshot's `applied` count is
-                    // truthful. Failure is non-fatal: the log alone
-                    // recovers exactly; retry after the next period
-                    // rather than on every request.
-                    let _ = d.wal.snapshot(&self.service);
-                    d.since_snapshot = 0;
-                }
-            }
-            ResponseEnvelope { id, response }
-        }
-
-        /// Writes until the kernel stops accepting or the buffer drains.
-        fn flush(&self, conn: &mut Conn) -> Result<(), ()> {
-            while conn.wpos < conn.wbuf.len() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => return Err(()),
-                    Ok(n) => conn.wpos += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Err(()),
-                }
-            }
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            Ok(())
-        }
-    }
-}
-
-mod threaded {
-    //! The retired thread-per-connection deployment, kept verbatim as
-    //! the baseline [`Server::spawn_threaded`] benchmarks the reactor
-    //! against. Legacy JSON only (no hello); see the module docs of
-    //! [`super`] for the reactor that replaced it.
-
-    use super::*;
-    use crate::frame::{read_frame, write_frame};
-    use std::io::{BufReader, BufWriter};
-    use std::sync::mpsc::{self, SyncSender};
-    use std::sync::Mutex;
-
-    struct Job {
-        envelope: RequestEnvelope,
-        reply: SyncSender<ResponseEnvelope>,
-    }
-
-    type SessionRegistry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
-
-    pub(super) struct Parts {
-        shutdown: Arc<AtomicBool>,
-        sessions: SessionRegistry,
-        accept: JoinHandle<()>,
-        dispatch: JoinHandle<SpeQuloS>,
-        mailbox: SyncSender<Job>,
-    }
-
-    impl Parts {
-        pub(super) fn stop(self, addr: SocketAddr) -> SpeQuloS {
-            let Parts {
-                shutdown,
-                sessions,
-                accept,
-                dispatch,
-                mailbox,
-            } = self;
-            shutdown.store(true, Ordering::Release);
-            // Wake the blocking `accept` so it observes the flag.
-            let _ = TcpStream::connect(addr);
-            let _ = accept.join();
-            let drained: Vec<(JoinHandle<()>, TcpStream)> = {
-                let mut guard = sessions
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                guard.drain(..).collect()
-            };
-            for (handle, stream) in drained {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                let _ = handle.join();
-            }
-            // All mailbox senders are gone once this drops, so the
-            // dispatch loop drains what is queued and returns the service.
-            drop(mailbox);
-            dispatch
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        }
-    }
-
-    pub(super) fn spawn(
-        service: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<(SocketAddr, Parts)> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sessions: SessionRegistry = Arc::new(Mutex::new(Vec::new()));
-        let (mailbox, jobs) = mpsc::sync_channel::<Job>(config.mailbox_depth.max(1));
-
-        let dispatch = thread::spawn(move || {
-            let mut service = service;
-            while let Ok(job) = jobs.recv() {
-                let RequestEnvelope { id, at, request } = job.envelope;
-                let response = service.handle(request, at);
-                let _ = job.reply.send(ResponseEnvelope { id, response });
-            }
-            service
-        });
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let sessions = Arc::clone(&sessions);
-            let mailbox = mailbox.clone();
-            let max_frame = config.max_frame_bytes;
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let Ok(registered) = stream.try_clone() else {
-                        continue;
-                    };
-                    let mailbox = mailbox.clone();
-                    let handle = thread::spawn(move || session(stream, mailbox, max_frame));
-                    // Poison means a session thread panicked mid-push;
-                    // the registry Vec is still structurally sound.
-                    let mut registry = sessions
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    registry.retain(|(h, _)| !h.is_finished());
-                    registry.push((handle, registered));
-                }
-            })
-        };
-
-        Ok((
-            addr,
-            Parts {
-                shutdown,
-                sessions,
-                accept,
-                dispatch,
-                mailbox,
-            },
-        ))
-    }
-
-    fn session(stream: TcpStream, mailbox: SyncSender<Job>, max_frame: usize) {
-        let _ = stream.set_nodelay(true);
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
-        let (reply, replies) = mpsc::sync_channel::<ResponseEnvelope>(1);
-
-        loop {
-            let payload = match read_frame(&mut reader, max_frame) {
-                Ok(Some(payload)) => payload,
-                Ok(None) | Err(_) => return,
-            };
-            let outcome = match RequestEnvelope::from_json(&payload) {
-                Ok(envelope) => {
-                    if mailbox
-                        .send(Job {
-                            envelope,
-                            reply: reply.clone(),
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                    match replies.recv() {
-                        Ok(out) => out,
-                        Err(_) => return,
-                    }
-                }
-                Err(e) => ResponseEnvelope {
-                    id: peek_id(&payload).unwrap_or(0),
-                    response: Response::Error(RequestError::Invalid(format!("bad envelope: {e}"))),
-                },
-            };
-            if write_frame(&mut writer, &outcome.to_json()).is_err() {
-                return;
-            }
-            if io::Write::flush(&mut writer).is_err() {
-                return;
-            }
-        }
+    pub fn into_service(self) -> SpeQuloS {
+        // spq-lint: allow(panic-unwrap) — `Server` only ever starts this handle with exactly one shard
+        self.0.into_services().pop().expect("one shard")
     }
 }
 
@@ -936,11 +221,23 @@ mod threaded {
 mod tests {
     use super::*;
     use crate::client::RemoteService;
+    use crate::frame::{self, Codec};
+    use crate::shard::ShardedServer;
+    use crate::wire::{RequestEnvelope, ResponseEnvelope};
     use simcore::SimTime;
-    use spequlos::protocol::Request;
+    use spequlos::protocol::{Request, RequestError, Response, SpqService};
     use spequlos::UserId;
-    use std::io::{BufRead, BufReader, BufWriter};
-    use std::sync::Mutex;
+    use std::io::{BufRead, BufReader, BufWriter, Write};
+    use std::net::TcpStream;
+    use std::sync::{Arc, Mutex};
+    use std::thread;
+
+    /// Writes one JSON frame to a socket the way a raw client does.
+    fn send_json(w: &mut impl Write, payload: &str) {
+        let mut buf = Vec::new();
+        frame::write_frame(&mut buf, Codec::Json, payload.as_bytes());
+        w.write_all(&buf).expect("send frame");
+    }
 
     #[test]
     fn serves_one_client_and_returns_the_state() {
@@ -1042,55 +339,26 @@ mod tests {
 
     #[test]
     fn a_garbage_hello_is_refused_with_an_err_line() {
-        use std::io::Write;
-
-        let handle = Server::spawn_loopback(SpeQuloS::new()).expect("bind loopback");
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(stream);
-        writer.write_all(b"SPQ/1 gzip\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("refusal line");
-        assert!(
-            line.starts_with("SPQ/1 err"),
-            "unknown codec gets a refusal, got {line:?}"
-        );
-        // …after which the connection closes.
-        assert_eq!(reader.read_line(&mut line).expect("eof"), 0);
-    }
-
-    #[test]
-    fn tiny_mailbox_backpressures_instead_of_failing() {
-        let config = ServerConfig {
-            mailbox_depth: 1,
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(SpeQuloS::new(), "127.0.0.1:0", config).expect("bind loopback");
-        let addr = handle.addr();
-        let clients: Vec<_> = (0..4u64)
-            .map(|i| {
-                thread::spawn(move || {
-                    let mut remote = RemoteService::connect(addr).expect("connect");
-                    for _ in 0..50 {
-                        let r = remote.handle(
-                            Request::Deposit {
-                                user: UserId(i),
-                                credits: 2.0,
-                            },
-                            SimTime::ZERO,
-                        );
-                        assert!(matches!(r, Response::Deposited { .. }));
-                    }
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().expect("client");
-        }
-        let service = handle.into_service();
-        for i in 0..4u64 {
-            assert_eq!(service.credits.balance(UserId(i)), 100.0);
+        // The refusal is flushed before the close on the single shard and
+        // behind the router alike: both run the hello through the core.
+        let single = Server::spawn_loopback(SpeQuloS::new()).expect("bind loopback");
+        let sharded =
+            ShardedServer::spawn_loopback(SpeQuloS::new(), ShardConfig::deterministic(4, 1_000))
+                .expect("bind loopback");
+        for addr in [single.addr(), sharded.addr()] {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = BufWriter::new(stream);
+            writer.write_all(b"SPQ/1 gzip\n").unwrap();
+            writer.flush().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("refusal line");
+            assert!(
+                line.starts_with("SPQ/1 err"),
+                "unknown codec gets a refusal, got {line:?}"
+            );
+            // …after which the connection closes.
+            assert_eq!(reader.read_line(&mut line).expect("eof"), 0);
         }
     }
 
@@ -1099,8 +367,6 @@ mod tests {
         // Force the byte-denominated backpressure path (PROTOCOL.md §9):
         // with a 64-byte high-water mark, a client that pipelines 200
         // requests before reading anything must still get every reply.
-        use std::io::Write;
-
         let config = ServerConfig {
             write_highwater: 64,
             ..ServerConfig::default()
@@ -1119,7 +385,7 @@ mod tests {
                     credits: 1.0,
                 },
             };
-            frame::write_frame(&mut writer, &env.to_json()).unwrap();
+            send_json(&mut writer, &env.to_json());
         }
         writer.flush().unwrap();
         for id in 0..N {
@@ -1137,8 +403,6 @@ mod tests {
 
     #[test]
     fn malformed_payloads_get_error_replies_and_the_session_survives() {
-        use std::io::Write;
-
         let handle = Server::spawn_loopback(SpeQuloS::new()).expect("bind loopback");
         let stream = TcpStream::connect(handle.addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -1147,7 +411,7 @@ mod tests {
         // A well-framed but non-envelope payload: the server answers with
         // a typed error (echoing the id it could recover) and keeps the
         // connection open.
-        frame::write_frame(&mut writer, r#"{"id":7.0,"wat":true}"#).unwrap();
+        send_json(&mut writer, r#"{"id":7.0,"wat":true}"#);
         writer.flush().unwrap();
         let reply = frame::read_frame(&mut reader, MAX_FRAME_BYTES)
             .expect("read")
@@ -1168,7 +432,7 @@ mod tests {
                 credits: 5.0,
             },
         };
-        frame::write_frame(&mut writer, &env.to_json()).unwrap();
+        send_json(&mut writer, &env.to_json());
         writer.flush().unwrap();
         let reply = frame::read_frame(&mut reader, MAX_FRAME_BYTES)
             .expect("read")
@@ -1180,8 +444,6 @@ mod tests {
 
     #[test]
     fn a_broken_frame_drops_only_that_connection() {
-        use std::io::Write;
-
         let handle = Server::spawn_loopback(SpeQuloS::new()).expect("bind loopback");
 
         // Feed bytes that violate the framing itself.
@@ -1242,25 +504,6 @@ mod tests {
         assert_eq!(samples.len(), 6, "five deposits + one batch");
         assert_eq!(samples.iter().filter(|(k, _)| *k == "deposit").count(), 5);
         assert_eq!(samples.iter().filter(|(k, _)| *k == "batch").count(), 1);
-    }
-
-    #[test]
-    fn the_threaded_baseline_still_serves_legacy_clients() {
-        let handle =
-            Server::spawn_threaded(SpeQuloS::new(), "127.0.0.1:0", ServerConfig::default())
-                .expect("bind loopback");
-        let mut remote = RemoteService::connect_legacy(handle.addr()).expect("connect");
-        let r = remote.handle(
-            Request::Deposit {
-                user: UserId(2),
-                credits: 7.0,
-            },
-            SimTime::ZERO,
-        );
-        assert!(matches!(r, Response::Deposited { .. }));
-        drop(remote);
-        let service = handle.into_service();
-        assert_eq!(service.credits.balance(UserId(2)), 7.0);
     }
 
     #[test]

@@ -1,16 +1,23 @@
-//! Tenant-partitioned sharding: N shard reactors behind one listener.
+//! The serving engine: shard reactors around one connection core, with
+//! an accept-and-route thread in front when there is more than one.
 //!
-//! The PR 8 reactor serves thousands of connections from one thread —
-//! but it is still *one* thread owning *one* [`SpeQuloS`], so tenant
-//! count cannot scale past one core. This module partitions the service
-//! by tenant: a [`ShardedServer`] runs `N` independent shard reactors
-//! (each a full poll loop owning its own `SpeQuloS`, write-ahead log
-//! and connection set), fronted by an accept-and-route thread.
+//! A *shard* is one thread that owns one [`SpeQuloS`] (plus its
+//! write-ahead log, when durable) and a set of connections. It parks in
+//! `poll(2)` (the vendored [`polling`] shim) until a socket is ready,
+//! lets the connection's [`Conn`] core move bytes and decode frames, and
+//! executes each request *inline* — decode → (durable append) →
+//! `service.handle` → encode — with no cross-thread hop on the
+//! steady-state request path. Everything a connection does with bytes
+//! lives in [`crate::conn`]; this module is event loops and execution.
 //!
-//! # Routing
+//! **One shard** is [`crate::Server`]: the shard owns the listener and
+//! accepts straight into the core's hello phase. There is no router
+//! thread, no routing, and none of the cross-shard machinery below is
+//! ever constructed.
 //!
-//! Tenant keys map to shards with no routing table
-//! (see [`spequlos::tenancy`]):
+//! **N > 1 shards** ([`ShardedServer`]) partition the service by tenant
+//! so tenant count can scale past one core. Tenant keys map to shards
+//! with no routing table (see [`spequlos::tenancy`]):
 //!
 //! * user-keyed requests (`Deposit`, `RegisterQos`) hash the user id
 //!   ([`spequlos::tenancy::shard_of_user`], a fixed SplitMix64 finalizer);
@@ -20,28 +27,40 @@
 //!   stride), and the shard that owns a user registers its bots, so a
 //!   tenant's whole session lands on one shard.
 //!
-//! The router classifies each fresh connection — hello exchange, then
-//! the first complete request frame — and hands the whole connection
-//! (socket, negotiated codec, buffered bytes) to the target shard over
-//! a bounded SPSC mailbox. From then on that shard owns the socket and
-//! serves its requests **inline**, exactly like the single reactor: no
-//! cross-thread hop on the steady-state request path.
+//! The router accepts each connection into the *same* core, drives it
+//! through the hello exchange and its first complete request, and hands
+//! the core — socket, negotiated codec, buffered bytes — plus that
+//! decoded request to the owning shard over a bounded mailbox. From
+//! then on that shard owns the socket and serves it inline.
 //!
 //! A *mixed-tenant* connection (the harness's admin connection, a
 //! multiplexing proxy) may carry requests for other shards. Those are
-//! forwarded to the owning shard over its inbox and the encoded reply
-//! returns through the origin shard's completion queue; a per-connection
-//! reply ledger releases replies strictly in request order, so the
-//! protocol's per-connection FIFO guarantee survives interleaved local
-//! and forwarded requests.
+//! forwarded to the owning shard over its inbox and the reply returns
+//! through the origin shard's inbox; a per-connection reply ledger
+//! releases replies strictly in request order, so the protocol's
+//! per-connection FIFO guarantee survives interleaved local and
+//! forwarded requests.
+//!
+//! # Ordering and backpressure
+//!
+//! FIFO per connection (frames are decoded and served in arrival order
+//! from the connection's read buffer); per shard, global order = the
+//! order the shard drains readiness events; a `Request::Batch` is served
+//! atomically because `service.handle` sees it as one request (one that
+//! spans shards is refused, [`spequlos::tenancy::route_atomic`]).
+//! Backpressure is per-connection and byte-denominated (PROTOCOL.md §9):
+//! past [`ServerConfig::write_highwater`] unsent reply bytes the core
+//! stops reading *that* socket — kernel buffers fill, TCP flow control
+//! pushes back on that client — while every other connection proceeds.
 //!
 //! # The pool under sharding
 //!
 //! The shared `CloudPool` becomes per-shard quotas behind
-//! [`PoolLedger`]/[`PoolLease`]: each shard's pool capacity *is* its
-//! lease quota, synced before every admission decision. A rebalancer —
-//! a wall-clock background thread ([`ShardConfig::rebalance_interval`])
-//! or a deterministic every-K-requests trigger
+//! [`spequlos::tenancy::PoolLedger`]: each shard's pool capacity *is* its lease quota,
+//! synced before every admission decision
+//! ([`spequlos::tenancy::ShardQuota`]). A rebalancer — a wall-clock
+//! background thread ([`ShardConfig::rebalance_interval`]) or a
+//! deterministic every-K-requests trigger
 //! ([`ShardConfig::rebalance_every`]) — moves slack quota toward the
 //! shards holding the most outstanding QoS credits, never below the
 //! floor and never below what a shard already leased, so PR 2's
@@ -52,22 +71,21 @@
 //! Results are pinned **per shard count**: admission and fair-share
 //! arbitration see per-shard quotas, so an `N`-shard run is
 //! deterministic (same seed ⇒ same bytes) but is *not* the single-shard
-//! run — changing `N` changes which orders are admitted when. The
-//! single-reactor `Server::spawn` path is untouched by this module.
+//! run — changing `N` changes which orders are admitted when.
 
-use crate::binary;
-use crate::frame::{self, Codec, FrameError, HelloOutcome};
-use crate::server::{DurabilityConfig, DurableError, DurableState, ServerConfig};
-use crate::wire::{peek_id, RequestEnvelope, ResponseEnvelope};
+use crate::conn::{Conn, Dead, Decoded};
+use crate::server::{DurabilityConfig, DurableError, RequestObserver, ServerConfig};
+use crate::wire::{RequestEnvelope, ResponseEnvelope};
 use polling::{Event, Poller};
-use spequlos::protocol::{Request, RequestError, Response, SpqService};
-use spequlos::tenancy::{route_request, PoolLease, PoolLedger};
+use spequlos::protocol::{RequestError, Response, SpqService};
+use spequlos::tenancy::{route_atomic, route_request, ShardQuota};
 use spequlos::wal::{RecoveryReport, WalStore};
 use spequlos::SpeQuloS;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -77,7 +95,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Number of shards (≥ 1). One shard is a valid degenerate
-    /// deployment: one router + one reactor, same service semantics as
+    /// deployment: no router, the same engine configuration as
     /// `Server::spawn`.
     pub shards: u32,
     /// Depth of the bounded connection-handoff mailbox from the router
@@ -119,49 +137,596 @@ impl ShardConfig {
             ..Self::new(shards)
         }
     }
+
+    fn split(&self, template: SpeQuloS) -> Vec<(SpeQuloS, Option<ShardQuota>)> {
+        ShardQuota::split(
+            template,
+            self.shards,
+            self.quota_floor,
+            self.rebalance_every,
+        )
+    }
 }
 
-/// A connection the router classified and is handing to its shard.
-struct Handoff {
+// ---------------------------------------------------------------------------
+// The execute step: what one shard runs requests against
+// ---------------------------------------------------------------------------
+
+/// A shard's write-ahead log and snapshot bookkeeping.
+struct Durable {
+    wal: WalStore,
+    snapshot_every: u64,
+    since_snapshot: u64,
+}
+
+/// Everything behind one shard's request path: the service, its pool
+/// quota (sharded pooled deployments), its write-ahead log (durable
+/// deployments) and the timing hook (`Server::spawn_observed`).
+pub(crate) struct Store {
+    service: SpeQuloS,
+    quota: Option<ShardQuota>,
+    durable: Option<Durable>,
+    observer: Option<RequestObserver>,
+}
+
+impl Store {
+    pub(crate) fn new(service: SpeQuloS) -> Store {
+        Store {
+            service,
+            quota: None,
+            durable: None,
+            observer: None,
+        }
+    }
+
+    /// Opens the write-ahead log in `dir` and recovers whatever state a
+    /// previous run left there into `template`.
+    pub(crate) fn recover(
+        template: SpeQuloS,
+        dir: &Path,
+        durability: &DurabilityConfig,
+    ) -> Result<(Store, RecoveryReport), DurableError> {
+        let (wal, recovery) = WalStore::open(dir, durability.fsync)?;
+        let (service, report) = recovery.recover(template)?;
+        let mut store = Store::new(service);
+        store.durable = Some(Durable {
+            wal,
+            snapshot_every: durability.snapshot_every,
+            since_snapshot: 0,
+        });
+        Ok((store, report))
+    }
+
+    pub(crate) fn observed(mut self, observer: RequestObserver) -> Store {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// The request path: append-before-dispatch, handle (through the
+    /// pool quota when there is one), snapshot bookkeeping.
+    fn execute(&mut self, envelope: RequestEnvelope) -> ResponseEnvelope {
+        let RequestEnvelope { id, at, request } = envelope;
+        // Write-ahead: the record must be durable before the state
+        // changes. A batch is one record — atomic in the log exactly as
+        // it is atomic in dispatch.
+        if let Some(d) = self.durable.as_mut() {
+            if let Err(e) = d.wal.append(at, &request) {
+                let response = Response::Error(RequestError::Transport(format!(
+                    "write-ahead log append failed: {e}"
+                )));
+                return ResponseEnvelope { id, response }; // not durable ⇒ not dispatched
+            }
+        }
+        let timing = self
+            .observer
+            .is_some()
+            .then(|| (request.kind(), Instant::now()));
+        let response = match self.quota.as_ref() {
+            None => self.service.handle(request, at),
+            Some(quota) => quota.handle(&mut self.service, request, at),
+        };
+        if let (Some(observe), Some((kind, start))) = (self.observer.as_mut(), timing) {
+            observe(kind, start.elapsed());
+        }
+        if let Some(d) = self.durable.as_mut() {
+            d.since_snapshot += 1;
+            if d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every {
+                // The service now reflects exactly the appended records,
+                // so the snapshot's `applied` count is truthful. Failure
+                // is non-fatal: the log alone recovers exactly; retry
+                // after the next period rather than on every request.
+                let _ = d.wal.snapshot(&self.service);
+                d.since_snapshot = 0;
+            }
+        }
+        ResponseEnvelope { id, response }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Spawning and the handle
+// ---------------------------------------------------------------------------
+
+/// Factory for sharded protocol servers; see the [module docs](self).
+pub struct ShardedServer;
+
+impl ShardedServer {
+    /// Binds `addr` and serves `template` split into
+    /// [`ShardConfig::shards`] shard services (see
+    /// [`SpeQuloS::into_shards`]): shard `i` owns BoT ids `≡ i (mod N)`
+    /// and, when the template has a pool, a lease on the shared
+    /// capacity.
+    pub fn spawn_sharded(
+        template: SpeQuloS,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+        shard_cfg: ShardConfig,
+    ) -> io::Result<ShardedHandle> {
+        let stores = shard_cfg
+            .split(template)
+            .into_iter()
+            .map(|(service, quota)| Store {
+                quota,
+                ..Store::new(service)
+            })
+            .collect();
+        spawn_parts(stores, addr, config, shard_cfg)
+    }
+
+    /// [`ShardedServer::spawn_sharded`] with per-shard durability:
+    /// shard `i` owns the write-ahead log in `durability.dir/shard-<i>`
+    /// and appends each request it executes *before* dispatching it —
+    /// append→fsync→dispatch, shard-locally. Existing state is
+    /// recovered first, all shards in parallel; the reports come back
+    /// in shard order.
+    pub fn spawn_durable_sharded(
+        template: SpeQuloS,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+        shard_cfg: ShardConfig,
+        durability: DurabilityConfig,
+    ) -> Result<(ShardedHandle, Vec<RecoveryReport>), DurableError> {
+        // Parallel per-shard recovery: each shard's log replays into its
+        // own template concurrently, so restart cost is the *slowest*
+        // shard, not the sum.
+        let recovered = thread::scope(|scope| {
+            let handles: Vec<_> = shard_cfg
+                .split(template)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (service, quota))| {
+                    let dir = durability.dir.join(format!("shard-{i}"));
+                    let durability = &durability;
+                    scope.spawn(move || {
+                        let (mut store, report) = Store::recover(service, &dir, durability)?;
+                        // Publish the recovered load before any traffic,
+                        // so the first rebalance pass pins quotas at what
+                        // the shards actually lease.
+                        if let Some(quota) = quota.as_ref() {
+                            quota.publish(&store.service);
+                        }
+                        store.quota = quota;
+                        Ok((store, report))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Result<Vec<_>, DurableError>>()
+        })?;
+        let (stores, reports) = recovered.into_iter().unzip();
+        Ok((spawn_parts(stores, addr, config, shard_cfg)?, reports))
+    }
+
+    /// [`ShardedServer::spawn_sharded`] on `127.0.0.1:0` with default
+    /// server tuning — the loopback deployment tests use.
+    pub fn spawn_loopback(template: SpeQuloS, shard_cfg: ShardConfig) -> io::Result<ShardedHandle> {
+        Self::spawn_sharded(template, "127.0.0.1:0", ServerConfig::default(), shard_cfg)
+    }
+}
+
+/// Binds `addr` and starts one shard thread per store — plus, with more
+/// than one, the router thread and the cross-shard links, and (pooled,
+/// [`ShardConfig::rebalance_interval`] set) the wall-clock rebalancer.
+/// Every entry point of the crate ends here.
+pub(crate) fn spawn_parts(
+    stores: Vec<Store>,
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+    shard_cfg: ShardConfig,
+) -> io::Result<ShardedHandle> {
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    // Everything fallible happens before the first thread starts, so an
+    // error here leaves nothing running.
+    let sharded = stores.len() > 1;
+    let mut pollers = Vec::with_capacity(stores.len() + 1);
+    for _ in 0..stores.len() + usize::from(sharded) {
+        pollers.push(Arc::new(Poller::new()?));
+    }
+    // The last poller is the router's, or the only shard's own.
+    let accept_poller = Arc::clone(&pollers[pollers.len() - 1]);
+    accept_poller.add(&listener, Event::readable(LISTENER_KEY))?;
+
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let mut helpers = Vec::new();
+    let ledger = stores[0].quota.as_ref().map(|q| q.ledger().clone());
+    if let (Some(ledger), Some(interval), true) = (ledger, shard_cfg.rebalance_interval, sharded) {
+        let flag = Arc::clone(&shutdown);
+        helpers.push(thread::spawn(move || {
+            let step = interval.clamp(Duration::from_millis(1), Duration::from_millis(50));
+            let mut last = Instant::now();
+            while !flag.load(Ordering::Acquire) {
+                thread::sleep(step);
+                if last.elapsed() >= interval {
+                    ledger.rebalance();
+                    last = Instant::now();
+                }
+            }
+        }));
+    }
+    let (mut shard_listener, mut meshes) = (None, Vec::new());
+    if !sharded {
+        shard_listener = Some(listener);
+    } else {
+        let (links, adopts): (Vec<_>, Vec<_>) = pollers[..stores.len()]
+            .iter()
+            .map(|poller| {
+                let (adopt, rx) = mpsc::sync_channel::<Handoff>(shard_cfg.mailbox_depth.max(1));
+                let inbox = Arc::new(Mutex::new(VecDeque::new()));
+                let poller = Arc::clone(poller);
+                (
+                    ShardLink {
+                        adopt,
+                        inbox,
+                        poller,
+                    },
+                    rx,
+                )
+            })
+            .unzip();
+        let links = Arc::new(links);
+        meshes.extend(adopts.into_iter().enumerate().map(|(i, adopt)| Mesh {
+            id: i as u32,
+            adopt,
+            links: Arc::clone(&links),
+        }));
+        let router = Router {
+            poller: accept_poller,
+            listener,
+            links,
+            pending: Slots::default(),
+            config,
+        };
+        let flag = Arc::clone(&shutdown);
+        helpers.push(thread::spawn(move || router.run(&flag)));
+    }
+    let mut meshes = meshes.into_iter();
+    let shards = stores
+        .into_iter()
+        .zip(&pollers)
+        .map(|(store, poller)| {
+            let shard = Shard {
+                poller: Arc::clone(poller),
+                listener: shard_listener.take(),
+                mesh: meshes.next(),
+                conns: Slots::default(),
+                next_gen: 0,
+                store,
+                config,
+            };
+            let flag = Arc::clone(&shutdown);
+            thread::spawn(move || shard.run(&flag))
+        })
+        .collect();
+    Ok(ShardedHandle {
+        addr,
+        shutdown,
+        pollers,
+        helpers,
+        shards,
+    })
+}
+
+/// A running sharded server. Dropping the handle shuts everything down
+/// (discarding the shard services); [`ShardedHandle::into_services`]
+/// shuts down *and* recovers every shard's service state.
+pub struct ShardedHandle {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    /// Every event loop's poller: its wakeup.
+    pollers: Vec<Arc<Poller>>,
+    /// The router and the wall-clock rebalancer, when there are any.
+    helpers: Vec<JoinHandle<()>>,
+    shards: Vec<JoinHandle<SpeQuloS>>,
+}
+
+impl ShardedHandle {
+    /// The bound address — with `"127.0.0.1:0"` this carries the actual
+    /// port clients must connect to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Number of shards serving behind the listener.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Stops the server and returns every shard's service, in shard
+    /// order, with every state change the request stream produced.
+    /// Replied requests are applied (a reply cannot exist before its
+    /// request executed, even across a forward); connections still open
+    /// are dropped.
+    pub fn into_services(mut self) -> Vec<SpeQuloS> {
+        self.stop()
+    }
+
+    /// Idempotent teardown: the first call joins every thread and
+    /// returns the services; the drop that follows `into_services` finds
+    /// nothing left to join.
+    fn stop(&mut self) -> Vec<SpeQuloS> {
+        self.shutdown.store(true, Ordering::Release);
+        for poller in &self.pollers {
+            let _ = poller.notify();
+        }
+        for helper in self.helpers.drain(..) {
+            let _ = helper.join();
+        }
+        // A join fails only if the shard panicked; re-raise that panic
+        // on this thread instead of minting a new one.
+        self.shards
+            .drain(..)
+            .map(|t| t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    }
+}
+
+impl Drop for ShardedHandle {
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What the router and the shards share: sockets, slots, accepting
+// ---------------------------------------------------------------------------
+
+/// Poller key of the listening socket; connections get `slot + 1`.
+const LISTENER_KEY: usize = 0;
+
+/// A socket and its connection core.
+struct Sock {
     stream: TcpStream,
-    /// Bytes read but not yet decoded (the first request frame is still
-    /// in here — the shard decodes and serves it).
-    rbuf: Vec<u8>,
-    codec: Codec,
-    /// Bytes already owed to the peer (the hello ack, when the router
-    /// could not flush all of it before handing off). The shard writes
-    /// these before any reply.
-    wbuf: Vec<u8>,
-    /// Peer already half-closed: serve what is buffered, flush, close.
-    read_closed: bool,
+    core: Conn,
 }
 
-/// A request one shard forwards to the shard owning its tenant.
-struct Forward {
-    origin: u32,
-    conn_slot: usize,
-    conn_gen: u64,
-    seq: u64,
-    codec: Codec,
-    envelope: RequestEnvelope,
+impl Sock {
+    fn fill(&mut self) -> Result<(), Dead> {
+        self.core.fill(&mut self.stream)
+    }
+
+    fn flush(&mut self) -> Result<(), Dead> {
+        self.core.flush(&mut self.stream)
+    }
+
+    /// Re-arms the (oneshot) poller for whatever the core waits on next.
+    fn rearm(&self, poller: &Poller, slot: usize) -> io::Result<()> {
+        let interest = Event {
+            key: slot + 1,
+            readable: self.core.wants_read(),
+            writable: self.core.wants_write(),
+        };
+        poller.modify(&self.stream, interest)
+    }
 }
 
-/// The encoded reply coming back to the origin shard.
-struct Completion {
-    conn_slot: usize,
-    conn_gen: u64,
+/// An event loop's connections, indexed by poller key − 1.
+struct Slots<T> {
+    items: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    fn reserve(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.items.push(None);
+            self.items.len() - 1
+        })
+    }
+
+    /// Takes the connection out of its slot, so serving it can borrow
+    /// the rest of the event loop mutably alongside it.
+    fn take(&mut self, slot: usize) -> Option<T> {
+        self.items.get_mut(slot).and_then(Option::take)
+    }
+
+    fn put(&mut self, slot: usize, item: T) {
+        if let Some(place) = self.items.get_mut(slot) {
+            *place = Some(item);
+        }
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+    }
+}
+
+/// Accepts until the listener runs dry — each socket non-blocking, Nagle
+/// off (replies are single small frames; it only adds latency), wrapped
+/// by `adopt` and registered under a fresh slot — then re-arms the
+/// listener.
+fn accept_burst<T>(
+    listener: &TcpListener,
+    poller: &Poller,
+    config: &ServerConfig,
+    slots: &mut Slots<T>,
+    mut adopt: impl FnMut(Sock, usize) -> T,
+) {
+    while let Ok((stream, _)) = listener.accept() {
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let slot = slots.reserve();
+        if poller.add(&stream, Event::readable(slot + 1)).is_err() {
+            // Out of poller budget: refuse by dropping the socket.
+            slots.release(slot);
+            continue;
+        }
+        let core = Conn::new(config);
+        slots.put(slot, adopt(Sock { stream, core }, slot));
+    }
+    let _ = poller.modify(listener, Event::readable(LISTENER_KEY));
+}
+
+/// Parks in `poller` until `shutdown`, handing each wakeup's events to
+/// `turn`. The timeout is a belt-and-braces re-check of the flag;
+/// `Poller::notify` is the real wakeup.
+fn event_loop(poller: &Poller, shutdown: &AtomicBool, mut turn: impl FnMut(&mut Vec<Event>)) {
+    let mut events: Vec<Event> = Vec::new();
+    while !shutdown.load(Ordering::Acquire) {
+        events.clear();
+        if poller
+            .wait(&mut events, Some(Duration::from_millis(500)))
+            .is_err()
+        {
+            break;
+        }
+        turn(&mut events);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The accept-and-route thread (N > 1 only)
+// ---------------------------------------------------------------------------
+
+/// A connection the router classified, on its way to its shard.
+struct Handoff {
+    sock: Sock,
+    /// The first complete frame, already decoded — what the router
+    /// routed by. The shard serves it before anything still buffered.
+    first: Decoded,
+}
+
+struct Router {
+    poller: Arc<Poller>,
+    listener: TcpListener,
+    links: Arc<Vec<ShardLink>>,
+    /// Connections still being classified: hello, then the first
+    /// complete request frame decides the owning shard.
+    pending: Slots<Sock>,
+    config: ServerConfig,
+}
+
+impl Router {
+    fn run(mut self, shutdown: &AtomicBool) {
+        let poller = Arc::clone(&self.poller);
+        event_loop(&poller, shutdown, |events| {
+            for event in events.drain(..) {
+                if event.key == LISTENER_KEY {
+                    let (listener, pending) = (&self.listener, &mut self.pending);
+                    accept_burst(listener, &self.poller, &self.config, pending, |sock, _| {
+                        sock
+                    });
+                } else {
+                    self.drive(event.key - 1);
+                }
+            }
+        });
+    }
+
+    /// The core runs the hello exchange (acking it — clients block on
+    /// the ack before sending the request this routes by) and decodes
+    /// the first frame; an ack still unflushed travels with the core.
+    fn classify(sock: &mut Sock) -> Result<Option<Decoded>, Dead> {
+        sock.fill()?;
+        if let Some(first) = sock.core.decode_next()? {
+            return Ok(Some(first));
+        }
+        sock.flush()?;
+        // The flush may have lifted backpressure off a buffered frame.
+        sock.core.decode_next()
+    }
+
+    /// One pending connection's turn.
+    fn drive(&mut self, slot: usize) {
+        let Some(mut sock) = self.pending.take(slot) else {
+            return;
+        };
+        match Self::classify(&mut sock) {
+            // Not enough bytes yet (or a refusal still flushing).
+            Ok(None) if !sock.core.drained() && sock.rearm(&self.poller, slot).is_ok() => {
+                self.pending.put(slot, sock);
+                return;
+            }
+            Ok(Some(first)) => {
+                let _ = self.poller.delete(&sock.stream);
+                // An undecodable or keyless first envelope still gets a
+                // shard (which answers it with the typed error).
+                let target = match &first {
+                    Decoded::Request(envelope) => {
+                        route_request(&envelope.request, self.links.len() as u32)
+                    }
+                    Decoded::BadEnvelope(_) => None,
+                };
+                let link = &self.links[target.unwrap_or(0) as usize];
+                // Blocking send: accept backpressure when a shard's
+                // mailbox is full. Only the router ever blocks here, so
+                // no deadlock cycle is possible. A disconnected shard
+                // (shutdown) just drops the connection.
+                if link.adopt.send(Handoff { sock, first }).is_ok() {
+                    let _ = link.poller.notify();
+                }
+            }
+            // Dead peer, broken framing, refused hello flushed, or EOF
+            // before the first frame: nothing owed.
+            _ => {
+                let _ = self.poller.delete(&sock.stream);
+            }
+        }
+        self.pending.release(slot);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One shard: an event loop, a store, and (N > 1) cross-shard forwarding
+// ---------------------------------------------------------------------------
+
+/// Where a forwarded request's reply must land: the origin shard's
+/// connection slot, the slot's generation (proof it was not reused
+/// since) and the request's place in that connection's reply ledger.
+#[derive(Clone, Copy)]
+struct Ticket {
+    slot: usize,
+    gen: u64,
     seq: u64,
-    bytes: Vec<u8>,
 }
 
 /// Cross-shard traffic into one shard.
 enum Inbound {
-    Forward(Forward),
-    Completion(Completion),
+    /// A request shard `origin` forwards to this one, its tenant's owner.
+    Forward {
+        origin: u32,
+        ticket: Ticket,
+        envelope: RequestEnvelope,
+    },
+    /// The reply to a request this shard forwarded.
+    Completion(Ticket, ResponseEnvelope),
 }
 
 /// One shard's addresses, shared by the router and every peer shard.
-#[derive(Clone)]
 struct ShardLink {
     adopt: SyncSender<Handoff>,
     inbox: Arc<Mutex<VecDeque<Inbound>>>,
@@ -180,979 +745,240 @@ impl ShardLink {
     }
 }
 
-/// Factory for sharded protocol servers; see the [module docs](self).
-pub struct ShardedServer;
-
-impl ShardedServer {
-    /// Binds `addr` and serves `template` split into
-    /// [`ShardConfig::shards`] shard services (see
-    /// [`SpeQuloS::into_shards`]): shard `i` owns BoT ids `≡ i (mod N)`
-    /// and, when the template has a pool, a [`PoolLease`] on the shared
-    /// capacity.
-    pub fn spawn_sharded(
-        template: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        shard_cfg: ShardConfig,
-    ) -> io::Result<ShardedHandle> {
-        let (services, ledger) = template.into_shards(shard_cfg.shards, shard_cfg.quota_floor);
-        let durables = services.iter().map(|_| None).collect();
-        Self::spawn_parts(services, ledger, durables, addr, config, shard_cfg)
-    }
-
-    /// [`ShardedServer::spawn_sharded`] with per-shard durability:
-    /// shard `i` owns the write-ahead log in `durability.dir/shard-<i>`
-    /// and appends each request it executes *before* dispatching it —
-    /// PR 7's append→fsync→dispatch, shard-locally. Existing state is
-    /// recovered first, all shards in parallel; the reports come back
-    /// in shard order.
-    pub fn spawn_durable_sharded(
-        template: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        shard_cfg: ShardConfig,
-        durability: DurabilityConfig,
-    ) -> Result<(ShardedHandle, Vec<RecoveryReport>), DurableError> {
-        let (services, ledger) = template.into_shards(shard_cfg.shards, shard_cfg.quota_floor);
-        // Parallel per-shard recovery: each shard's log replays into its
-        // own template concurrently, so restart cost is the *slowest*
-        // shard, not the sum.
-        let recovered = thread::scope(|scope| {
-            let handles: Vec<_> = services
-                .into_iter()
-                .enumerate()
-                .map(|(i, svc)| {
-                    let dir = durability.dir.join(format!("shard-{i}"));
-                    let fsync = durability.fsync;
-                    scope.spawn(move || -> Result<_, DurableError> {
-                        let (wal, recovery) = WalStore::open(&dir, fsync)?;
-                        let (svc, report) = recovery.recover(svc)?;
-                        Ok((svc, wal, report))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-        let mut services = Vec::with_capacity(recovered.len());
-        let mut durables = Vec::with_capacity(recovered.len());
-        let mut reports = Vec::with_capacity(recovered.len());
-        for (svc, wal, report) in recovered {
-            services.push(svc);
-            durables.push(Some(DurableState {
-                wal,
-                snapshot_every: durability.snapshot_every,
-                since_snapshot: 0,
-            }));
-            reports.push(report);
-        }
-        // Publish recovered loads before any traffic so the first
-        // rebalance pass pins quotas at what the shards actually lease.
-        if let Some((_, leases)) = ledger.as_ref() {
-            for (svc, lease) in services.iter().zip(leases) {
-                let in_use = svc.pool().map_or(0, |p| p.in_use());
-                lease.publish(in_use, svc.credits.total_outstanding());
-            }
-        }
-        let handle = Self::spawn_parts(services, ledger, durables, addr, config, shard_cfg)?;
-        Ok((handle, reports))
-    }
-
-    /// [`ShardedServer::spawn_sharded`] on `127.0.0.1:0` with default
-    /// server tuning — the loopback deployment tests use.
-    pub fn spawn_loopback(template: SpeQuloS, shard_cfg: ShardConfig) -> io::Result<ShardedHandle> {
-        Self::spawn_sharded(template, "127.0.0.1:0", ServerConfig::default(), shard_cfg)
-    }
-
-    fn spawn_parts(
-        services: Vec<SpeQuloS>,
-        ledger: Option<(PoolLedger, Vec<PoolLease>)>,
-        durables: Vec<Option<DurableState>>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        shard_cfg: ShardConfig,
-    ) -> io::Result<ShardedHandle> {
-        let n = services.len() as u32;
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handled = Arc::new(AtomicU64::new(0));
-        let (ledger, mut leases) = match ledger {
-            Some((ledger, leases)) => (Some(ledger), leases.into_iter().map(Some).collect()),
-            None => (None, services.iter().map(|_| None).collect::<Vec<_>>()),
-        };
-
-        let mut links = Vec::with_capacity(services.len());
-        let mut adopt_rxs = Vec::with_capacity(services.len());
-        for _ in 0..services.len() {
-            let (tx, rx) = mpsc::sync_channel::<Handoff>(shard_cfg.mailbox_depth.max(1));
-            links.push(ShardLink {
-                adopt: tx,
-                inbox: Arc::new(Mutex::new(VecDeque::new())),
-                poller: Arc::new(Poller::new()?),
-            });
-            adopt_rxs.push(rx);
-        }
-        let links = Arc::new(links);
-
-        let mut shard_threads = Vec::with_capacity(services.len());
-        let mut shard_pollers = Vec::with_capacity(services.len());
-        for (i, (service, (adopt_rx, durable))) in services
-            .into_iter()
-            .zip(adopt_rxs.into_iter().zip(durables))
-            .enumerate()
-        {
-            let poller = Arc::clone(&links[i].poller);
-            shard_pollers.push(Arc::clone(&poller));
-            let shard = Shard {
-                id: i as u32,
-                shards: n,
-                poller,
-                conns: Vec::new(),
-                free: Vec::new(),
-                service,
-                lease: leases[i].take(),
-                ledger: ledger.clone(),
-                durable,
-                adopt: adopt_rx,
-                inbox: Arc::clone(&links[i].inbox),
-                links: Arc::clone(&links),
-                handled: Arc::clone(&handled),
-                rebalance_every: shard_cfg.rebalance_every,
-                max_frame: config.max_frame_bytes,
-                highwater: config.write_highwater.max(1),
-            };
-            let flag = Arc::clone(&shutdown);
-            shard_threads.push(thread::spawn(move || shard.run(&flag)));
-        }
-
-        let router_poller = Arc::new(Poller::new()?);
-        router_poller.add(&listener, Event::readable(0))?;
-        let router = {
-            let poller = Arc::clone(&router_poller);
-            let links = Arc::clone(&links);
-            let flag = Arc::clone(&shutdown);
-            let max_frame = config.max_frame_bytes;
-            thread::spawn(move || {
-                Router {
-                    poller,
-                    listener,
-                    links,
-                    shards: n,
-                    pending: Vec::new(),
-                    free: Vec::new(),
-                    max_frame,
-                }
-                .run(&flag)
-            })
-        };
-
-        let rebalancer = match (ledger, shard_cfg.rebalance_interval) {
-            (Some(ledger), Some(interval)) if n > 1 => {
-                let flag = Arc::clone(&shutdown);
-                Some(thread::spawn(move || {
-                    let step = interval
-                        .min(Duration::from_millis(50))
-                        .max(Duration::from_millis(1));
-                    let mut last = Instant::now();
-                    while !flag.load(Ordering::Acquire) {
-                        thread::sleep(step);
-                        if last.elapsed() >= interval {
-                            ledger.rebalance();
-                            last = Instant::now();
-                        }
-                    }
-                }))
-            }
-            _ => None,
-        };
-
-        Ok(ShardedHandle {
-            addr,
-            inner: Some(HandleInner {
-                shutdown,
-                router_poller,
-                router,
-                shard_pollers,
-                shard_threads,
-                rebalancer,
-            }),
-        })
-    }
-}
-
-struct HandleInner {
-    shutdown: Arc<AtomicBool>,
-    router_poller: Arc<Poller>,
-    router: JoinHandle<()>,
-    shard_pollers: Vec<Arc<Poller>>,
-    shard_threads: Vec<JoinHandle<SpeQuloS>>,
-    rebalancer: Option<JoinHandle<()>>,
-}
-
-/// A running sharded server. Dropping the handle shuts everything down
-/// (discarding the shard services); [`ShardedHandle::into_services`]
-/// shuts down *and* recovers every shard's service state.
-pub struct ShardedHandle {
-    addr: SocketAddr,
-    inner: Option<HandleInner>,
-}
-
-impl ShardedHandle {
-    /// The bound address — with `"127.0.0.1:0"` this carries the actual
-    /// port clients must connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Number of shards serving behind the listener.
-    pub fn shards(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.shard_threads.len())
-    }
-
-    /// Stops the server and returns every shard's service, in shard
-    /// order — the sharded counterpart of `ServerHandle::into_service`.
-    /// Replied requests are applied (a reply cannot exist before its
-    /// request executed, even across a forward); connections still open
-    /// are dropped.
-    pub fn into_services(mut self) -> Vec<SpeQuloS> {
-        // spq-lint: allow(panic-unwrap) — `self` is consumed whole, so this is provably the first stop
-        self.stop().expect("first stop returns the services")
-    }
-
-    /// Idempotent teardown; returns the services on the first call.
-    fn stop(&mut self) -> Option<Vec<SpeQuloS>> {
-        let inner = self.inner.take()?;
-        inner.shutdown.store(true, Ordering::Release);
-        let _ = inner.router_poller.notify();
-        for poller in &inner.shard_pollers {
-            let _ = poller.notify();
-        }
-        let _ = inner.router.join();
-        if let Some(rebalancer) = inner.rebalancer {
-            let _ = rebalancer.join();
-        }
-        Some(
-            inner
-                .shard_threads
-                .into_iter()
-                .map(|t| t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect(),
-        )
-    }
-}
-
-impl Drop for ShardedHandle {
-    fn drop(&mut self) {
-        let _ = self.stop();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The accept-and-route thread
-// ---------------------------------------------------------------------------
-
-/// A connection still being classified: hello, then the first complete
-/// request frame decides the owning shard.
-struct PendingConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    rpos: usize,
-    /// The hello ack (written by the *router*, so negotiation completes
-    /// even though the shard only sees the connection at its first
-    /// request — clients block on the ack before sending one).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    hello: Option<Codec>,
-    read_closed: bool,
-}
-
-impl PendingConn {
-    fn pending_write(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-}
-
-/// What classification decided about a pending connection.
-enum Classified {
-    /// Not enough bytes yet; keep polling.
-    Wait,
-    /// Hand the connection to this shard.
-    Route(u32),
-    /// Protocol violation or dead peer; drop it (after best-effort
-    /// writing `refusal` when present).
-    Drop(Option<String>),
-}
-
-struct Router {
-    poller: Arc<Poller>,
-    listener: TcpListener,
+/// A shard's place among its peers; absent when it is the only one.
+struct Mesh {
+    id: u32,
+    adopt: Receiver<Handoff>,
     links: Arc<Vec<ShardLink>>,
-    shards: u32,
-    pending: Vec<Option<PendingConn>>,
-    free: Vec<usize>,
-    max_frame: usize,
 }
 
-impl Router {
-    fn run(mut self, shutdown: &AtomicBool) {
-        let mut events: Vec<Event> = Vec::new();
-        while !shutdown.load(Ordering::Acquire) {
-            events.clear();
-            if self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(500)))
-                .is_err()
-            {
-                break;
-            }
-            for event in events.drain(..) {
-                if event.key == 0 {
-                    self.accept_burst();
-                } else {
-                    self.drive(event.key - 1);
-                }
-            }
-        }
-    }
-
-    fn accept_burst(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let slot = match self.free.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.pending.push(None);
-                    self.pending.len() - 1
-                }
-            };
-            if self.poller.add(&stream, Event::readable(slot + 1)).is_err() {
-                self.free.push(slot);
-                continue;
-            }
-            self.pending[slot] = Some(PendingConn {
-                stream,
-                rbuf: Vec::new(),
-                rpos: 0,
-                wbuf: Vec::new(),
-                wpos: 0,
-                hello: None,
-                read_closed: false,
-            });
-        }
-        let _ = self.poller.modify(&self.listener, Event::readable(0));
-    }
-
-    fn drive(&mut self, slot: usize) {
-        let Some(mut conn) = self.pending.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        if self.fill(&mut conn).is_err() {
-            let _ = self.poller.delete(&conn.stream);
-            self.free.push(slot);
-            return;
-        }
-        let classified = self.classify(&mut conn);
-        if flush(&mut conn.stream, &mut conn.wbuf, &mut conn.wpos).is_err() {
-            let _ = self.poller.delete(&conn.stream);
-            self.free.push(slot);
-            return;
-        }
-        match classified {
-            Classified::Wait => {
-                if conn.read_closed {
-                    // EOF before the first frame: nothing owed.
-                    let _ = self.poller.delete(&conn.stream);
-                    self.free.push(slot);
-                    return;
-                }
-                let interest = Event {
-                    key: slot + 1,
-                    readable: true,
-                    writable: conn.pending_write() > 0,
-                };
-                if self.poller.modify(&conn.stream, interest).is_err() {
-                    self.free.push(slot);
-                    return;
-                }
-                self.pending[slot] = Some(conn);
-            }
-            Classified::Route(target) => {
-                let _ = self.poller.delete(&conn.stream);
-                self.free.push(slot);
-                let codec = conn.hello.unwrap_or(Codec::Json);
-                let handoff = Handoff {
-                    stream: conn.stream,
-                    rbuf: conn.rbuf.split_off(conn.rpos),
-                    codec,
-                    wbuf: conn.wbuf.split_off(conn.wpos),
-                    read_closed: conn.read_closed,
-                };
-                let link = &self.links[target as usize];
-                // Blocking send: accept backpressure when a shard's
-                // mailbox is full. Only the router ever blocks here, so
-                // no deadlock cycle is possible. A disconnected shard
-                // (shutdown) just drops the connection.
-                if link.adopt.send(handoff).is_ok() {
-                    let _ = link.poller.notify();
-                }
-            }
-            Classified::Drop(refusal) => {
-                if let Some(line) = refusal {
-                    // Best-effort: one nonblocking write of the refusal.
-                    let _ = conn.stream.write(line.as_bytes());
-                }
-                let _ = self.poller.delete(&conn.stream);
-                self.free.push(slot);
-            }
-        }
-    }
-
-    fn fill(&self, conn: &mut PendingConn) -> Result<(), ()> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if conn.rbuf.len() - conn.rpos > self.max_frame + 64 {
-                return Ok(());
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    return Ok(());
-                }
-                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
-        }
-    }
-
-    /// Hello exchange, then peek (without consuming) at the first
-    /// complete request frame and route by its tenant key. The frame
-    /// stays in the buffer: the shard decodes and serves it after
-    /// adoption, so classification is read-only.
-    fn classify(&self, conn: &mut PendingConn) -> Classified {
-        if conn.hello.is_none() {
-            let buf = &conn.rbuf[conn.rpos..];
-            match frame::decode_hello(buf) {
-                Ok(None) => return Classified::Wait,
-                Ok(Some((HelloOutcome::Legacy, consumed))) => {
-                    // Legacy JSON: no ack owed.
-                    conn.rpos += consumed;
-                    conn.hello = Some(Codec::Json);
-                }
-                Ok(Some((HelloOutcome::Hello(codec), consumed))) => {
-                    conn.rpos += consumed;
-                    // Ack now: the client blocks on this line before it
-                    // sends the first request we classify by.
-                    conn.wbuf
-                        .extend_from_slice(frame::hello_ack_line(codec).as_bytes());
-                    conn.hello = Some(codec);
-                }
-                Err(FrameError::BadHello(reason)) => {
-                    let refusal = (buf.first() == Some(&b'S'))
-                        .then(|| frame::hello_err_line(&reason).to_string());
-                    return Classified::Drop(refusal);
-                }
-                Err(_) => return Classified::Drop(None),
-            }
-        }
-        let Some(codec) = conn.hello else {
-            // Classified above; an impossible `None` drops the
-            // connection rather than panicking the router.
-            return Classified::Drop(None);
-        };
-        let buf = &conn.rbuf[conn.rpos..];
-        let payload = match codec {
-            Codec::Json => match frame::decode_json_frame(buf, self.max_frame) {
-                Ok(None) => return Classified::Wait,
-                Ok(Some((payload, _))) => {
-                    RequestEnvelope::from_json(&payload).ok().map(|e| e.request)
-                }
-                Err(_) => return Classified::Drop(None),
-            },
-            Codec::Binary => match frame::decode_binary_frame(buf, self.max_frame) {
-                Ok(None) => return Classified::Wait,
-                Ok(Some((payload, _))) => binary::decode_request(&payload).ok().map(|e| e.request),
-                Err(_) => return Classified::Drop(None),
-            },
-        };
-        // An undecodable or keyless first envelope still gets a shard
-        // (which will answer with the typed error): spread by residue.
-        let target = payload
-            .as_ref()
-            .and_then(|r| route_request(r, self.shards))
-            .unwrap_or(0);
-        Classified::Route(target)
-    }
+/// A slot in a connection's in-order reply ledger.
+enum Pending {
+    /// Executed here while a forward was still in flight ahead of it.
+    Ready(ResponseEnvelope),
+    /// Forwarded under this sequence number; its reply has not returned.
+    Forwarded(u64),
 }
-
-// ---------------------------------------------------------------------------
-// One shard: a full reactor plus cross-shard forwarding
-// ---------------------------------------------------------------------------
-
-/// A reply slot in a connection's in-order ledger: `None` while the
-/// forwarded request is in flight, the encoded frame once ready.
-type ReplySlot = (u64, Option<Vec<u8>>);
 
 struct ShardConn {
-    stream: TcpStream,
-    codec: Codec,
+    sock: Sock,
+    /// The `conns` slot this connection lives in and its generation.
+    slot: usize,
     gen: u64,
-    /// The `conns` slot this connection lives in — recorded at adoption
-    /// so forwards enqueued while the connection is taken out of its
-    /// slot still know where the completion must land.
-    slot_hint: usize,
-    rbuf: Vec<u8>,
-    rpos: usize,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    read_closed: bool,
     next_seq: u64,
-    /// Replies not yet released to `wbuf`, in request order. Empty in
-    /// the single-shard fast path: a local reply with nothing queued
-    /// ahead of it is encoded straight into `wbuf`.
-    ledger: VecDeque<ReplySlot>,
+    /// Replies not yet released to the core, in request order. Empty —
+    /// and never allocated — unless a forward is in flight: a reply with
+    /// nothing queued ahead of it is encoded straight into the core.
+    ledger: VecDeque<Pending>,
 }
 
 impl ShardConn {
-    fn pending_write(&self) -> usize {
-        self.wbuf.len() - self.wpos
+    fn new(sock: Sock, slot: usize, gen: u64) -> Box<ShardConn> {
+        Box::new(ShardConn {
+            sock,
+            slot,
+            gen,
+            next_seq: 0,
+            ledger: VecDeque::new(),
+        })
     }
 
-    /// Releases the longest ready prefix of the reply ledger into the
-    /// write buffer — FIFO per connection, across local and forwarded
-    /// replies alike.
-    fn release_ready(&mut self) {
-        while let Some((_, slot)) = self.ledger.front_mut() {
-            let Some(bytes) = slot.take() else { break };
-            self.wbuf.extend_from_slice(&bytes);
-            self.ledger.pop_front();
+    /// Queues `reply` behind whatever the ledger still waits for.
+    fn reply(&mut self, reply: ResponseEnvelope) {
+        if self.ledger.is_empty() {
+            self.sock.core.push_reply(&reply);
+        } else {
+            self.ledger.push_back(Pending::Ready(reply));
         }
     }
-
-    fn forwards_in_flight(&self) -> bool {
-        self.ledger.iter().any(|(_, b)| b.is_none())
-    }
-}
-
-enum Verdict {
-    Keep,
-    Close,
 }
 
 struct Shard {
-    id: u32,
-    shards: u32,
     poller: Arc<Poller>,
-    conns: Vec<Option<ShardConn>>,
-    free: Vec<usize>,
-    service: SpeQuloS,
-    lease: Option<PoolLease>,
-    ledger: Option<PoolLedger>,
-    durable: Option<DurableState>,
-    adopt: Receiver<Handoff>,
-    inbox: Arc<Mutex<VecDeque<Inbound>>>,
-    links: Arc<Vec<ShardLink>>,
-    handled: Arc<AtomicU64>,
-    rebalance_every: Option<u64>,
-    max_frame: usize,
-    highwater: usize,
+    /// The single shard accepts for itself; behind a router, `None`.
+    listener: Option<TcpListener>,
+    mesh: Option<Mesh>,
+    /// Boxed, so taking a connection out of its slot and putting it back
+    /// moves a pointer, and an idle slot costs one.
+    conns: Slots<Box<ShardConn>>,
+    next_gen: u64,
+    store: Store,
+    config: ServerConfig,
 }
 
 impl Shard {
+    /// The event loop; returns the service on shutdown.
     fn run(mut self, shutdown: &AtomicBool) -> SpeQuloS {
-        let mut events: Vec<Event> = Vec::new();
-        let mut next_gen: u64 = 1;
-        while !shutdown.load(Ordering::Acquire) {
-            events.clear();
-            if self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(500)))
-                .is_err()
-            {
-                break;
-            }
-            while let Ok(handoff) = self.adopt.try_recv() {
-                self.adopt_conn(handoff, next_gen);
-                next_gen += 1;
-            }
-            let inbound: Vec<Inbound> = {
-                let mut q = self
-                    .inbox
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q.drain(..).collect()
-            };
-            for msg in inbound {
-                match msg {
-                    Inbound::Forward(fwd) => self.execute_forward(fwd),
-                    Inbound::Completion(done) => self.apply_completion(done),
-                }
-            }
+        let poller = Arc::clone(&self.poller);
+        event_loop(&poller, shutdown, |events| {
+            self.drain_mesh();
             for event in events.drain(..) {
-                if event.key == 0 {
-                    continue; // shards own no listener
+                match (event.key, self.listener.as_ref()) {
+                    (LISTENER_KEY, Some(listener)) => {
+                        let next_gen = &mut self.next_gen;
+                        accept_burst(
+                            listener,
+                            &self.poller,
+                            &self.config,
+                            &mut self.conns,
+                            |sock, slot| {
+                                *next_gen += 1;
+                                ShardConn::new(sock, slot, *next_gen)
+                            },
+                        );
+                    }
+                    (LISTENER_KEY, None) => {}
+                    (key, _) => {
+                        if let Some(conn) = self.conns.take(key - 1) {
+                            self.settle(conn, event.readable);
+                        }
+                    }
                 }
-                self.drive(event.key - 1, event.readable, event.writable);
             }
-        }
-        self.service
+        });
+        self.store.service
     }
 
-    fn adopt_conn(&mut self, handoff: Handoff, gen: u64) {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
+    /// Adopts routed connections and applies cross-shard traffic.
+    fn drain_mesh(&mut self) {
+        while let Some(handoff) = self.mesh.as_ref().and_then(|m| m.adopt.try_recv().ok()) {
+            let slot = self.conns.reserve();
+            let interest = Event::readable(slot + 1);
+            if self.poller.add(&handoff.sock.stream, interest).is_err() {
+                self.conns.release(slot);
+                continue;
             }
-        };
-        if self
-            .poller
-            .add(&handoff.stream, Event::readable(slot + 1))
-            .is_err()
-        {
-            self.free.push(slot);
-            return;
+            self.next_gen += 1;
+            let mut conn = ShardConn::new(handoff.sock, slot, self.next_gen);
+            self.serve(&mut conn, handoff.first);
+            self.settle(conn, false);
         }
-        let conn = ShardConn {
-            stream: handoff.stream,
-            codec: handoff.codec,
-            gen,
-            slot_hint: slot,
-            rbuf: handoff.rbuf,
-            rpos: 0,
-            wbuf: handoff.wbuf,
-            wpos: 0,
-            read_closed: handoff.read_closed,
-            next_seq: 0,
-            ledger: VecDeque::new(),
-        };
-        // The handed-off buffer already holds at least one frame: serve
-        // it (and anything pipelined behind it) right now.
-        self.settle(slot, conn, false, true);
-    }
-
-    /// One connection's turn, mirroring the single reactor's `drive`.
-    fn drive(&mut self, slot: usize, readable: bool, writable: bool) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+        let Some(mesh) = self.mesh.as_ref() else {
             return;
         };
-        self.settle(slot, conn, readable, writable);
+        let inbound: Vec<Inbound> = mesh.links[mesh.id as usize]
+            .inbox
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .drain(..)
+            .collect();
+        for msg in inbound {
+            match msg {
+                // This shard owns the tenant: execute (the append goes to
+                // *this* shard's WAL) and send the reply back.
+                Inbound::Forward {
+                    origin,
+                    ticket,
+                    envelope,
+                } => {
+                    let reply = self.store.execute(envelope);
+                    if let Some(mesh) = self.mesh.as_ref() {
+                        mesh.links[origin as usize].push(Inbound::Completion(ticket, reply));
+                    }
+                }
+                Inbound::Completion(ticket, reply) => self.apply_completion(ticket, reply),
+            }
+        }
     }
 
     /// Steps the connection and either re-arms it into its slot or
-    /// closes it. `settle` is shared by socket events, adoption and
-    /// completion arrivals.
-    fn settle(&mut self, slot: usize, mut conn: ShardConn, readable: bool, writable: bool) {
-        let verdict = self.step(&mut conn, readable, writable);
-        match verdict {
-            Verdict::Close => {
-                let _ = self.poller.delete(&conn.stream);
-                self.free.push(slot);
-                if slot >= self.conns.len() {
-                    self.conns.resize_with(slot + 1, || None);
-                }
-                self.conns[slot] = None;
-            }
-            Verdict::Keep => {
-                let interest = Event {
-                    key: slot + 1,
-                    readable: !conn.read_closed && conn.pending_write() < self.highwater,
-                    writable: conn.pending_write() > 0,
-                };
-                if self.poller.modify(&conn.stream, interest).is_err() {
-                    self.free.push(slot);
-                    return;
-                }
-                if slot >= self.conns.len() {
-                    self.conns.resize_with(slot + 1, || None);
-                }
-                self.conns[slot] = Some(conn);
-            }
-        }
-    }
-
-    fn step(&mut self, conn: &mut ShardConn, readable: bool, writable: bool) -> Verdict {
-        if readable && !conn.read_closed && self.fill(conn).is_err() {
-            return Verdict::Close;
-        }
-        if self.serve_buffered(conn).is_err() {
-            return Verdict::Close;
-        }
-        if (writable || conn.pending_write() > 0) && self.flush(conn).is_err() {
-            return Verdict::Close;
-        }
-        if self.serve_buffered(conn).is_err() {
-            return Verdict::Close;
-        }
+    /// closes it — shared by socket events, adoption and completion
+    /// arrivals.
+    fn settle(&mut self, mut conn: Box<ShardConn>, readable: bool) {
         // Half-close drain: close only once every buffered request is
-        // served, every forwarded reply returned, and every byte
-        // flushed.
-        if conn.read_closed && conn.pending_write() == 0 && !conn.forwards_in_flight() {
-            return Verdict::Close;
-        }
-        Verdict::Keep
-    }
-
-    fn fill(&mut self, conn: &mut ShardConn) -> Result<(), ()> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if conn.rbuf.len() - conn.rpos > self.max_frame + 64 {
-                return Ok(());
-            }
-            if conn.pending_write() >= self.highwater {
-                return Ok(());
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    return Ok(());
-                }
-                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
+        // served, every forwarded reply returned, every byte flushed.
+        let open = self.step(&mut conn, readable).is_ok()
+            && !(conn.sock.core.drained() && conn.ledger.is_empty());
+        if open && conn.sock.rearm(&self.poller, conn.slot).is_ok() {
+            self.conns.put(conn.slot, conn);
+        } else {
+            let _ = self.poller.delete(&conn.sock.stream);
+            self.conns.release(conn.slot);
         }
     }
 
-    fn serve_buffered(&mut self, conn: &mut ShardConn) -> Result<(), ()> {
-        loop {
-            if conn.pending_write() >= self.highwater {
-                break;
-            }
-            let buf = &conn.rbuf[conn.rpos..];
-            let envelope = match conn.codec {
-                Codec::Json => match frame::decode_json_frame(buf, self.max_frame) {
-                    Ok(None) => break,
-                    Ok(Some((payload, consumed))) => {
-                        conn.rpos += consumed;
-                        match RequestEnvelope::from_json(&payload) {
-                            Ok(envelope) => Ok(envelope),
-                            Err(e) => Err(ResponseEnvelope {
-                                id: peek_id(&payload).unwrap_or(0),
-                                response: Response::Error(RequestError::Invalid(format!(
-                                    "bad envelope: {e}"
-                                ))),
-                            }),
-                        }
-                    }
-                    Err(_) => {
-                        self.compact(conn);
-                        return Err(());
-                    }
-                },
-                Codec::Binary => match frame::decode_binary_frame(buf, self.max_frame) {
-                    Ok(None) => break,
-                    Ok(Some((payload, consumed))) => {
-                        conn.rpos += consumed;
-                        match binary::decode_request(&payload) {
-                            Ok(envelope) => Ok(envelope),
-                            Err(e) => Err(ResponseEnvelope {
-                                id: binary::peek_id(&payload).unwrap_or(0),
-                                response: Response::Error(RequestError::Invalid(format!(
-                                    "bad envelope: {e}"
-                                ))),
-                            }),
-                        }
-                    }
-                    Err(_) => {
-                        self.compact(conn);
-                        return Err(());
-                    }
-                },
-            };
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match envelope {
-                Err(error_reply) => {
-                    self.queue_reply(conn, seq, encode_reply(conn.codec, &error_reply))
-                }
-                Ok(envelope) => self.route_and_serve(conn, seq, envelope),
-            }
-            conn.release_ready();
+    /// One connection's turn: pull bytes, serve complete frames, push
+    /// replies.
+    fn step(&mut self, conn: &mut ShardConn, readable: bool) -> Result<(), Dead> {
+        if readable {
+            conn.sock.fill()?;
         }
-        self.compact(conn);
+        self.serve_buffered(conn)?;
+        conn.sock.flush()?;
+        // Flushing may have drained below the high-water mark: consume
+        // requests that were parked behind backpressure.
+        self.serve_buffered(conn)
+    }
+
+    fn serve_buffered(&mut self, conn: &mut ShardConn) -> Result<(), Dead> {
+        while let Some(decoded) = conn.sock.core.decode_next()? {
+            self.serve(conn, decoded);
+        }
         Ok(())
     }
 
-    /// Serves one decoded envelope: inline when this shard owns its
-    /// tenant (the fast path — every single-shard request takes it),
-    /// forwarded to the owning shard otherwise.
-    fn route_and_serve(&mut self, conn: &mut ShardConn, seq: u64, envelope: RequestEnvelope) {
-        if let Request::Batch(items) = &envelope.request {
-            // A batch is atomic on one service; one spanning shards
-            // cannot be — refuse it with a typed error rather than
-            // half-apply it.
-            let mut targets = items.iter().filter_map(|r| route_request(r, self.shards));
-            if let Some(first) = targets.next() {
-                if targets.any(|t| t != first) {
-                    let reply = ResponseEnvelope {
-                        id: envelope.id,
-                        response: Response::Error(RequestError::Invalid(
-                            "batch spans shards: split it per tenant".into(),
-                        )),
-                    };
-                    self.queue_reply(conn, seq, encode_reply(conn.codec, &reply));
-                    return;
-                }
+    /// Serves one decoded frame: inline when this shard owns its tenant
+    /// (always, when it is the only shard), forwarded to the owning
+    /// shard otherwise.
+    fn serve(&mut self, conn: &mut ShardConn, decoded: Decoded) {
+        let envelope = match decoded {
+            Decoded::Request(envelope) => envelope,
+            Decoded::BadEnvelope(reply) => return conn.reply(reply),
+        };
+        let Some(mesh) = self.mesh.as_ref() else {
+            let reply = self.store.execute(envelope);
+            return conn.sock.core.push_reply(&reply);
+        };
+        let target = match route_atomic(&envelope.request, mesh.links.len() as u32) {
+            Ok(target) => target.unwrap_or(mesh.id),
+            Err(refusal) => {
+                return conn.reply(ResponseEnvelope {
+                    id: envelope.id,
+                    response: Response::Error(refusal),
+                })
             }
-        }
-        let target = route_request(&envelope.request, self.shards).unwrap_or(self.id);
-        if target == self.id {
-            let reply = self.execute(envelope);
-            if conn.ledger.is_empty() {
-                // Fast path: nothing queued ahead, encode straight into
-                // the write buffer.
-                write_reply(conn.codec, &mut conn.wbuf, &reply);
-            } else {
-                self.queue_reply(conn, seq, encode_reply(conn.codec, &reply));
-            }
+        };
+        if target == mesh.id {
+            conn.reply(self.store.execute(envelope));
         } else {
-            conn.ledger.push_back((seq, None));
-            self.links[target as usize].push(Inbound::Forward(Forward {
-                origin: self.id,
-                conn_slot: self.slot_of(conn),
-                conn_gen: conn.gen,
-                seq,
-                codec: conn.codec,
+            let ticket = Ticket {
+                slot: conn.slot,
+                gen: conn.gen,
+                seq: conn.next_seq,
+            };
+            conn.next_seq += 1;
+            conn.ledger.push_back(Pending::Forwarded(ticket.seq));
+            mesh.links[target as usize].push(Inbound::Forward {
+                origin: mesh.id,
+                ticket,
                 envelope,
-            }));
+            });
         }
-    }
-
-    fn slot_of(&self, conn: &ShardConn) -> usize {
-        conn.slot_hint
-    }
-
-    fn queue_reply(&mut self, conn: &mut ShardConn, seq: u64, bytes: Vec<u8>) {
-        conn.ledger.push_back((seq, Some(bytes)));
-    }
-
-    /// Executes a request this shard owns: lease sync → write-ahead →
-    /// dispatch → publish load → deterministic rebalance trigger →
-    /// snapshot bookkeeping.
-    fn execute(&mut self, envelope: RequestEnvelope) -> ResponseEnvelope {
-        let RequestEnvelope { id, at, request } = envelope;
-        if let Some(lease) = self.lease.as_ref() {
-            self.service.set_pool_capacity(lease.quota());
-        }
-        if let Some(d) = self.durable.as_mut() {
-            if let Err(e) = d.wal.append(at, &request) {
-                let response = Response::Error(RequestError::Transport(format!(
-                    "write-ahead log append failed: {e}"
-                )));
-                return ResponseEnvelope { id, response };
-            }
-        }
-        let response = self.service.handle(request, at);
-        if let Some(lease) = self.lease.as_ref() {
-            let in_use = self.service.pool().map_or(0, |p| p.in_use());
-            lease.publish(in_use, self.service.credits.total_outstanding());
-        }
-        if let (Some(every), Some(ledger)) = (self.rebalance_every, self.ledger.as_ref()) {
-            let n = self.handled.fetch_add(1, Ordering::AcqRel) + 1;
-            if n % every == 0 {
-                ledger.rebalance();
-            }
-        }
-        if let Some(d) = self.durable.as_mut() {
-            d.since_snapshot += 1;
-            if d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every {
-                let _ = d.wal.snapshot(&self.service);
-                d.since_snapshot = 0;
-            }
-        }
-        ResponseEnvelope { id, response }
-    }
-
-    /// A request another shard forwarded here: execute it (this shard
-    /// owns the tenant — the append goes to *this* shard's WAL) and
-    /// send the encoded reply back to the origin.
-    fn execute_forward(&mut self, fwd: Forward) {
-        let reply = self.execute(fwd.envelope);
-        let bytes = encode_reply(fwd.codec, &reply);
-        self.links[fwd.origin as usize].push(Inbound::Completion(Completion {
-            conn_slot: fwd.conn_slot,
-            conn_gen: fwd.conn_gen,
-            seq: fwd.seq,
-            bytes,
-        }));
     }
 
     /// A forwarded request's reply came back: fill its ledger slot,
-    /// release the ready prefix, flush, and re-arm the connection (its
-    /// readiness interest may have changed now that bytes are queued).
-    fn apply_completion(&mut self, done: Completion) {
-        let Some(mut conn) = self.conns.get_mut(done.conn_slot).and_then(Option::take) else {
+    /// release the longest ready prefix to the core — FIFO per
+    /// connection, across local and forwarded replies alike — and settle
+    /// the connection (its readiness interest may have changed now that
+    /// bytes are queued).
+    fn apply_completion(&mut self, ticket: Ticket, reply: ResponseEnvelope) {
+        let Some(mut conn) = self.conns.take(ticket.slot) else {
             return; // connection closed while the forward was in flight
         };
-        if conn.gen != done.conn_gen {
+        if conn.gen != ticket.gen {
             // The slot was reused; this reply belongs to a dead
             // connection.
-            self.conns[done.conn_slot] = Some(conn);
-            return;
+            return self.conns.put(ticket.slot, conn);
         }
-        if let Some(slot) = conn.ledger.iter_mut().find(|(seq, _)| *seq == done.seq) {
-            slot.1 = Some(done.bytes);
+        let awaited = |p: &&mut Pending| matches!(p, Pending::Forwarded(seq) if *seq == ticket.seq);
+        if let Some(pending) = conn.ledger.iter_mut().find(awaited) {
+            *pending = Pending::Ready(reply);
         }
-        conn.release_ready();
-        self.settle(done.conn_slot, conn, false, true);
-    }
-
-    fn compact(&self, conn: &mut ShardConn) {
-        if conn.rpos > 0 {
-            conn.rbuf.drain(..conn.rpos);
-            conn.rpos = 0;
+        while let Some(Pending::Ready(reply)) = conn.ledger.front() {
+            conn.sock.core.push_reply(reply);
+            conn.ledger.pop_front();
         }
-    }
-
-    fn flush(&self, conn: &mut ShardConn) -> Result<(), ()> {
-        flush(&mut conn.stream, &mut conn.wbuf, &mut conn.wpos)
-    }
-}
-
-/// Writes `wbuf[wpos..]` until drained or the kernel stops accepting;
-/// `Err(())` = dead peer.
-fn flush(stream: &mut TcpStream, wbuf: &mut Vec<u8>, wpos: &mut usize) -> Result<(), ()> {
-    while *wpos < wbuf.len() {
-        match stream.write(&wbuf[*wpos..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => *wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
-        }
-    }
-    wbuf.clear();
-    *wpos = 0;
-    Ok(())
-}
-
-/// Encodes a reply as one complete frame in `codec`.
-fn encode_reply(codec: Codec, reply: &ResponseEnvelope) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_reply(codec, &mut buf, reply);
-    buf
-}
-
-fn write_reply(codec: Codec, buf: &mut Vec<u8>, reply: &ResponseEnvelope) {
-    match codec {
-        Codec::Json => frame::write_frame_vec(buf, &reply.to_json()),
-        Codec::Binary => frame::write_binary_frame_vec(buf, &binary::encode_response(reply)),
+        self.settle(conn, false);
     }
 }
 
@@ -1160,11 +986,11 @@ fn write_reply(codec: Codec, buf: &mut Vec<u8>, reply: &ResponseEnvelope) {
 mod tests {
     use super::*;
     use crate::client::RemoteService;
-    use crate::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use crate::frame::{read_frame, write_frame, Codec, MAX_FRAME_BYTES};
     use simcore::SimTime;
     use spequlos::tenancy::shard_of_user;
     use spequlos::{Request, Response, SpqService, UserId};
-    use std::io::BufReader;
+    use std::io::{BufReader, Write};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1265,6 +1091,7 @@ mod tests {
         // users spread across every shard, written before any reply is
         // read. Interleaves local serves with forwards on every shard.
         let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        let mut wire = Vec::new();
         for id in 1..=40u64 {
             let env = RequestEnvelope {
                 id,
@@ -1274,8 +1101,9 @@ mod tests {
                     credits: 1.0,
                 },
             };
-            write_frame(&mut stream, &env.to_json()).expect("write");
+            write_frame(&mut wire, Codec::Json, env.to_json().as_bytes());
         }
+        stream.write_all(&wire).expect("write");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         for id in 1..=40u64 {
             let payload = read_frame(&mut reader, MAX_FRAME_BYTES)

@@ -337,7 +337,7 @@ mod fuzz {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use spequlos::{CloudAction, Prediction};
-    use spq_server::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
+    use spq_server::{read_frame, write_frame, Codec, FrameError, MAX_FRAME_BYTES};
     use std::io::Cursor;
 
     /// Strings exercising every escape class the JSON writer knows:
@@ -512,7 +512,7 @@ mod fuzz {
         fn prop_frames_roundtrip(payloads in vec(wild_string(), 0..5)) {
             let mut buf = Vec::new();
             for p in &payloads {
-                write_frame(&mut buf, p).expect("write to Vec");
+                write_frame(&mut buf, Codec::Json, p.as_bytes());
             }
             let mut r = Cursor::new(buf);
             for p in &payloads {
@@ -528,7 +528,7 @@ mod fuzz {
         #[test]
         fn prop_truncated_frames_error(payload in wild_string(), cut_seed in any::<u64>()) {
             let mut buf = Vec::new();
-            write_frame(&mut buf, &payload).expect("write to Vec");
+            write_frame(&mut buf, Codec::Json, payload.as_bytes());
             let cut = 1 + (cut_seed as usize) % (buf.len() - 1); // 1..len
             let mut r = Cursor::new(buf[..cut].to_vec());
             prop_assert!(
