@@ -46,15 +46,12 @@ use simcore::SimTime;
 use spequlos::protocol::{Request, Response, SpqService};
 use spequlos::{BotProgress, SpeQuloS, StrategyCombo, UserId};
 use spq_bench::{telemetry, Opts};
-use spq_server::frame::{
-    read_binary_frame, read_frame, read_hello_ack, write_frame, write_hello, Codec,
-};
 use spq_server::{
-    binary, RequestEnvelope, ResponseEnvelope, Server, ServerConfig, ServerHandle, ShardConfig,
-    ShardedHandle, ShardedServer,
+    Codec, RemoteService, Server, ServerConfig, ServerHandle, ShardConfig, ShardedHandle,
+    ShardedServer,
 };
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::time::Instant;
 
 /// Monitoring minutes simulated per BoT.
@@ -212,81 +209,38 @@ impl WireMode {
     }
 }
 
+/// One ladder client: a negotiated connection and the account it
+/// deposits into — the global connection index, so the sharded rung
+/// spreads connections across shards and every request stays local to
+/// the shard that owns the connection.
 struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// One pipelined window of request frames, built here and written in
-    /// one `write_all`.
-    wire: Vec<u8>,
-    next_id: u64,
-    /// The account this connection deposits into: the global connection
-    /// index, so the sharded rung spreads connections across shards and
-    /// every request stays local to the shard that owns the connection.
+    remote: RemoteService,
     user: u64,
+    /// Replies read so far: ids count up from 0, so also the next id due.
+    answered: u64,
 }
 
-/// Connects one ladder client and performs the hello exchange.
-fn connect(addr: SocketAddr, mode: WireMode, user: u64) -> io::Result<Conn> {
-    let mut writer = TcpStream::connect(addr)?;
-    writer.set_nodelay(true)?;
-    let mut reader = BufReader::with_capacity(4096, writer.try_clone()?);
-    write_hello(&mut writer, mode.codec())?;
-    read_hello_ack(&mut reader)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Conn {
-        reader,
-        writer,
-        wire: Vec::new(),
-        next_id: 0,
-        user,
-    })
-}
-
-/// Writes one pipelined window (`WINDOW` deposits, one write) without
+/// Sends one pipelined window (`WINDOW` deposits, one write) without
 /// waiting for replies, so a client thread can put its whole hand of
 /// connections in flight before it starts reading.
-fn write_window(conn: &mut Conn, codec: Codec) -> io::Result<()> {
-    conn.wire.clear();
+fn write_window(conn: &mut Conn) -> io::Result<()> {
     for _ in 0..WINDOW {
-        let envelope = RequestEnvelope {
-            id: conn.next_id,
-            at: SimTime::ZERO,
-            request: Request::Deposit {
-                user: UserId(conn.user),
-                credits: 1.0,
-            },
+        let deposit = Request::Deposit {
+            user: UserId(conn.user),
+            credits: 1.0,
         };
-        conn.next_id += 1;
-        match codec {
-            Codec::Json => write_frame(&mut conn.wire, codec, envelope.to_json().as_bytes()),
-            Codec::Binary => write_frame(&mut conn.wire, codec, &binary::encode_request(&envelope)),
-        }
+        conn.remote.send(deposit, SimTime::ZERO);
     }
-    conn.writer.write_all(&conn.wire)
+    conn.remote.flush().map_err(io::Error::other)
 }
 
-/// Reads the window of correlated replies written by [`write_window`].
+/// Receives the window of correlated replies sent by [`write_window`].
 /// Returns requests served.
-fn read_window(conn: &mut Conn, codec: Codec) -> io::Result<usize> {
-    let first_id = conn.next_id - WINDOW as u64;
-    for i in 0..WINDOW {
-        let reply = match codec {
-            Codec::Json => {
-                let payload = read_frame(&mut conn.reader, spq_server::MAX_FRAME_BYTES)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server EOF"))?;
-                ResponseEnvelope::from_json(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            }
-            Codec::Binary => {
-                let payload = read_binary_frame(&mut conn.reader, spq_server::MAX_FRAME_BYTES)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server EOF"))?;
-                binary::decode_response(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            }
-        };
-        assert_eq!(reply.id, first_id + i as u64, "FIFO correlation");
+fn read_window(conn: &mut Conn) -> io::Result<usize> {
+    for _ in 0..WINDOW {
+        let reply = conn.remote.recv().map_err(io::Error::other)?;
+        assert_eq!(reply.id, conn.answered, "FIFO correlation");
+        conn.answered += 1;
         assert!(
             matches!(reply.response, Response::Deposited { .. }),
             "{:?}",
@@ -308,15 +262,18 @@ fn rung(mode: WireMode, conns: usize, client_threads: usize) -> io::Result<(u64,
     // rate even on the widest rungs.
     let rounds = (RUNG_TARGET / (conns * WINDOW)).max(4);
     let mut endpoints = Vec::with_capacity(conns);
-    for i in 0..conns {
-        endpoints.push(connect(addr, mode, i as u64)?);
+    for user in 0..conns as u64 {
+        endpoints.push(Conn {
+            remote: RemoteService::connect_with(addr, mode.codec())?,
+            user,
+            answered: 0,
+        });
     }
     // Deal connections round-robin into per-thread hands.
     let mut hands: Vec<Vec<Conn>> = (0..client_threads).map(|_| Vec::new()).collect();
     for (i, conn) in endpoints.into_iter().enumerate() {
         hands[i % client_threads].push(conn);
     }
-    let codec = mode.codec();
     let start = Instant::now();
     let served: u64 = std::thread::scope(|scope| {
         let workers: Vec<_> = hands
@@ -330,10 +287,10 @@ fn rung(mode: WireMode, conns: usize, client_threads: usize) -> io::Result<(u64,
                         // of ready connections per poll() wait, which is
                         // what the ladder is there to exercise.
                         for conn in &mut hand {
-                            write_window(conn, codec)?;
+                            write_window(conn)?;
                         }
                         for conn in &mut hand {
-                            served += read_window(conn, codec)? as u64;
+                            served += read_window(conn)? as u64;
                         }
                     }
                     Ok(served)

@@ -66,13 +66,13 @@ use betrace::Preset;
 use botwork::{BotClass, BotId};
 use simcore::SimTime;
 use spequlos::protocol::{Request, Response, SpqService};
-use spequlos::{BotProgress, SpeQuloS, StrategyCombo, UserId};
-use spq_harness::workload::{Recorder, RequestKind, RequestMix};
-use spq_harness::{Experiment, MwKind, Scenario};
-use spq_server::{read_frame, write_frame, Codec, RemoteService, RequestEnvelope, MAX_FRAME_BYTES};
+use spequlos::{BotProgress, StrategyCombo, UserId};
+use spq_harness::workload::{RequestKind, RequestMix};
+use spq_harness::{Experiment, MwKind, Scenario, SessionSink};
+use spq_server::{ClientCore, Codec, FrameError, RemoteService};
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -163,9 +163,9 @@ pub fn recorded_mix() -> RequestMix {
     let mut sc = Scenario::new(Preset::G5kLyon, MwKind::Xwhep, BotClass::Big, 11)
         .with_strategy(StrategyCombo::paper_default());
     sc.scale = 0.5;
-    let endpoint = Recorder::new(SpeQuloS::builder().tick(sc.tick).build());
-    let (_, recorder) = Experiment::new(sc).run_qos_with(endpoint);
-    let (_, session) = recorder.into_parts();
+    let sink = SessionSink::default();
+    Experiment::new(sc).record_into(sink.clone()).run_qos();
+    let session = sink.lock().expect("session sink poisoned");
     RequestMix::from_session(&session)
 }
 
@@ -360,19 +360,17 @@ fn drive_writer(
     mut state: ConnState,
     inflight: &Mutex<VecDeque<(Instant, bool)>>,
 ) -> io::Result<u64> {
+    // This half of the connection only ever encodes; the reader's core
+    // is the one that sent the hello and is owed the ack.
+    let mut encoder = ClientCore::new(Codec::Json);
     let mut wire = Vec::new();
-    for (i, arrival) in arrivals.iter().enumerate() {
+    for arrival in arrivals {
         let target = base + Duration::from_nanos(arrival.at_nanos);
         let now = Instant::now();
         if target > now {
             std::thread::sleep(target - now);
         }
         let request = state.build(arrival.kind, arrival.at_nanos);
-        let envelope = RequestEnvelope {
-            id: i as u64,
-            at: SimTime::from_millis(arrival.at_nanos / 1_000_000),
-            request,
-        };
         // Enqueue before writing so the reader can never see a response
         // it has no scheduled instant for. Latency counts from `target`,
         // the *scheduled* instant: time spent blocked on a backed-up
@@ -382,7 +380,8 @@ fn drive_writer(
             .expect("inflight queue poisoned")
             .push_back((target, arrival.warmup));
         wire.clear();
-        write_frame(&mut wire, Codec::Json, envelope.to_json().as_bytes());
+        let at = SimTime::from_millis(arrival.at_nanos / 1_000_000);
+        encoder.queue_request(&mut wire, request, at);
         stream.write_all(&wire)?;
     }
     stream.flush()?;
@@ -390,13 +389,15 @@ fn drive_writer(
     Ok(state.substituted)
 }
 
-/// The reader half: pairs FIFO responses with their scheduled instants
-/// and records measured latencies. Exits once all `expected` responses
-/// arrived (the server handle keeps the socket open for teardown, so
-/// EOF cannot be relied on); anything still unanswered when the stream
-/// ends or the read times out is a timeout.
+/// The reader half: pairs FIFO responses — read through `core`, which
+/// sent the connection's hello and so takes the ack first — with their
+/// scheduled instants and records measured latencies. Exits once all
+/// `expected` responses arrived (the server handle keeps the socket open
+/// for teardown, so EOF cannot be relied on); anything still unanswered
+/// when the stream ends or the read times out is a timeout.
 fn drive_reader(
-    stream: TcpStream,
+    mut stream: TcpStream,
+    mut core: ClientCore,
     inflight: &Mutex<VecDeque<(Instant, bool)>>,
     expected: u64,
 ) -> ConnResult {
@@ -407,10 +408,12 @@ fn drive_reader(
         timeouts: 0,
     };
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let mut reader = BufReader::new(stream);
     while result.ok + result.errors < expected {
-        let payload = match read_frame(&mut reader, MAX_FRAME_BYTES) {
-            Ok(Some(payload)) => payload,
+        let is_error = match core.read_reply(&mut stream) {
+            Ok(Some(reply)) => matches!(reply.response, Response::Error(_)),
+            // A well-framed reply that is not an envelope still answered
+            // its request: an error, with a latency.
+            Err(FrameError::BadEnvelope(_)) => true,
             // Clean EOF after the server drained the pipeline, or a
             // timeout/transport failure: stop; leftovers are timeouts.
             Ok(None) | Err(_) => break,
@@ -423,10 +426,6 @@ fn drive_reader(
             break; // response with no matching request: desynchronized
         };
         let latency = Instant::now().saturating_duration_since(scheduled);
-        let is_error = match spq_server::ResponseEnvelope::from_json(&payload) {
-            Ok(envelope) => matches!(envelope.response, Response::Error(_)),
-            Err(_) => true,
-        };
         if is_error {
             result.errors += 1;
         } else {
@@ -454,9 +453,13 @@ pub fn run(addr: SocketAddr, plan: &ArrivalPlan) -> io::Result<LoadReport> {
     for conn in 0..spec.connections {
         let arrivals = plan.for_connection(conn);
         let state = prime_connection(addr, conn, &arrivals)?;
-        let stream = TcpStream::connect(addr)?;
+        let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        primed.push((arrivals, state, stream));
+        let mut core = ClientCore::new(Codec::Json);
+        let mut hello = Vec::new();
+        core.queue_hello(&mut hello);
+        stream.write_all(&hello)?;
+        primed.push((arrivals, state, stream, core));
     }
 
     let started = Instant::now();
@@ -464,14 +467,15 @@ pub fn run(addr: SocketAddr, plan: &ArrivalPlan) -> io::Result<LoadReport> {
     // connections offer load simultaneously.
     let base = started;
     let mut handles = Vec::new();
-    for (arrivals, state, stream) in primed {
+    for (arrivals, state, stream, core) in primed {
         let reader_stream = stream.try_clone()?;
         let inflight = Arc::new(Mutex::new(VecDeque::new()));
         let writer_queue = Arc::clone(&inflight);
         let expected = arrivals.len() as u64;
         let writer =
             std::thread::spawn(move || drive_writer(stream, base, &arrivals, state, &writer_queue));
-        let reader = std::thread::spawn(move || drive_reader(reader_stream, &inflight, expected));
+        let reader =
+            std::thread::spawn(move || drive_reader(reader_stream, core, &inflight, expected));
         handles.push((writer, reader));
     }
 
@@ -538,6 +542,7 @@ pub fn sweep_ladder(base_rate: f64, steps: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spequlos::SpeQuloS;
     use spq_server::Server;
 
     fn small_mix() -> RequestMix {

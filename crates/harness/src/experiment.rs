@@ -45,11 +45,16 @@
 //! * [`Experiment::run_qos_with`] / [`Experiment::service_dyn`] — bring
 //!   your own endpoint (`&mut dyn SpqService` works) for anything beyond
 //!   loopback.
+//!
+//! Where the service lives (transport × [`Experiment::shards`]) and
+//! whether its traffic is recorded ([`Experiment::record_into`]) are each
+//! decided in exactly one private place — `Experiment::deploy` and
+//! `run_on` — so every combination is the same code, not a copy of it.
 
-use crate::routed::{RoutedService, SharedRouted};
+use crate::routed::RoutedService;
 use crate::runner::{
     metrics_from, ExecutionMetrics, MultiTenantReport, PairedRun, SessionRecorder, SessionSink,
-    SharedService, SharedSpqHook, SpqHook, TenantOutcome,
+    Shared, SharedSpqHook, SpqHook, TenantOutcome,
 };
 use crate::scenario::{MultiTenantScenario, Scenario, TenantArrivals};
 use botwork::{generate, Bot, BotId};
@@ -58,6 +63,7 @@ use simcore::{SimDuration, SimTime};
 use spequlos::protocol::{Request, Response, SpqService};
 use spequlos::{tail_removal_efficiency, SpeQuloS, StrategyCombo, UserId, CREDITS_PER_CPU_HOUR};
 use spq_server::{Codec, RemoteService, Server, ShardConfig, ShardedServer};
+use std::net::SocketAddr;
 
 /// Deterministic ledger-rebalance cadence for sharded multi-tenant runs:
 /// one [`spequlos::tenancy::PoolLedger::rebalance`] pass per this many
@@ -182,6 +188,58 @@ struct TenantRun {
     spent: f64,
 }
 
+/// A run mode, generic over the endpoints its deployment hands out — a
+/// trait because a closure cannot be generic, and the endpoint type
+/// differs per deployment (and once more when it is recorded).
+trait Drive {
+    /// What the run measured, the service's own state aside.
+    type Out;
+
+    /// Runs to completion over endpoints from `connect`, dropping every
+    /// one of them before returning.
+    fn drive<E: SpqService>(self, connect: impl FnMut() -> E) -> Self::Out;
+}
+
+/// The single-tenant QoS run of a scenario.
+impl Drive for &Scenario {
+    type Out = ExecutionMetrics;
+
+    fn drive<E: SpqService>(self, mut connect: impl FnMut() -> E) -> ExecutionMetrics {
+        Experiment::drive_qos(self, connect()).0
+    }
+}
+
+/// The multi-tenant run of a scenario under one strategy.
+struct Tenants<'a>(&'a MultiTenantScenario, StrategyCombo);
+
+impl Drive for Tenants<'_> {
+    type Out = (Vec<TenantRun>, Vec<TenantMeta>);
+
+    fn drive<E: SpqService>(self, connect: impl FnMut() -> E) -> Self::Out {
+        Experiment::drive_multi_tenant(self.0, self.1, connect)
+    }
+}
+
+/// The one place that decides whether endpoints are recorded: drives
+/// `run` over endpoints from `connect`, each inside a [`SessionRecorder`]
+/// when the experiment carries a sink.
+fn run_on<E: SpqService, R: Drive>(
+    mut connect: impl FnMut() -> E,
+    record: Option<SessionSink>,
+    run: R,
+) -> R::Out {
+    match record {
+        Some(sink) => run.drive(|| SessionRecorder::new(connect(), sink.clone())),
+        None => run.drive(connect),
+    }
+}
+
+fn unshare<S>(shared: Shared<S>) -> S {
+    shared
+        .into_inner()
+        .unwrap_or_else(|_| panic!("all tenant endpoints dropped with their sims"))
+}
+
 impl Experiment {
     /// An experiment over one scenario. The run mode defaults to a single
     /// execution — with SpeQuloS when the scenario carries a strategy,
@@ -245,7 +303,7 @@ impl Experiment {
     /// `spq_server::ShardedServer`. Results are pinned per shard count:
     /// the same experiment at the same `n` is bit-identical on either
     /// transport, but a different `n` partitions the pool differently
-    /// and is a *different* experiment.
+    /// and is a *different* experiment. Single-tenant runs reject `n > 1`.
     pub fn shards(mut self, n: u32) -> Self {
         assert!(n >= 1, "an experiment needs at least one shard");
         self.shards = n;
@@ -368,10 +426,17 @@ impl Experiment {
     /// back with the metrics.
     ///
     /// # Panics
-    /// Panics if the scenario has no strategy, or if a carried service's
-    /// clock granularity disagrees with the scenario's tick.
-    pub fn run_qos(self) -> (ExecutionMetrics, SpeQuloS) {
-        let service = match self.service {
+    /// Panics if the scenario has no strategy, if a carried service's
+    /// clock granularity disagrees with the scenario's tick, or if
+    /// `.shards(n)` asked for more than one shard (one tenant cannot be
+    /// partitioned; silently running unsharded would hide the mistake).
+    pub fn run_qos(mut self) -> (ExecutionMetrics, SpeQuloS) {
+        assert_eq!(
+            self.shards, 1,
+            "a single-tenant run has no tenants to partition: .shards(n) would \
+             be silently dropped — shard a .tenants(n) run, or drop the call"
+        );
+        let service = match self.service.take() {
             Some(service) => {
                 assert_eq!(
                     service.tick_granularity(),
@@ -384,33 +449,57 @@ impl Experiment {
             }
             None => Self::service_for(&self.scenario, self.pool),
         };
-        match self.transport {
-            Transport::InProcess => match self.record {
+        if self.transport == Transport::InProcess {
+            // One tenant shares with nobody: the hook owns the service
+            // itself and hands it back, no deployment in between.
+            return match self.record {
                 Some(sink) => {
                     let (metrics, recorder) =
                         Self::drive_qos(&self.scenario, SessionRecorder::new(service, sink));
                     (metrics, recorder.into_inner())
                 }
                 None => Self::drive_qos(&self.scenario, service),
-            },
-            Transport::Loopback => {
-                let handle = Server::spawn_loopback(service).expect("bind loopback server");
-                let remote = RemoteService::connect_with(handle.addr(), self.codec)
-                    .expect("connect to loopback server");
-                let metrics = match self.record {
-                    Some(sink) => {
-                        let (metrics, recorder) =
-                            Self::drive_qos(&self.scenario, SessionRecorder::new(remote, sink));
-                        drop(recorder);
-                        metrics
-                    }
-                    None => {
-                        let (metrics, remote) = Self::drive_qos(&self.scenario, remote);
-                        drop(remote);
-                        metrics
-                    }
-                };
-                (metrics, handle.into_service())
+            };
+        }
+        let (metrics, mut services) = self.deploy(service, &self.scenario);
+        (metrics, services.pop().expect("one shard"))
+    }
+
+    /// The one place a run meets its deployment. Where `service` lives —
+    /// in-process behind [`Shared`] handles or a `spq-server` on a
+    /// loopback port, whole or split across `shards` — is decided here
+    /// and nowhere else: each arm hands `run` a way to open endpoints,
+    /// then shuts down into the shard services, in shard order.
+    fn deploy<R: Drive>(&self, service: SpeQuloS, run: R) -> (R::Out, Vec<SpeQuloS>) {
+        let (record, codec) = (self.record.clone(), self.codec);
+        let remote = |addr: SocketAddr| {
+            move || RemoteService::connect_with(addr, codec).expect("connect to loopback server")
+        };
+        match (self.transport, self.shards) {
+            (Transport::InProcess, 1) => {
+                let shared = Shared::new(service);
+                let out = run_on(|| shared.clone(), record, run);
+                (out, vec![unshare(shared)])
+            }
+            (Transport::InProcess, n) => {
+                let routed = RoutedService::new(service, n, 1, SHARD_REBALANCE_EVERY);
+                let shared = Shared::new(routed);
+                let out = run_on(|| shared.clone(), record, run);
+                (out, unshare(shared).into_services())
+            }
+            // The plain server takes `service` as it is, carried state
+            // included; the sharded one splits a fresh template.
+            (Transport::Loopback, 1) => {
+                let server = Server::spawn_loopback(service).expect("bind loopback server");
+                let out = run_on(remote(server.addr()), record, run);
+                (out, vec![server.into_service()])
+            }
+            (Transport::Loopback, n) => {
+                let config = ShardConfig::deterministic(n, SHARD_REBALANCE_EVERY);
+                let server = ShardedServer::spawn_loopback(service, config)
+                    .expect("bind sharded loopback server");
+                let out = run_on(remote(server.addr()), record, run);
+                (out, server.into_services())
             }
         }
     }
@@ -477,6 +566,13 @@ impl Experiment {
     /// Deterministic: the same experiment reproduces the same report
     /// bit-for-bit, on either transport.
     ///
+    /// With [`Experiment::shards`] above 1 the shared state is split
+    /// across that many services under a rebalancing quota ledger —
+    /// in-process behind a [`RoutedService`], over loopback behind a real
+    /// [`ShardedServer`] — and stays bit-identical across the two
+    /// transports at a fixed shard count (the driver issues one request
+    /// at a time, so every shard sees the same arrival order either way).
+    ///
     /// # Panics
     /// Panics if the scenario has no strategy, if `.tenants(n)` /
     /// `.pool(capacity)` were not both configured, or if a `.service(…)`
@@ -495,7 +591,7 @@ impl Experiment {
              a carried .service(…) would be silently discarded"
         );
         let mt = MultiTenantScenario {
-            base: self.scenario,
+            base: self.scenario.clone(),
             tenants,
             arrivals: self.arrivals,
             pool_capacity,
@@ -508,205 +604,8 @@ impl Experiment {
             .pool(mt.pool_capacity)
             .tick(mt.base.tick)
             .build();
-        if self.shards > 1 {
-            return Self::run_multi_tenant_sharded(
-                &mt,
-                strategy,
-                service,
-                self.shards,
-                self.transport,
-                self.codec,
-                self.record,
-            );
-        }
-        match self.transport {
-            Transport::InProcess => {
-                let shared = SharedService::new(service);
-                let (runs, meta) = match self.record {
-                    Some(sink) => {
-                        let mut admin = SessionRecorder::new(shared.clone(), sink.clone());
-                        let out = Self::drive_multi_tenant(&mt, strategy, &mut admin, |_| {
-                            SessionRecorder::new(shared.clone(), sink.clone())
-                        });
-                        drop(admin);
-                        out
-                    }
-                    None => {
-                        let mut admin = shared.clone();
-                        let out =
-                            Self::drive_multi_tenant(&mt, strategy, &mut admin, |_| shared.clone());
-                        drop(admin);
-                        out
-                    }
-                };
-                let service = shared
-                    .into_inner()
-                    .unwrap_or_else(|_| panic!("all tenant endpoints dropped with their sims"));
-                Self::assemble_report(&mt, runs, meta, service)
-            }
-            Transport::Loopback => {
-                let handle = Server::spawn_loopback(service).expect("bind loopback server");
-                let (runs, meta) = match self.record {
-                    Some(sink) => {
-                        let mut admin = SessionRecorder::new(
-                            RemoteService::connect_with(handle.addr(), self.codec)
-                                .expect("connect to loopback server"),
-                            sink.clone(),
-                        );
-                        let out = Self::drive_multi_tenant(&mt, strategy, &mut admin, |i| {
-                            SessionRecorder::new(
-                                RemoteService::connect_with(handle.addr(), self.codec)
-                                    .unwrap_or_else(|e| panic!("connect tenant {i}: {e}")),
-                                sink.clone(),
-                            )
-                        });
-                        drop(admin);
-                        out
-                    }
-                    None => {
-                        let mut admin = RemoteService::connect_with(handle.addr(), self.codec)
-                            .expect("connect to loopback server");
-                        let out = Self::drive_multi_tenant(&mt, strategy, &mut admin, |i| {
-                            RemoteService::connect_with(handle.addr(), self.codec)
-                                .unwrap_or_else(|e| panic!("connect tenant {i}: {e}"))
-                        });
-                        drop(admin);
-                        out
-                    }
-                };
-                Self::assemble_report(&mt, runs, meta, handle.into_service())
-            }
-        }
-    }
-
-    /// The sharded multi-tenant run: the shared service state is split
-    /// across `shards` services under a rebalancing quota ledger —
-    /// in-process behind a [`RoutedService`], over loopback behind a
-    /// real [`ShardedServer`]. Bit-identical across the two transports
-    /// at a fixed shard count (the driver issues one request at a time,
-    /// so every shard sees the same arrival order either way).
-    fn run_multi_tenant_sharded(
-        mt: &MultiTenantScenario,
-        strategy: StrategyCombo,
-        template: SpeQuloS,
-        shards: u32,
-        transport: Transport,
-        codec: Codec,
-        record: Option<SessionSink>,
-    ) -> MultiTenantReport {
-        match transport {
-            Transport::InProcess => {
-                let shared = SharedRouted::new(RoutedService::new(
-                    template,
-                    shards,
-                    1,
-                    SHARD_REBALANCE_EVERY,
-                ));
-                let (runs, meta) = match record {
-                    Some(sink) => {
-                        let mut admin = SessionRecorder::new(shared.clone(), sink.clone());
-                        let out = Self::drive_multi_tenant(mt, strategy, &mut admin, |_| {
-                            SessionRecorder::new(shared.clone(), sink.clone())
-                        });
-                        drop(admin);
-                        out
-                    }
-                    None => {
-                        let mut admin = shared.clone();
-                        let out =
-                            Self::drive_multi_tenant(mt, strategy, &mut admin, |_| shared.clone());
-                        drop(admin);
-                        out
-                    }
-                };
-                let services = shared
-                    .into_inner()
-                    .unwrap_or_else(|_| panic!("all tenant endpoints dropped with their sims"))
-                    .into_services();
-                Self::assemble_report_sharded(mt, runs, meta, services)
-            }
-            Transport::Loopback => {
-                let shard_cfg = ShardConfig::deterministic(shards, SHARD_REBALANCE_EVERY);
-                let handle = ShardedServer::spawn_loopback(template, shard_cfg)
-                    .expect("bind sharded loopback server");
-                let (runs, meta) = match record {
-                    Some(sink) => {
-                        let mut admin = SessionRecorder::new(
-                            RemoteService::connect_with(handle.addr(), codec)
-                                .expect("connect to sharded loopback server"),
-                            sink.clone(),
-                        );
-                        let out = Self::drive_multi_tenant(mt, strategy, &mut admin, |i| {
-                            SessionRecorder::new(
-                                RemoteService::connect_with(handle.addr(), codec)
-                                    .unwrap_or_else(|e| panic!("connect tenant {i}: {e}")),
-                                sink.clone(),
-                            )
-                        });
-                        drop(admin);
-                        out
-                    }
-                    None => {
-                        let mut admin = RemoteService::connect_with(handle.addr(), codec)
-                            .expect("connect to sharded loopback server");
-                        let out = Self::drive_multi_tenant(mt, strategy, &mut admin, |i| {
-                            RemoteService::connect_with(handle.addr(), codec)
-                                .unwrap_or_else(|e| panic!("connect tenant {i}: {e}"))
-                        });
-                        drop(admin);
-                        out
-                    }
-                };
-                Self::assemble_report_sharded(mt, runs, meta, handle.into_services())
-            }
-        }
-    }
-
-    /// [`Experiment::assemble_report`] over per-shard services: each
-    /// tenant's QoS metrics come from the shard owning its BoT (ids are
-    /// strided, so `bot mod N` names it), and the pool high-water mark
-    /// is the *sum of per-shard peaks* — an upper bound on concurrent
-    /// use, since quotas move between the peaks.
-    fn assemble_report_sharded(
-        mt: &MultiTenantScenario,
-        runs: Vec<TenantRun>,
-        meta: Vec<TenantMeta>,
-        mut services: Vec<SpeQuloS>,
-    ) -> MultiTenantReport {
-        let n = services.len() as u64;
-        let mut tenants = Vec::with_capacity(runs.len());
-        let mut events = 0u64;
-        for (run, (i, user, offset, sc, credits, size)) in runs.into_iter().zip(meta) {
-            events += run.result.events;
-            let provisioned = if run.admitted { credits } else { 0.0 };
-            let metrics = metrics_from(&sc, &run.result, provisioned, run.spent, size);
-            let owner = &services[(run.bot.0 % n) as usize];
-            tenants.push(TenantOutcome {
-                tenant: i,
-                user,
-                bot: run.bot,
-                admitted: run.admitted,
-                offset,
-                metrics,
-                qos: owner.tenant_metrics(run.bot),
-            });
-        }
-        let peak = services
-            .iter()
-            .map(|s| s.pool().map(|p| p.peak_in_use()).unwrap_or_default())
-            .sum();
-        let extra_shards = services.split_off(1);
-        let service = services
-            .pop()
-            .expect("into_shards yields at least one shard");
-        MultiTenantReport {
-            tenants,
-            pool_capacity: mt.pool_capacity,
-            peak_pool_in_use: peak,
-            events,
-            service,
-            extra_shards,
-        }
+        let ((runs, meta), services) = self.deploy(service, Tenants(&mt, strategy));
+        Self::assemble_report(&mt, runs, meta, services)
     }
 
     /// A fresh service assembled for this scenario: pooled when
@@ -790,15 +689,16 @@ impl Experiment {
     }
 
     /// Sets up and runs all tenant simulations against per-tenant
-    /// endpoints (`connect`), registering each tenant through `admin`
-    /// first. Endpoints are dropped before returning, so a shared
-    /// in-process service can be unwrapped by the caller.
-    fn drive_multi_tenant<A: SpqService, E: SpqService>(
+    /// endpoints from `connect`, registering each tenant through one more
+    /// (the administrator's) first. Endpoints are dropped before
+    /// returning, so a shared in-process service can be unwrapped by the
+    /// caller.
+    fn drive_multi_tenant<E: SpqService>(
         mt: &MultiTenantScenario,
         strategy: StrategyCombo,
-        admin: &mut A,
-        mut connect: impl FnMut(u32) -> E,
+        mut connect: impl FnMut() -> E,
     ) -> (Vec<TenantRun>, Vec<TenantMeta>) {
+        let mut admin = connect();
         let offsets = mt.arrivals.offsets(mt.tenants);
         let mut sims = Vec::with_capacity(mt.tenants as usize);
         let mut meta = Vec::with_capacity(mt.tenants as usize);
@@ -830,7 +730,7 @@ impl Experiment {
             };
             // The order itself is deferred to the tenant's arrival tick —
             // placed by the hook, through the tenant's own endpoint.
-            let hook = SharedSpqHook::new(connect(i), bot_id, at, credits, strategy);
+            let hook = SharedSpqHook::new(connect(), bot_id, at, credits, strategy);
             sims.push(GridSim::new(dci, &bot, sc.sim_config(), sc.seed, hook));
             meta.push((i, user, offset, sc, credits, bot.size() as u32));
         }
@@ -846,19 +746,26 @@ impl Experiment {
         (runs, meta)
     }
 
-    /// Folds tenant runs and the recovered service into the report.
+    /// Folds tenant runs and the recovered shard services into the
+    /// report. Each tenant's QoS metrics come from the shard owning its
+    /// BoT (ids are strided, so `bot mod N` names it), and the pool
+    /// high-water mark is the *sum of per-shard peaks* — an upper bound
+    /// on concurrent use, since quotas move between the peaks. An
+    /// unsharded run is the one-element case.
     fn assemble_report(
         mt: &MultiTenantScenario,
         runs: Vec<TenantRun>,
         meta: Vec<TenantMeta>,
-        service: SpeQuloS,
+        mut services: Vec<SpeQuloS>,
     ) -> MultiTenantReport {
+        let n = services.len() as u64;
         let mut tenants = Vec::with_capacity(runs.len());
         let mut events = 0u64;
         for (run, (i, user, offset, sc, credits, size)) in runs.into_iter().zip(meta) {
             events += run.result.events;
             let provisioned = if run.admitted { credits } else { 0.0 };
             let metrics = metrics_from(&sc, &run.result, provisioned, run.spent, size);
+            let owner = &services[(run.bot.0 % n) as usize];
             tenants.push(TenantOutcome {
                 tenant: i,
                 user,
@@ -866,17 +773,22 @@ impl Experiment {
                 admitted: run.admitted,
                 offset,
                 metrics,
-                qos: service.tenant_metrics(run.bot),
+                qos: owner.tenant_metrics(run.bot),
             });
         }
-        let peak = service.pool().map(|p| p.peak_in_use()).unwrap_or_default();
+        let peak = services
+            .iter()
+            .map(|s| s.pool().map(|p| p.peak_in_use()).unwrap_or_default())
+            .sum();
+        let extra_shards = services.split_off(1);
+        let service = services.pop().expect("a deployment has at least one shard");
         MultiTenantReport {
             tenants,
             pool_capacity: mt.pool_capacity,
             peak_pool_in_use: peak,
             events,
             service,
-            extra_shards: Vec::new(),
+            extra_shards,
         }
     }
 }
@@ -1023,31 +935,105 @@ mod tests {
     }
 
     #[test]
-    fn loopback_qos_run_is_bit_identical_to_in_process() {
-        let sc = quick_scenario(9).with_strategy(StrategyCombo::paper_default());
-        let (local, local_svc) = Experiment::new(sc.clone()).run_qos();
-        let (remote, remote_svc) = Experiment::new(sc).loopback().run_qos();
-        assert_eq!(local.completion_secs, remote.completion_secs);
-        assert_eq!(local.events, remote.events);
-        assert_eq!(local.credits_spent, remote.credits_spent);
-        assert_eq!(local.cloud, remote.cloud);
-        assert_eq!(local_svc.log(), remote_svc.log(), "same protocol log");
+    #[should_panic(expected = ".shards(n) would be silently dropped")]
+    fn single_tenant_runs_reject_shards() {
+        let sc = quick_scenario(3).with_strategy(StrategyCombo::paper_default());
+        let _ = Experiment::new(sc).shards(4).run_qos();
+    }
+
+    /// Every way the deployment seam can be asked to run an experiment.
+    fn arms() -> impl Iterator<Item = (Transport, Codec, Option<SessionSink>)> {
+        [
+            (Transport::InProcess, Codec::Json),
+            (Transport::Loopback, Codec::Json),
+            (Transport::Loopback, Codec::Binary),
+        ]
+        .into_iter()
+        .flat_map(|(t, c)| [(t, c, None), (t, c, Some(SessionSink::default()))])
+    }
+
+    fn on_arm(
+        exp: Experiment,
+        (t, c, sink): &(Transport, Codec, Option<SessionSink>),
+    ) -> Experiment {
+        let exp = exp.transport(*t).codec(*c);
+        match sink {
+            Some(sink) => exp.record_into(sink.clone()),
+            None => exp,
+        }
+    }
+
+    /// The state a recorded transcript rebuilds in `fresh`.
+    fn replayed(mut fresh: SpeQuloS, sink: &SessionSink) -> String {
+        spequlos::protocol::replay(&mut fresh, &sink.lock().expect("sink"));
+        spequlos::encode_state_json(&fresh).expect("state encodes")
     }
 
     #[test]
-    fn loopback_multi_tenant_is_bit_identical_to_in_process() {
+    fn every_deployment_arm_is_bit_identical_per_shard_count() {
+        // {in-process, loopback} × {1, 4 shards} × {recorded, unrecorded}
+        // × {JSON, binary}: one seam builds them all, so they must all
+        // tell the same story — equal reports, equal per-shard state, and
+        // a transcript that replays to that state.
         let base = quick_scenario(10).with_strategy(StrategyCombo::paper_default());
-        let exp = Experiment::new(base).tenants(2).pool(4);
-        let local = exp.clone().run_multi_tenant();
-        let remote = exp.loopback().run_multi_tenant();
-        assert_eq!(local.events, remote.events);
-        assert_eq!(local.peak_pool_in_use, remote.peak_pool_in_use);
-        assert_eq!(local.service.log(), remote.service.log());
-        for (a, b) in local.tenants.iter().zip(&remote.tenants) {
-            assert_eq!(a.admitted, b.admitted);
-            assert_eq!(a.metrics.completion_secs, b.metrics.completion_secs);
-            assert_eq!(a.metrics.credits_spent, b.metrics.credits_spent);
-            assert_eq!(a.qos, b.qos);
+        let state = |s: &SpeQuloS| spequlos::encode_state_json(s).expect("state encodes");
+        for shards in [1, 4] {
+            let mut reference = None;
+            for arm in arms() {
+                let what = format!("{shards} shard(s), {:?}/{}, {:?}", arm.0, arm.1, arm.2);
+                let exp = Experiment::new(base.clone())
+                    .tenants(2)
+                    .pool(4)
+                    .shards(shards);
+                let report = on_arm(exp, &arm).run_multi_tenant();
+                let tenants: Vec<_> = report
+                    .tenants
+                    .iter()
+                    .map(|t| {
+                        (
+                            t.admitted,
+                            t.metrics.completion_secs,
+                            t.metrics.credits_spent,
+                            t.qos,
+                        )
+                    })
+                    .collect();
+                let states: Vec<String> = report.shard_services().map(state).collect();
+                assert_eq!(states.len(), shards as usize, "{what}");
+                if let (1, Some(sink)) = (shards, &arm.2) {
+                    let fresh = SpeQuloS::builder().pool(4).tick(base.tick).build();
+                    assert_eq!(vec![replayed(fresh, sink)], states, "{what}");
+                }
+                let seen = (tenants, report.events, report.peak_pool_in_use, states);
+                assert_eq!(
+                    reference.get_or_insert_with(|| seen.clone()),
+                    &seen,
+                    "{what}"
+                );
+            }
+        }
+        // The single-tenant run: the same seam over loopback, the hook
+        // owning the service in-process.
+        let mut reference = None;
+        for arm in arms() {
+            let what = format!("single tenant, {:?}/{}, {:?}", arm.0, arm.1, arm.2);
+            let (m, service) = on_arm(Experiment::new(base.clone()), &arm).run_qos();
+            if let Some(sink) = &arm.2 {
+                let fresh = SpeQuloS::builder().tick(base.tick).build();
+                assert_eq!(replayed(fresh, sink), state(&service), "{what}");
+            }
+            let seen = (
+                m.completion_secs,
+                m.events,
+                m.credits_spent,
+                m.cloud,
+                state(&service),
+            );
+            assert_eq!(
+                reference.get_or_insert_with(|| seen.clone()),
+                &seen,
+                "{what}"
+            );
         }
     }
 }

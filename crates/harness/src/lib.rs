@@ -51,11 +51,11 @@ pub use edgi::{run_edgi, EdgiReport};
 pub use experiment::{Experiment, Outcome, Transport};
 pub use prediction::{archive_of, prediction_outcomes, prediction_success_rate};
 pub use report::{pct, secs, write_file, Table};
-pub use routed::{RoutedService, SharedRouted};
+pub use routed::RoutedService;
 pub use runner::{
-    bot_of, ExecutionMetrics, MultiTenantReport, PairedRun, SessionRecorder, SessionSink,
-    SharedService, SharedSpqHook, SpqHook, TenantOutcome,
+    bot_of, ExecutionMetrics, MultiTenantReport, PairedRun, SessionRecorder, SessionSink, Shared,
+    SharedSpqHook, SpqHook, TenantOutcome,
 };
 pub use scenario::{deployment_of, MultiTenantScenario, MwKind, Scenario, TenantArrivals};
 pub use sweep::parallel_map;
-pub use workload::{Recorder, RequestKind, RequestMix};
+pub use workload::{RequestKind, RequestMix};

@@ -16,8 +16,6 @@ use simcore::SimTime;
 use spequlos::protocol::{Request, Response, SpqService};
 use spequlos::tenancy::{route_atomic, PoolLedger, ShardQuota};
 use spequlos::SpeQuloS;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// N shard services behind one endpoint, with quota rebalancing.
 /// Build with [`RoutedService::new`], recover the shards with
@@ -77,34 +75,6 @@ impl SpqService for RoutedService {
             Some(quota) => quota.handle(&mut self.shards[shard], request, now),
             None => self.shards[shard].handle(request, now),
         }
-    }
-}
-
-/// [`RoutedService`] behind `Rc<RefCell<…>>` clones — the sharded
-/// analogue of [`SharedService`](crate::SharedService), handing every
-/// tenant of an in-process multi-tenant run an endpoint on the same
-/// routed instance.
-#[derive(Clone, Debug)]
-pub struct SharedRouted(Rc<RefCell<RoutedService>>);
-
-impl SharedRouted {
-    /// Wraps a routed service for sharing.
-    pub fn new(routed: RoutedService) -> Self {
-        SharedRouted(Rc::new(RefCell::new(routed)))
-    }
-
-    /// Recovers the routed service once every clone is dropped;
-    /// `Err(self)` while other endpoints are still alive.
-    pub fn into_inner(self) -> Result<RoutedService, SharedRouted> {
-        Rc::try_unwrap(self.0)
-            .map(RefCell::into_inner)
-            .map_err(SharedRouted)
-    }
-}
-
-impl SpqService for SharedRouted {
-    fn handle(&mut self, request: Request, now: SimTime) -> Response {
-        self.0.borrow_mut().handle(request, now)
     }
 }
 

@@ -9,7 +9,7 @@
 //! parameter, so the *same* hook drives
 //!
 //! * a local [`SpeQuloS`] (single-tenant runs),
-//! * a [`SharedService`] — one in-process service shared by many tenants,
+//! * a [`Shared`] service — one in-process instance shared by many tenants,
 //! * a `spq-server` `RemoteService` — the service behind loopback/LAN TCP,
 //! * or any `&mut dyn SpqService` (the blanket impls in
 //!   `spequlos::protocol` make references and boxes endpoints too).
@@ -142,30 +142,37 @@ impl<S: SpqService> QosHook for SpqHook<S> {
     }
 }
 
-/// An in-process endpoint many hooks can share: one [`SpeQuloS`] behind
-/// `Rc<RefCell>`, one handle per tenant. The single-threaded interleaved
-/// driver ([`dgrid::run_many`]) calls at most one hook at a time, so the
-/// `borrow_mut` in [`SpqService::handle`] never contends.
-#[derive(Clone, Debug)]
-pub struct SharedService(Rc<RefCell<SpeQuloS>>);
+/// An in-process endpoint many hooks can share: one service — a
+/// [`SpeQuloS`], or a [`RoutedService`](crate::RoutedService) of several —
+/// behind `Rc<RefCell>`, one handle per tenant. The single-threaded
+/// interleaved driver ([`dgrid::run_many`]) calls at most one hook at a
+/// time, so the `borrow_mut` in [`SpqService::handle`] never contends.
+#[derive(Debug)]
+pub struct Shared<S>(Rc<RefCell<S>>);
 
-impl SharedService {
-    /// Wraps a service for sharing; [`SharedService::clone`] hands out
-    /// further endpoints to the same instance.
-    pub fn new(service: SpeQuloS) -> Self {
-        SharedService(Rc::new(RefCell::new(service)))
+impl<S> Shared<S> {
+    /// Wraps a service for sharing; [`Shared::clone`] hands out further
+    /// endpoints to the same instance.
+    pub fn new(service: S) -> Self {
+        Shared(Rc::new(RefCell::new(service)))
     }
 
     /// Recovers the service once every clone is dropped; `Err(self)`
     /// while other endpoints are still alive.
-    pub fn into_inner(self) -> Result<SpeQuloS, SharedService> {
+    pub fn into_inner(self) -> Result<S, Shared<S>> {
         Rc::try_unwrap(self.0)
             .map(RefCell::into_inner)
-            .map_err(SharedService)
+            .map_err(Shared)
     }
 }
 
-impl SpqService for SharedService {
+impl<S> Clone for Shared<S> {
+    fn clone(&self) -> Self {
+        Shared(Rc::clone(&self.0))
+    }
+}
+
+impl<S: SpqService> SpqService for Shared<S> {
     fn handle(&mut self, request: Request, now: SimTime) -> Response {
         self.0.borrow_mut().handle(request, now)
     }
@@ -179,14 +186,31 @@ pub type SessionSink = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, Request)>>>
 
 /// An endpoint wrapper that records every request it forwards — the seam
 /// the durability tests use to capture a full experiment transcript and
-/// feed it through the write-ahead log
-/// ([`spequlos::wal`]).
+/// feed it through the write-ahead log ([`spequlos::wal`]), and the load
+/// generator uses to extract a request mix
+/// ([`RequestMix::from_session`](crate::RequestMix::from_session)).
 ///
 /// All endpoints of one run share a single [`SessionSink`]; because the
 /// simulator drives tenants on one thread (and remote endpoints answer
 /// one request per call), the recording order *is* the order the service
 /// observed — replaying the sink into an identically configured fresh
 /// service reproduces the final state bit-for-bit.
+///
+/// ```
+/// use simcore::SimTime;
+/// use spequlos::protocol::{Request, SpqService};
+/// use spequlos::{SpeQuloS, UserId};
+/// use spq_harness::{RequestKind, RequestMix, SessionRecorder, SessionSink};
+///
+/// let sink = SessionSink::default();
+/// let mut endpoint = SessionRecorder::new(SpeQuloS::new(), sink.clone());
+/// endpoint.handle(
+///     Request::Deposit { user: UserId(1), credits: 10.0 },
+///     SimTime::ZERO,
+/// );
+/// let mix = RequestMix::from_session(&sink.lock().unwrap());
+/// assert_eq!(mix.count(RequestKind::Deposit), 1);
+/// ```
 #[derive(Debug)]
 pub struct SessionRecorder<S> {
     inner: S,
@@ -313,10 +337,10 @@ pub struct PairedRun {
 /// busy moment differs from one arriving after earlier tenants completed
 /// and freed their slots.
 ///
-/// Generic over the endpoint: [`SharedService`] clones for the
-/// in-process multi-tenant run, one `RemoteService` connection per
-/// tenant when the shared service lives behind `spq-server`.
-pub struct SharedSpqHook<S: SpqService = SharedService> {
+/// Generic over the endpoint: [`Shared`] clones for the in-process
+/// multi-tenant run, one `RemoteService` connection per tenant when the
+/// shared service lives behind `spq-server`.
+pub struct SharedSpqHook<S: SpqService = Shared<SpeQuloS>> {
     service: S,
     bot: BotId,
     submit_at: SimTime,
@@ -521,7 +545,7 @@ mod tests {
 
     #[test]
     fn shared_service_recovers_the_instance_when_unshared() {
-        let shared = SharedService::new(SpeQuloS::new());
+        let shared = Shared::new(SpeQuloS::new());
         let clone = shared.clone();
         let still_shared = shared.into_inner().expect_err("a clone is alive");
         drop(clone);

@@ -8,9 +8,10 @@
 //! single-kind hammer. This module turns any recorded protocol session
 //! into such a mix:
 //!
-//! 1. [`Recorder`] wraps any [`SpqService`] endpoint and records every
-//!    request (with its service time) as it passes through — run a normal
-//!    harness experiment against it and the transcript falls out, in
+//! 1. [`Experiment::record_into`](crate::Experiment::record_into) (or a
+//!    [`SessionRecorder`](crate::SessionRecorder) around any endpoint)
+//!    records every request, with its service time, as it passes through
+//!    — run a normal harness experiment and the transcript falls out, in
 //!    exactly the `Vec<(SimTime, Request)>` shape
 //!    [`spequlos::protocol::encode_session`] understands.
 //! 2. [`RequestMix::from_session`] reduces a transcript to per-kind
@@ -21,12 +22,10 @@
 //!    deterministically (seeded [`Prng`]), so a load generator driven by
 //!    the same seed offers bit-identical request schedules run after run.
 //!
-//! The split keeps the pieces reusable: the recorder is also a protocol
-//! debugging tool (wrap a remote endpoint, diff the transcript), and the
-//! mix is plain data that serializes into bench telemetry config.
+//! The mix is plain data that serializes into bench telemetry config.
 
 use simcore::{Prng, SimTime};
-use spequlos::protocol::{Request, Response, SpqService};
+use spequlos::protocol::Request;
 
 /// The request kinds of the SpeQuloS protocol, in wire-tag order.
 ///
@@ -201,69 +200,13 @@ impl RequestMix {
     }
 }
 
-/// A transparent [`SpqService`] wrapper that records every request (with
-/// its service time) flowing to the inner endpoint.
-///
-/// The recorded session is exactly the transcript shape of
-/// [`spequlos::protocol::encode_session`]: feed it to
-/// [`spequlos::protocol::replay`] to re-drive any service, or to
-/// [`RequestMix::from_session`] to extract a load-generator workload.
-///
-/// ```
-/// use simcore::SimTime;
-/// use spequlos::protocol::{Request, SpqService};
-/// use spequlos::{SpeQuloS, UserId};
-/// use spq_harness::workload::{Recorder, RequestKind, RequestMix};
-///
-/// let mut endpoint = Recorder::new(SpeQuloS::new());
-/// endpoint.handle(
-///     Request::Deposit { user: UserId(1), credits: 10.0 },
-///     SimTime::ZERO,
-/// );
-/// let (_service, session) = endpoint.into_parts();
-/// let mix = RequestMix::from_session(&session);
-/// assert_eq!(mix.count(RequestKind::Deposit), 1);
-/// ```
-#[derive(Debug)]
-pub struct Recorder<S: SpqService> {
-    inner: S,
-    session: Vec<(SimTime, Request)>,
-}
-
-impl<S: SpqService> Recorder<S> {
-    /// Wraps an endpoint; recording starts immediately.
-    pub fn new(inner: S) -> Self {
-        Recorder {
-            inner,
-            session: Vec::new(),
-        }
-    }
-
-    /// The session recorded so far.
-    pub fn session(&self) -> &[(SimTime, Request)] {
-        &self.session
-    }
-
-    /// Unwraps into the endpoint and the recorded session.
-    pub fn into_parts(self) -> (S, Vec<(SimTime, Request)>) {
-        (self.inner, self.session)
-    }
-}
-
-impl<S: SpqService> SpqService for Recorder<S> {
-    fn handle(&mut self, request: Request, now: SimTime) -> Response {
-        self.session.push((now, request.clone()));
-        self.inner.handle(request, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Experiment, MwKind, Scenario};
+    use crate::{Experiment, MwKind, Scenario, SessionSink};
     use betrace::Preset;
     use botwork::{BotClass, BotId};
-    use spequlos::{SpeQuloS, StrategyCombo, UserId};
+    use spequlos::{StrategyCombo, UserId};
 
     fn sample_session() -> Vec<(SimTime, Request)> {
         vec![
@@ -343,10 +286,10 @@ mod tests {
         let mut sc = Scenario::new(Preset::G5kLyon, MwKind::Xwhep, BotClass::Big, 11)
             .with_strategy(StrategyCombo::paper_default());
         sc.scale = 0.5;
-        let endpoint = Recorder::new(SpeQuloS::builder().tick(sc.tick).build());
-        let (metrics, recorder) = Experiment::new(sc).run_qos_with(endpoint);
+        let sink = SessionSink::default();
+        let (metrics, _) = Experiment::new(sc).record_into(sink.clone()).run_qos();
         assert!(metrics.completed);
-        let (_, session) = recorder.into_parts();
+        let session = sink.lock().expect("sink").clone();
         let mix = RequestMix::from_session(&session);
         // The Fig. 3 session shape: exactly one deposit / registration /
         // order / completion, a monitoring report per tick in between.

@@ -112,23 +112,25 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Whether `rel` is on `spq-server`'s connection/dispatch path: every
-/// module in `crates/server/src/` is, except the client half, the crate
-/// root and the binaries under `bin/` — so a module added to the server
-/// is born under the panic-freedom rules rather than opted in later.
+/// module in `crates/server/src/` is — the client half too, since a
+/// panic there costs the middleware embedding it — except the crate
+/// root and the binaries under `bin/`. A module added to the server is
+/// born under the panic-freedom rules rather than opted in later.
 fn is_hot(rel: &str) -> bool {
-    rel.strip_prefix("crates/server/src/").is_some_and(|file| {
-        file.ends_with(".rs") && !file.contains('/') && file != "client.rs" && file != "lib.rs"
-    })
+    rel.strip_prefix("crates/server/src/")
+        .is_some_and(|file| file.ends_with(".rs") && !file.contains('/') && file != "lib.rs")
 }
 
 /// The hot files that decode untrusted wire bytes: the frame, envelope
-/// and binary parsers, and the connection core that slices its buffers
-/// for them.
+/// and binary parsers, and the two cores that slice their buffers for
+/// them — the connection core facing clients, the client core facing a
+/// server that may be hostile or merely buggy.
 pub const DECODE_FILES: &[&str] = &[
     "crates/server/src/frame.rs",
     "crates/server/src/binary.rs",
     "crates/server/src/wire.rs",
     "crates/server/src/conn.rs",
+    "crates/server/src/client.rs",
 ];
 
 /// Classifies a repo-relative path (unix separators) into its [`Role`].

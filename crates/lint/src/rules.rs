@@ -640,15 +640,17 @@ mod tests {
     fn the_hot_set_follows_the_server_module_tree() {
         let src =
             "pub fn f(buf: &[u8]) -> u8 {\n    let x = buf.first().unwrap();\n    buf[0]\n}\n";
-        // A module nobody listed is hot from birth; the core is decode too.
+        // A module nobody listed is hot from birth; both cores — the
+        // connection's and the client's — are decode too.
         let born = fire("crates/server/src/brand_new_module.rs", src);
         assert_eq!(born, vec![("panic-unwrap", 2)], "{born:?}");
-        let core = fire("crates/server/src/conn.rs", src);
-        assert!(core.contains(&("panic-unwrap", 2)), "{core:?}");
-        assert!(core.contains(&("panic-index", 3)), "{core:?}");
-        // The client half, the crate root and the binaries are not.
+        for core in ["crates/server/src/conn.rs", "crates/server/src/client.rs"] {
+            let hits = fire(core, src);
+            assert!(hits.contains(&("panic-unwrap", 2)), "{core}: {hits:?}");
+            assert!(hits.contains(&("panic-index", 3)), "{core}: {hits:?}");
+        }
+        // The crate root, the binaries and the tests are not.
         for cold in [
-            "crates/server/src/client.rs",
             "crates/server/src/bin/durable_server.rs",
             "crates/server/tests/shutdown.rs",
         ] {

@@ -34,6 +34,8 @@ fn bad_fixture_tree_fails_with_pinned_findings() {
         "crates/core/src/sim.rs:16: lint-bad-suppression:",
         "crates/other/src/lib.rs:1: forbid-unsafe-missing:",
         "crates/other/src/lib.rs:3: unsafe-outside-polling:",
+        "crates/server/src/client.rs:2: panic-unwrap:",
+        "crates/server/src/client.rs:3: panic-index:",
         "crates/server/src/frame.rs:2: panic-unwrap:",
         "crates/server/src/frame.rs:4: panic-macro:",
         "crates/server/src/frame.rs:6: panic-index:",
@@ -41,7 +43,7 @@ fn bad_fixture_tree_fails_with_pinned_findings() {
         assert!(out.contains(expect), "missing {expect:?} in:\n{out}");
     }
     assert!(
-        out.contains("spq-lint: 9 findings, 3 files scanned"),
+        out.contains("spq-lint: 11 findings, 4 files scanned"),
         "{out}"
     );
 }

@@ -18,7 +18,8 @@
 //! * [`frame`] — length-prefixed newline-JSON framing: `<len>\n<payload>\n`.
 //!   Truncated or oversized frames are typed [`frame::FrameError`]s, never
 //!   panics. A first-line hello (§2) negotiates the frame format per
-//!   connection: newline-JSON (§3) or length-prefixed binary (§4).
+//!   connection: newline-JSON (§3) or length-prefixed binary (§4). One
+//!   incremental decoder per format, shared by both cores below.
 //! * [`binary`] — the compact binary envelope encoding (§5), hand-rolled
 //!   and dependency-free, pinned value-identical to the JSON path.
 //! * [`wire`] — correlation envelopes (§6): each request frame carries an
@@ -35,9 +36,13 @@
 //!   and its service, dispatching requests inline; with more than one
 //!   shard ([`ShardedServer`]), an accept-and-route thread in front and
 //!   tenant-partitioned state behind.
-//! * [`server`] / [`client`] — [`Server`], the one-shard configuration of
-//!   that engine (the shard owns the listener; no router thread), and the
-//!   [`RemoteService`] client.
+//! * [`server`] — [`Server`], the one-shard configuration of that engine
+//!   (the shard owns the listener; no router thread).
+//! * [`client`] — the other end of the wire, shaped like the serving
+//!   half: [`ClientCore`], a sans-I/O core that queues the hello and
+//!   request frames and reads replies through the same decoders, and
+//!   [`RemoteService`], a socket around one — `handle` for
+//!   request/response, `send`/`flush`/`recv` for pipelining.
 //!
 //! Durability composes with the request path rather than adding a
 //! layer: [`Server::spawn_durable`] appends every request
@@ -77,8 +82,8 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use client::RemoteService;
-pub use frame::{read_frame, write_frame, Codec, FrameError, MAX_FRAME_BYTES};
+pub use client::{ClientCore, RemoteService};
+pub use frame::{write_frame, Codec, FrameError, MAX_FRAME_BYTES};
 pub use server::{
     DurabilityConfig, DurableError, RequestObserver, Server, ServerConfig, ServerHandle,
 };

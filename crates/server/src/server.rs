@@ -220,10 +220,10 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::RemoteService;
+    use crate::client::{ClientCore, RemoteService};
     use crate::frame::{self, Codec};
     use crate::shard::ShardedServer;
-    use crate::wire::{RequestEnvelope, ResponseEnvelope};
+    use crate::wire::RequestEnvelope;
     use simcore::SimTime;
     use spequlos::protocol::{Request, RequestError, Response, SpqService};
     use spequlos::UserId;
@@ -372,31 +372,24 @@ mod tests {
             ..ServerConfig::default()
         };
         let handle = Server::spawn(SpeQuloS::new(), "127.0.0.1:0", config).expect("bind loopback");
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(stream);
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        // No hello queued: the legacy digit-first JSON start (§2.3).
+        let mut core = ClientCore::new(Codec::Json);
         const N: u64 = 200;
-        for id in 0..N {
-            let env = RequestEnvelope {
-                id,
-                at: SimTime::ZERO,
-                request: Request::Deposit {
-                    user: UserId(1),
-                    credits: 1.0,
-                },
+        let mut wire = Vec::new();
+        for _ in 0..N {
+            let deposit = Request::Deposit {
+                user: UserId(1),
+                credits: 1.0,
             };
-            send_json(&mut writer, &env.to_json());
+            core.queue_request(&mut wire, deposit, SimTime::ZERO);
         }
-        writer.flush().unwrap();
+        stream.write_all(&wire).unwrap();
         for id in 0..N {
-            let reply = frame::read_frame(&mut reader, MAX_FRAME_BYTES)
-                .expect("read")
-                .expect("reply");
-            let envelope = ResponseEnvelope::from_json(&reply).expect("decodes");
-            assert_eq!(envelope.id, id, "replies arrive in order");
+            let reply = core.read_reply(&mut stream).expect("read").expect("reply");
+            assert_eq!(reply.id, id, "replies arrive in order");
         }
-        drop(reader);
-        drop(writer);
+        drop(stream);
         let service = handle.into_service();
         assert_eq!(service.credits.balance(UserId(1)), N as f64);
     }
@@ -404,19 +397,14 @@ mod tests {
     #[test]
     fn malformed_payloads_get_error_replies_and_the_session_survives() {
         let handle = Server::spawn_loopback(SpeQuloS::new()).expect("bind loopback");
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(stream);
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut core = ClientCore::new(Codec::Json);
 
         // A well-framed but non-envelope payload: the server answers with
         // a typed error (echoing the id it could recover) and keeps the
         // connection open.
-        send_json(&mut writer, r#"{"id":7.0,"wat":true}"#);
-        writer.flush().unwrap();
-        let reply = frame::read_frame(&mut reader, MAX_FRAME_BYTES)
-            .expect("read")
-            .expect("reply");
-        let envelope = ResponseEnvelope::from_json(&reply).expect("decodes");
+        send_json(&mut stream, r#"{"id":7.0,"wat":true}"#);
+        let envelope = core.read_reply(&mut stream).expect("read").expect("reply");
         assert_eq!(envelope.id, 7);
         assert!(matches!(
             envelope.response,
@@ -432,12 +420,8 @@ mod tests {
                 credits: 5.0,
             },
         };
-        send_json(&mut writer, &env.to_json());
-        writer.flush().unwrap();
-        let reply = frame::read_frame(&mut reader, MAX_FRAME_BYTES)
-            .expect("read")
-            .expect("reply");
-        let envelope = ResponseEnvelope::from_json(&reply).expect("decodes");
+        send_json(&mut stream, &env.to_json());
+        let envelope = core.read_reply(&mut stream).expect("read").expect("reply");
         assert_eq!(envelope.id, 8);
         assert!(matches!(envelope.response, Response::Deposited { .. }));
     }
@@ -514,10 +498,9 @@ mod tests {
         // The listener is gone: new connections are refused (or, at
         // worst, accepted by nothing and immediately closed).
         let outcome = TcpStream::connect(addr);
-        if let Ok(stream) = outcome {
-            let mut reader = BufReader::new(stream);
+        if let Ok(mut stream) = outcome {
             assert!(matches!(
-                crate::frame::read_frame(&mut reader, MAX_FRAME_BYTES),
+                ClientCore::new(Codec::Json).read_reply(&mut stream),
                 Ok(None) | Err(_)
             ));
         }

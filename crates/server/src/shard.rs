@@ -985,12 +985,12 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::RemoteService;
-    use crate::frame::{read_frame, write_frame, Codec, MAX_FRAME_BYTES};
+    use crate::client::{ClientCore, RemoteService};
+    use crate::frame::Codec;
     use simcore::SimTime;
     use spequlos::tenancy::shard_of_user;
     use spequlos::{Request, Response, SpqService, UserId};
-    use std::io::{BufReader, Write};
+    use std::io::Write;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1091,29 +1091,24 @@ mod tests {
         // users spread across every shard, written before any reply is
         // read. Interleaves local serves with forwards on every shard.
         let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        let mut core = ClientCore::new(Codec::Json);
         let mut wire = Vec::new();
-        for id in 1..=40u64 {
-            let env = RequestEnvelope {
-                id,
-                at: SimTime::ZERO,
-                request: Request::Deposit {
-                    user: UserId(id % 11),
-                    credits: 1.0,
-                },
+        for k in 1..=40u64 {
+            let deposit = Request::Deposit {
+                user: UserId(k % 11),
+                credits: 1.0,
             };
-            write_frame(&mut wire, Codec::Json, env.to_json().as_bytes());
+            core.queue_request(&mut wire, deposit, SimTime::ZERO);
         }
         stream.write_all(&wire).expect("write");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        for id in 1..=40u64 {
-            let payload = read_frame(&mut reader, MAX_FRAME_BYTES)
+        for id in 0..40u64 {
+            let reply = core
+                .read_reply(&mut stream)
                 .expect("read")
                 .expect("reply before EOF");
-            let reply = ResponseEnvelope::from_json(&payload).expect("decode");
             assert_eq!(reply.id, id, "replies must come back in request order");
             assert!(matches!(reply.response, Response::Deposited { .. }));
         }
-        drop(reader);
         drop(stream);
         let services = handle.into_services();
         let total: f64 = (0..11u64)
@@ -1250,11 +1245,10 @@ mod tests {
         // a read of zero bytes).
         match std::net::TcpStream::connect(addr) {
             Err(_) => {}
-            Ok(stream) => {
-                let mut reader = BufReader::new(stream);
-                let frame = read_frame(&mut reader, MAX_FRAME_BYTES);
+            Ok(mut stream) => {
+                let reply = ClientCore::new(Codec::Json).read_reply(&mut stream);
                 assert!(
-                    matches!(frame, Ok(None) | Err(_)),
+                    matches!(reply, Ok(None) | Err(_)),
                     "server must not answer after shutdown"
                 );
             }

@@ -337,8 +337,24 @@ mod fuzz {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use spequlos::{CloudAction, Prediction};
-    use spq_server::{read_frame, write_frame, Codec, FrameError, MAX_FRAME_BYTES};
+    use spq_server::frame::decode_json_frame;
+    use spq_server::{write_frame, Codec, FrameError, MAX_FRAME_BYTES};
     use std::io::Cursor;
+
+    /// The next frame of a complete byte string, through the incremental
+    /// decoder: `None` at its clean end, `Truncated` if it ends mid-frame
+    /// — what a blocking reader makes of "incomplete" at end of stream.
+    fn read_frame(r: &mut Cursor<Vec<u8>>, max: usize) -> Result<Option<String>, FrameError> {
+        let at = r.position() as usize;
+        let rest = &r.get_ref()[at..];
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        let (payload, consumed) =
+            decode_json_frame(rest, max)?.ok_or(FrameError::Truncated { context: "frame" })?;
+        r.set_position((at + consumed) as u64);
+        Ok(Some(payload))
+    }
 
     /// Strings exercising every escape class the JSON writer knows:
     /// quotes, backslashes, control characters, non-ASCII, non-BMP.
