@@ -48,7 +48,7 @@ use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
 use crate::service::{LogEvent, SpeQuloS};
 use botwork::BotId;
-use simcore::json::{self, Value};
+use simcore::json::{self, Reader, Token, Value, Writer};
 use simcore::SimTime;
 use std::fmt;
 
@@ -333,6 +333,10 @@ pub(crate) fn millis(t: SimTime) -> Value {
     Value::Num(t.as_millis() as f64)
 }
 
+// A strategy is the one protocol type a snapshot stores too, so its field
+// list lives on the document tree and the request codec embeds it
+// (`Writer::value` / `Reader::value`): `order_qos` is a once-per-BoT
+// request, not the monitoring path.
 pub(crate) fn strategy_to_value(s: &StrategyCombo) -> Value {
     let mut members = Vec::with_capacity(4);
     let (kind, threshold) = match s.trigger {
@@ -391,41 +395,33 @@ pub(crate) fn strategy_from_value(v: &Value) -> Result<StrategyCombo, String> {
     })
 }
 
-fn progress_to_value(p: &BotProgress) -> Value {
-    Value::Obj(vec![
-        ("now".into(), millis(p.now)),
-        ("size".into(), num(p.size.into())),
-        ("completed".into(), num(p.completed.into())),
-        ("dispatched".into(), num(p.dispatched.into())),
-        ("queued".into(), num(p.queued.into())),
-        ("running".into(), num(p.running.into())),
-        ("cloud_running".into(), num(p.cloud_running.into())),
-    ])
+fn missing(key: &str) -> String {
+    format!("missing or invalid `{key}`")
 }
 
 pub(crate) fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
     v.get(key)
         .and_then(Value::as_u64)
         .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| format!("missing or invalid `{key}`"))
+        .ok_or_else(|| missing(key))
 }
 
 pub(crate) fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or invalid `{key}`"))
+        .ok_or_else(|| missing(key))
 }
 
 pub(crate) fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or invalid `{key}`"))
+        .ok_or_else(|| missing(key))
 }
 
 pub(crate) fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     v.get(key)
         .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or invalid `{key}`"))
+        .ok_or_else(|| missing(key))
 }
 
 // Decode errors name the enclosing message, so a bad frame in a stored
@@ -439,52 +435,215 @@ fn in_response(tag: &str, e: String) -> String {
     format!("response `{tag}`: {e}")
 }
 
-fn progress_from_value(v: &Value) -> Result<BotProgress, String> {
+/// What [`read_object`] found under the scalar keys it was given: the
+/// streaming decoders' stand-in for `Value::get`, with the same lookups
+/// and the same messages as the `*_field` helpers above.
+struct Scalars<'a, const N: usize> {
+    keys: [&'static str; N],
+    found: [Option<Token<'a>>; N],
+}
+
+impl<const N: usize> Scalars<'_, N> {
+    fn get(&self, key: &str) -> Option<&Token<'_>> {
+        let slot = self.keys.iter().position(|k| *k == key)?;
+        self.found.get(slot)?.as_ref()
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        let n = self.get(key).and_then(Token::as_u64);
+        n.ok_or_else(|| missing(key))
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        let n = self.u64(key).ok().and_then(|n| u32::try_from(n).ok());
+        n.ok_or_else(|| missing(key))
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        let n = self.get(key).and_then(Token::as_f64);
+        n.ok_or_else(|| missing(key))
+    }
+
+    fn str(&self, key: &str) -> Result<&str, String> {
+        let s = self.get(key).and_then(Token::as_str);
+        s.ok_or_else(|| missing(key))
+    }
+}
+
+/// One pass over a message object whose `head` has just been read.
+/// Members may come in any order, so nothing is judged before the object
+/// is closed: the values of the scalar `keys` are collected, every other
+/// member is offered to `nested`, which reads it and returns `true` or
+/// leaves it to be skipped. The first of duplicated members wins; a value
+/// that is not an object reads as one without members. Syntax errors stay
+/// with the reader and [`json::read`] reports them first — so the
+/// decoders built on this return field errors only, and a malformed
+/// document is reported as the document parser would have.
+fn read_object<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    head: Token<'a>,
+    keys: [&'static str; N],
+    mut nested: impl FnMut(&str, &mut Reader<'a>) -> bool,
+) -> Scalars<'a, N> {
+    let mut found = [const { None }; N];
+    if head != Token::Obj {
+        r.skip_from(&head);
+        return Scalars { keys, found };
+    }
+    while let Some(key) = r.next_key() {
+        let slot = keys.iter().position(|k| *k == key);
+        match slot.and_then(|i| found.get_mut(i)) {
+            Some(slot @ None) => *slot = Some(r.scalar()),
+            _ if nested(&key, r) => {}
+            _ => r.skip_value(),
+        }
+    }
+    Scalars { keys, found }
+}
+
+/// Fills `slot` from `read` if this is the first member of its name.
+fn first<T>(slot: &mut Option<T>, read: impl FnOnce() -> T) -> bool {
+    let first = slot.is_none();
+    if first {
+        *slot = Some(read());
+    }
+    first
+}
+
+/// Claims envelope members (`"id"`, `"t"`) a flattened message does not
+/// own: reads the value and returns `true`, or leaves it and returns
+/// `false`.
+pub type Extra<'x, 'a> = &'x mut dyn FnMut(&str, &mut Reader<'a>) -> bool;
+
+fn no_extra(_: &str, _: &mut Reader<'_>) -> bool {
+    false
+}
+
+/// An [`Extra`]'s building block: reads a whole-number head member into
+/// `slot` if it is the first of its name (`true`), else leaves it.
+pub fn claim_whole(slot: &mut Option<Option<u64>>, r: &mut Reader<'_>) -> bool {
+    first(slot, || r.scalar().as_u64())
+}
+
+/// What [`claim_whole`] collected under `key`, or the usual message.
+pub fn claimed_whole(slot: Option<Option<u64>>, key: &str) -> Result<u64, String> {
+    slot.flatten().ok_or_else(|| missing(key))
+}
+
+/// An array's elements, or the first one that failed, with its index.
+type Items<T> = Result<Vec<T>, (usize, String)>;
+
+/// Every element of the array `r` stands at through `item`, walked to
+/// its end whatever fails. `None` when the value is not an array.
+fn read_array<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Option<Items<T>> {
+    let head = r.token();
+    if head != Token::Arr {
+        r.skip_from(&head);
+        return None;
+    }
+    let mut out = Ok(Vec::new());
+    let mut index = 0;
+    while r.next_item() {
+        let decoded = item(r);
+        if let Ok(items) = &mut out {
+            match decoded {
+                Ok(x) => items.push(x),
+                Err(e) => out = Err((index, e)),
+            }
+        }
+        index += 1;
+    }
+    Some(out)
+}
+
+/// Resolves a batch's `"items"` member.
+fn batch_items<T>(items: Option<Option<Items<T>>>) -> Result<Vec<T>, String> {
+    let items = items.flatten().ok_or_else(|| missing("items"))?;
+    items.map_err(|(i, e)| format!("items[{i}]: {e}"))
+}
+
+fn write_progress(w: &mut Writer<'_>, p: &BotProgress) {
+    w.begin_object();
+    w.key("now").num(p.now.as_millis() as f64);
+    w.key("size").num(p.size.into());
+    w.key("completed").num(p.completed.into());
+    w.key("dispatched").num(p.dispatched.into());
+    w.key("queued").num(p.queued.into());
+    w.key("running").num(p.running.into());
+    w.key("cloud_running").num(p.cloud_running.into());
+    w.end_object();
+}
+
+const PROGRESS_KEYS: [&str; 7] = [
+    "now",
+    "size",
+    "completed",
+    "dispatched",
+    "queued",
+    "running",
+    "cloud_running",
+];
+
+fn read_progress(r: &mut Reader<'_>) -> Result<BotProgress, String> {
+    let head = r.token();
+    let m = read_object(r, head, PROGRESS_KEYS, no_extra);
     Ok(BotProgress {
-        now: SimTime::from_millis(u64_field(v, "now")?),
-        size: u32_field(v, "size")?,
-        completed: u32_field(v, "completed")?,
-        dispatched: u32_field(v, "dispatched")?,
-        queued: u32_field(v, "queued")?,
-        running: u32_field(v, "running")?,
-        cloud_running: u32_field(v, "cloud_running")?,
+        now: SimTime::from_millis(m.u64("now")?),
+        size: m.u32("size")?,
+        completed: m.u32("completed")?,
+        dispatched: m.u32("dispatched")?,
+        queued: m.u32("queued")?,
+        running: m.u32("running")?,
+        cloud_running: m.u32("cloud_running")?,
     })
 }
 
-fn action_to_value(a: CloudAction) -> Value {
+fn write_action(w: &mut Writer<'_>, a: CloudAction) {
     match a {
-        CloudAction::None => Value::Str("none".into()),
-        CloudAction::Start(n) => Value::Obj(vec![("start".into(), num(n.into()))]),
-        CloudAction::StopAll => Value::Str("stop_all".into()),
+        CloudAction::None => w.str("none"),
+        CloudAction::Start(n) => w.begin_object().key("start").num(n.into()).end_object(),
+        CloudAction::StopAll => w.str("stop_all"),
+    };
+}
+
+fn read_action(r: &mut Reader<'_>) -> Result<CloudAction, String> {
+    match r.token() {
+        Token::Str(s) if s == "none" => Ok(CloudAction::None),
+        Token::Str(s) if s == "stop_all" => Ok(CloudAction::StopAll),
+        Token::Obj => {
+            let m = read_object(r, Token::Obj, ["start"], no_extra);
+            Ok(CloudAction::Start(m.u32("start")?))
+        }
+        other => Err(format!("invalid cloud action {:?}", r.value_from(other))),
     }
 }
 
-fn action_from_value(v: &Value) -> Result<CloudAction, String> {
-    match v {
-        Value::Str(s) if s == "none" => Ok(CloudAction::None),
-        Value::Str(s) if s == "stop_all" => Ok(CloudAction::StopAll),
-        Value::Obj(_) => Ok(CloudAction::Start(u32_field(v, "start")?)),
-        other => Err(format!("invalid cloud action {other:?}")),
-    }
-}
-
-fn prediction_to_value(p: &Prediction) -> Value {
-    let mut members = vec![
-        ("completion_secs".into(), num(p.completion_secs)),
-        ("alpha".into(), num(p.alpha)),
-    ];
+fn write_prediction(w: &mut Writer<'_>, p: &Prediction) {
+    w.begin_object();
+    w.key("completion_secs").num(p.completion_secs);
+    w.key("alpha").num(p.alpha);
     if let Some(rate) = p.success_rate {
-        members.push(("success_rate".into(), num(rate)));
+        w.key("success_rate").num(rate);
     }
-    Value::Obj(members)
+    w.end_object();
 }
 
-fn prediction_from_value(v: &Value) -> Result<Prediction, String> {
-    Ok(Prediction {
-        completion_secs: f64_field(v, "completion_secs")?,
-        alpha: f64_field(v, "alpha")?,
-        success_rate: v.get("success_rate").and_then(Value::as_f64),
-    })
+/// `null` is "no prediction yet"; anything else must hold one.
+fn read_prediction(r: &mut Reader<'_>) -> Result<Option<Prediction>, String> {
+    let head = r.token();
+    if head == Token::Null {
+        return Ok(None);
+    }
+    let keys = ["completion_secs", "alpha", "success_rate"];
+    let m = read_object(r, head, keys, no_extra);
+    Ok(Some(Prediction {
+        completion_secs: m.f64("completion_secs")?,
+        alpha: m.f64("alpha")?,
+        success_rate: m.f64("success_rate").ok(),
+    }))
 }
 
 impl Request {
@@ -504,284 +663,260 @@ impl Request {
         }
     }
 
-    /// The request as a JSON value (an object tagged with `"req"`).
-    pub fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::with_capacity(4);
-        m.push(("req".into(), Value::Str(self.kind().into())));
+    /// Writes the request's members, `"req"` first, into the object `w`
+    /// has open — so an envelope or a session entry can flatten its own
+    /// head in front of them.
+    pub fn write_members(&self, w: &mut Writer<'_>) {
+        w.key("req").str(self.kind());
         match self {
             Request::Deposit { user, credits } => {
-                m.push(("user".into(), num(user.0 as f64)));
-                m.push(("credits".into(), num(*credits)));
+                w.key("user").num(user.0 as f64);
+                w.key("credits").num(*credits);
             }
             Request::RegisterQos { user, env, size } => {
-                m.push(("user".into(), num(user.0 as f64)));
-                m.push(("env".into(), Value::Str(env.clone())));
-                m.push(("size".into(), num((*size).into())));
+                w.key("user").num(user.0 as f64);
+                w.key("env").str(env);
+                w.key("size").num((*size).into());
             }
             Request::OrderQos {
                 bot,
                 credits,
                 strategy,
             } => {
-                m.push(("bot".into(), num(bot.0 as f64)));
-                m.push(("credits".into(), num(*credits)));
+                w.key("bot").num(bot.0 as f64);
+                w.key("credits").num(*credits);
                 if let Some(s) = strategy {
-                    m.push(("strategy".into(), strategy_to_value(s)));
+                    w.key("strategy").value(&strategy_to_value(s));
                 }
             }
-            Request::Predict { bot } => {
-                m.push(("bot".into(), num(bot.0 as f64)));
+            Request::Predict { bot } | Request::Complete { bot } => {
+                w.key("bot").num(bot.0 as f64);
             }
             Request::ReportProgress { bot, progress } => {
-                m.push(("bot".into(), num(bot.0 as f64)));
-                m.push(("progress".into(), progress_to_value(progress)));
-            }
-            Request::Complete { bot } => {
-                m.push(("bot".into(), num(bot.0 as f64)));
+                w.key("bot").num(bot.0 as f64);
+                write_progress(w.key("progress"), progress);
             }
             Request::Batch(items) => {
-                m.push((
-                    "items".into(),
-                    Value::Arr(items.iter().map(Request::to_value).collect()),
-                ));
+                w.key("items").begin_array();
+                for item in items {
+                    item.write_members(w.begin_object());
+                    w.end_object();
+                }
+                w.end_array();
             }
         }
-        Value::Obj(m)
     }
 
     /// Serializes the request as one JSON object.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        json::object(|w| self.write_members(w))
     }
 
-    /// Rebuilds a request from a JSON value produced by
-    /// [`Request::to_value`]. Error messages carry the offending field
-    /// path (e.g. ``request `order_qos`: missing or invalid `credits` ``).
-    pub fn from_value(v: &Value) -> Result<Request, String> {
-        let tag = str_field(v, "req")?;
-        let parsed = match tag {
+    /// Decodes the value `r` stands at as a request object; members the
+    /// request does not own are offered to `extra` before they are
+    /// skipped. Error messages carry the offending field path (e.g.
+    /// ``request `order_qos`: missing or invalid `credits` ``); syntax
+    /// errors are [`json::read`]'s to report and come first.
+    pub fn read<'a>(r: &mut Reader<'a>, extra: Extra<'_, 'a>) -> Result<Request, String> {
+        let (mut strategy, mut progress, mut items) = (None, None, None);
+        let keys = ["req", "user", "credits", "env", "size", "bot"];
+        let head = r.token();
+        let m = read_object(r, head, keys, |key, r| match key {
+            "strategy" => first(&mut strategy, || strategy_from_value(&r.value())),
+            "progress" => first(&mut progress, || read_progress(r)),
+            "items" => first(&mut items, || {
+                read_array(r, |r| Request::read(r, &mut no_extra))
+            }),
+            _ => extra(key, r),
+        });
+        let tag = m.str("req")?;
+        let at = |e| in_request(tag, e);
+        Ok(match tag {
             "deposit" => Request::Deposit {
-                user: UserId(u64_field(v, "user").map_err(|e| in_request(tag, e))?),
-                credits: f64_field(v, "credits").map_err(|e| in_request(tag, e))?,
+                user: UserId(m.u64("user").map_err(at)?),
+                credits: m.f64("credits").map_err(at)?,
             },
             "register_qos" => Request::RegisterQos {
-                user: UserId(u64_field(v, "user").map_err(|e| in_request(tag, e))?),
-                env: str_field(v, "env")
-                    .map_err(|e| in_request(tag, e))?
-                    .to_string(),
-                size: u32_field(v, "size").map_err(|e| in_request(tag, e))?,
+                user: UserId(m.u64("user").map_err(at)?),
+                env: m.str("env").map_err(at)?.to_string(),
+                size: m.u32("size").map_err(at)?,
             },
             "order_qos" => Request::OrderQos {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_request(tag, e))?),
-                credits: f64_field(v, "credits").map_err(|e| in_request(tag, e))?,
-                strategy: v
-                    .get("strategy")
-                    .map(strategy_from_value)
+                bot: BotId(m.u64("bot").map_err(at)?),
+                credits: m.f64("credits").map_err(at)?,
+                strategy: strategy
                     .transpose()
-                    .map_err(|e| in_request(tag, format!("strategy: {e}")))?,
+                    .map_err(|e| at(format!("strategy: {e}")))?,
             },
             "predict" => Request::Predict {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_request(tag, e))?),
+                bot: BotId(m.u64("bot").map_err(at)?),
             },
             "report_progress" => Request::ReportProgress {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_request(tag, e))?),
-                progress: v
-                    .get("progress")
-                    .ok_or("missing `progress`".to_string())
-                    .and_then(progress_from_value)
-                    .map_err(|e| in_request(tag, format!("progress: {e}")))?,
+                bot: BotId(m.u64("bot").map_err(at)?),
+                progress: progress
+                    .unwrap_or_else(|| Err("missing `progress`".into()))
+                    .map_err(|e| at(format!("progress: {e}")))?,
             },
             "complete" => Request::Complete {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_request(tag, e))?),
+                bot: BotId(m.u64("bot").map_err(at)?),
             },
-            "batch" => Request::Batch(
-                v.get("items")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| in_request(tag, "missing or invalid `items`".into()))?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        Request::from_value(item)
-                            .map_err(|e| in_request(tag, format!("items[{i}]: {e}")))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            ),
+            "batch" => Request::Batch(batch_items(items).map_err(at)?),
             other => return Err(format!("unknown request `{other}`")),
-        };
-        Ok(parsed)
+        })
     }
 
     /// Parses one JSON-encoded request.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        Request::from_value(&json::parse(text)?)
+        json::read(text, |r| Request::read(r, &mut no_extra))?
     }
 }
 
 impl Response {
-    /// The response as a JSON value (an object tagged with `"resp"`).
-    pub fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::with_capacity(3);
+    fn tag(&self) -> &'static str {
+        match self {
+            Response::Deposited { .. } => "deposited",
+            Response::Registered { .. } => "registered",
+            Response::Ordered { .. } => "ordered",
+            Response::Predicted { .. } => "predicted",
+            Response::Action { .. } => "action",
+            Response::Completed { .. } => "completed",
+            Response::Batch(_) => "batch",
+            Response::Error(_) => "error",
+        }
+    }
+
+    /// Writes the response's members, `"resp"` first, into the object
+    /// `w` has open (see [`Request::write_members`]).
+    pub fn write_members(&self, w: &mut Writer<'_>) {
+        w.key("resp").str(self.tag());
         match self {
             Response::Deposited { user, balance } => {
-                m.push(("resp".into(), Value::Str("deposited".into())));
-                m.push(("user".into(), num(user.0 as f64)));
-                m.push(("balance".into(), num(*balance)));
+                w.key("user").num(user.0 as f64);
+                w.key("balance").num(*balance);
             }
-            Response::Registered { bot } => {
-                m.push(("resp".into(), Value::Str("registered".into())));
-                m.push(("bot".into(), num(bot.0 as f64)));
-            }
-            Response::Ordered { bot } => {
-                m.push(("resp".into(), Value::Str("ordered".into())));
-                m.push(("bot".into(), num(bot.0 as f64)));
+            Response::Registered { bot } | Response::Ordered { bot } => {
+                w.key("bot").num(bot.0 as f64);
             }
             Response::Predicted { bot, prediction } => {
-                m.push(("resp".into(), Value::Str("predicted".into())));
-                m.push(("bot".into(), num(bot.0 as f64)));
+                w.key("bot").num(bot.0 as f64);
                 match prediction {
-                    Some(p) => m.push(("prediction".into(), prediction_to_value(p))),
-                    None => m.push(("prediction".into(), Value::Null)),
+                    Some(p) => write_prediction(w.key("prediction"), p),
+                    None => _ = w.key("prediction").null(),
                 }
             }
             Response::Action { bot, action } => {
-                m.push(("resp".into(), Value::Str("action".into())));
-                m.push(("bot".into(), num(bot.0 as f64)));
-                m.push(("action".into(), action_to_value(*action)));
+                w.key("bot").num(bot.0 as f64);
+                write_action(w.key("action"), *action);
             }
             Response::Completed { bot, spent, refund } => {
-                m.push(("resp".into(), Value::Str("completed".into())));
-                m.push(("bot".into(), num(bot.0 as f64)));
-                m.push(("spent".into(), num(*spent)));
-                m.push(("refund".into(), num(*refund)));
+                w.key("bot").num(bot.0 as f64);
+                w.key("spent").num(*spent);
+                w.key("refund").num(*refund);
             }
             Response::Batch(items) => {
-                m.push(("resp".into(), Value::Str("batch".into())));
-                m.push((
-                    "items".into(),
-                    Value::Arr(items.iter().map(Response::to_value).collect()),
-                ));
-            }
-            Response::Error(e) => {
-                m.push(("resp".into(), Value::Str("error".into())));
-                match e {
-                    RequestError::Credit(ce) => {
-                        let code = match ce {
-                            CreditError::InsufficientCredits => "insufficient_credits",
-                            CreditError::NoOrder => "no_order",
-                            CreditError::DuplicateOrder => "duplicate_order",
-                            CreditError::OrderClosed => "order_closed",
-                            CreditError::PoolSaturated => "pool_saturated",
-                        };
-                        m.push(("error".into(), Value::Str(code.into())));
-                    }
-                    RequestError::UnknownBot(bot) => {
-                        m.push(("error".into(), Value::Str("unknown_bot".into())));
-                        m.push(("bot".into(), num(bot.0 as f64)));
-                    }
-                    RequestError::Invalid(msg) => {
-                        m.push(("error".into(), Value::Str("invalid".into())));
-                        m.push(("message".into(), Value::Str(msg.clone())));
-                    }
-                    RequestError::Transport(msg) => {
-                        m.push(("error".into(), Value::Str("transport".into())));
-                        m.push(("message".into(), Value::Str(msg.clone())));
-                    }
+                w.key("items").begin_array();
+                for item in items {
+                    item.write_members(w.begin_object());
+                    w.end_object();
                 }
+                w.end_array();
+            }
+            Response::Error(RequestError::Credit(e)) => {
+                w.key("error").str(match e {
+                    CreditError::InsufficientCredits => "insufficient_credits",
+                    CreditError::NoOrder => "no_order",
+                    CreditError::DuplicateOrder => "duplicate_order",
+                    CreditError::OrderClosed => "order_closed",
+                    CreditError::PoolSaturated => "pool_saturated",
+                });
+            }
+            Response::Error(RequestError::UnknownBot(bot)) => {
+                w.key("error").str("unknown_bot");
+                w.key("bot").num(bot.0 as f64);
+            }
+            Response::Error(RequestError::Invalid(msg)) => {
+                w.key("error").str("invalid");
+                w.key("message").str(msg);
+            }
+            Response::Error(RequestError::Transport(msg)) => {
+                w.key("error").str("transport");
+                w.key("message").str(msg);
             }
         }
-        Value::Obj(m)
     }
 
     /// Serializes the response as one JSON object.
     pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        json::object(|w| self.write_members(w))
     }
 
-    /// Rebuilds a response from a JSON value produced by
-    /// [`Response::to_value`]. Error messages carry the offending field
-    /// path (e.g. ``response `action`: missing or invalid `bot` ``).
-    pub fn from_value(v: &Value) -> Result<Response, String> {
-        let tag = str_field(v, "resp")?;
-        let parsed = match tag {
+    /// Decodes the value `r` stands at as a response object, under
+    /// [`Request::read`]'s contract. Error messages carry the offending
+    /// field path (e.g. ``response `action`: missing or invalid `bot` ``).
+    pub fn read<'a>(r: &mut Reader<'a>, extra: Extra<'_, 'a>) -> Result<Response, String> {
+        let (mut prediction, mut action, mut items) = (None, None, None);
+        let keys = [
+            "resp", "user", "balance", "bot", "spent", "refund", "error", "message",
+        ];
+        let head = r.token();
+        let m = read_object(r, head, keys, |key, r| match key {
+            "prediction" => first(&mut prediction, || read_prediction(r)),
+            "action" => first(&mut action, || read_action(r)),
+            "items" => first(&mut items, || {
+                read_array(r, |r| Response::read(r, &mut no_extra))
+            }),
+            _ => extra(key, r),
+        });
+        let tag = m.str("resp")?;
+        let at = |e| in_response(tag, e);
+        Ok(match tag {
             "deposited" => Response::Deposited {
-                user: UserId(u64_field(v, "user").map_err(|e| in_response(tag, e))?),
-                balance: f64_field(v, "balance").map_err(|e| in_response(tag, e))?,
+                user: UserId(m.u64("user").map_err(at)?),
+                balance: m.f64("balance").map_err(at)?,
             },
             "registered" => Response::Registered {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_response(tag, e))?),
+                bot: BotId(m.u64("bot").map_err(at)?),
             },
             "ordered" => Response::Ordered {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_response(tag, e))?),
+                bot: BotId(m.u64("bot").map_err(at)?),
             },
             "predicted" => Response::Predicted {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_response(tag, e))?),
-                prediction: match v.get("prediction") {
-                    None | Some(Value::Null) => None,
-                    Some(p) => Some(
-                        prediction_from_value(p)
-                            .map_err(|e| in_response(tag, format!("prediction: {e}")))?,
-                    ),
-                },
+                bot: BotId(m.u64("bot").map_err(at)?),
+                prediction: prediction
+                    .transpose()
+                    .map_err(|e| at(format!("prediction: {e}")))?
+                    .flatten(),
             },
             "action" => Response::Action {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_response(tag, e))?),
-                action: v
-                    .get("action")
-                    .ok_or("missing `action`".to_string())
-                    .and_then(action_from_value)
-                    .map_err(|e| in_response(tag, format!("action: {e}")))?,
+                bot: BotId(m.u64("bot").map_err(at)?),
+                action: action
+                    .unwrap_or_else(|| Err("missing `action`".into()))
+                    .map_err(|e| at(format!("action: {e}")))?,
             },
             "completed" => Response::Completed {
-                bot: BotId(u64_field(v, "bot").map_err(|e| in_response(tag, e))?),
-                spent: f64_field(v, "spent").map_err(|e| in_response(tag, e))?,
-                refund: f64_field(v, "refund").map_err(|e| in_response(tag, e))?,
+                bot: BotId(m.u64("bot").map_err(at)?),
+                spent: m.f64("spent").map_err(at)?,
+                refund: m.f64("refund").map_err(at)?,
             },
-            "batch" => Response::Batch(
-                v.get("items")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| in_response(tag, "missing or invalid `items`".into()))?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        Response::from_value(item)
-                            .map_err(|e| in_response(tag, format!("items[{i}]: {e}")))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            ),
-            "error" => {
-                let error = match str_field(v, "error").map_err(|e| in_response(tag, e))? {
-                    "insufficient_credits" => {
-                        RequestError::Credit(CreditError::InsufficientCredits)
-                    }
-                    "no_order" => RequestError::Credit(CreditError::NoOrder),
-                    "duplicate_order" => RequestError::Credit(CreditError::DuplicateOrder),
-                    "order_closed" => RequestError::Credit(CreditError::OrderClosed),
-                    "pool_saturated" => RequestError::Credit(CreditError::PoolSaturated),
-                    "unknown_bot" => RequestError::UnknownBot(BotId(
-                        u64_field(v, "bot").map_err(|e| in_response("error", e))?,
-                    )),
-                    "invalid" => RequestError::Invalid(
-                        str_field(v, "message")
-                            .map_err(|e| in_response("error", e))?
-                            .to_string(),
-                    ),
-                    "transport" => RequestError::Transport(
-                        str_field(v, "message")
-                            .map_err(|e| in_response("error", e))?
-                            .to_string(),
-                    ),
-                    other => return Err(format!("unknown error code `{other}`")),
-                };
-                Response::Error(error)
-            }
+            "batch" => Response::Batch(batch_items(items).map_err(at)?),
+            "error" => Response::Error(match m.str("error").map_err(at)? {
+                "insufficient_credits" => RequestError::Credit(CreditError::InsufficientCredits),
+                "no_order" => RequestError::Credit(CreditError::NoOrder),
+                "duplicate_order" => RequestError::Credit(CreditError::DuplicateOrder),
+                "order_closed" => RequestError::Credit(CreditError::OrderClosed),
+                "pool_saturated" => RequestError::Credit(CreditError::PoolSaturated),
+                "unknown_bot" => RequestError::UnknownBot(BotId(m.u64("bot").map_err(at)?)),
+                "invalid" => RequestError::Invalid(m.str("message").map_err(at)?.to_string()),
+                "transport" => RequestError::Transport(m.str("message").map_err(at)?.to_string()),
+                other => return Err(format!("unknown error code `{other}`")),
+            }),
             other => return Err(format!("unknown response `{other}`")),
-        };
-        Ok(parsed)
+        })
     }
 
     /// Parses one JSON-encoded response.
     pub fn from_json(text: &str) -> Result<Response, String> {
-        Response::from_value(&json::parse(text)?)
+        json::read(text, |r| Response::read(r, &mut no_extra))?
     }
 }
 
@@ -797,9 +932,9 @@ pub(crate) fn entry_time(v: &Value) -> Result<SimTime, String> {
     Ok(SimTime::from_millis(u64_field(v, "t")?))
 }
 
-fn encode_entries(entries: impl Iterator<Item = Value>) -> String {
+fn encode_entries(lines: impl Iterator<Item = String>) -> String {
     // One entry per line keeps transcripts line-diffable.
-    let lines: Vec<String> = entries.map(|v| v.to_json()).collect();
+    let lines: Vec<String> = lines.collect();
     if lines.is_empty() {
         "[]\n".to_string()
     } else {
@@ -807,11 +942,23 @@ fn encode_entries(entries: impl Iterator<Item = Value>) -> String {
     }
 }
 
+/// Decodes a document that is one array of entries; the first entry
+/// that fails is reported as it stands.
+fn decode_entries<'a, T>(
+    text: &'a str,
+    what: &str,
+    entry: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let entries = json::read(text, |r| read_array(r, entry))?;
+    let entries = entries.ok_or_else(|| format!("{what} must be a JSON array"))?;
+    entries.map_err(|(_, e)| e)
+}
+
 /// Encodes a session — `(service time, request)` pairs — as a JSON array,
 /// one request object per line. The encoding round-trips bit-identically
 /// through [`decode_session`].
 pub fn encode_session(session: &[(SimTime, Request)]) -> String {
-    encode_entries(session.iter().map(|(t, r)| tagged_entry(*t, r.to_value())))
+    encode_entries(session.iter().map(|(t, r)| encode_session_entry(*t, r)))
 }
 
 /// Encodes one `(service time, request)` pair as a single JSON object —
@@ -820,35 +967,36 @@ pub fn encode_session(session: &[(SimTime, Request)]) -> String {
 /// one such entry per record, and concatenating the decoded entries
 /// reproduces the [`encode_session`] transcript bit-identically.
 pub fn encode_session_entry(t: SimTime, request: &Request) -> String {
-    tagged_entry(t, request.to_value()).to_json()
+    json::object(|w| {
+        w.key("t").num(t.as_millis() as f64);
+        request.write_members(w);
+    })
+}
+
+fn read_session_entry(r: &mut Reader<'_>) -> Result<(SimTime, Request), String> {
+    let mut t = None;
+    let request = Request::read(r, &mut |key, r| key == "t" && claim_whole(&mut t, r));
+    Ok((SimTime::from_millis(claimed_whole(t, "t")?), request?))
 }
 
 /// Decodes a single session entry produced by [`encode_session_entry`].
 pub fn decode_session_entry(text: &str) -> Result<(SimTime, Request), String> {
-    let value = json::parse(text)?;
-    Ok((entry_time(&value)?, Request::from_value(&value)?))
+    json::read(text, read_session_entry)?
 }
 
 /// Decodes a session produced by [`encode_session`].
 pub fn decode_session(text: &str) -> Result<Vec<(SimTime, Request)>, String> {
-    let value = json::parse(text)?;
-    let items = value.as_array().ok_or("session must be a JSON array")?;
-    items
-        .iter()
-        .map(|v| Ok((entry_time(v)?, Request::from_value(v)?)))
-        .collect()
+    decode_entries(text, "session", read_session_entry)
 }
 
 /// Encodes the responses of a replayed session, one per line.
 pub fn encode_responses(responses: &[Response]) -> String {
-    encode_entries(responses.iter().map(Response::to_value))
+    encode_entries(responses.iter().map(Response::to_json))
 }
 
 /// Decodes responses produced by [`encode_responses`].
 pub fn decode_responses(text: &str) -> Result<Vec<Response>, String> {
-    let value = json::parse(text)?;
-    let items = value.as_array().ok_or("responses must be a JSON array")?;
-    items.iter().map(Response::from_value).collect()
+    decode_entries(text, "responses", |r| Response::read(r, &mut no_extra))
 }
 
 pub(crate) fn log_event_to_value(e: &LogEvent) -> Value {
@@ -949,7 +1097,7 @@ pub(crate) fn log_event_from_value(v: &Value) -> Result<LogEvent, String> {
 pub fn encode_log(log: &[(SimTime, LogEvent)]) -> String {
     encode_entries(
         log.iter()
-            .map(|(t, e)| tagged_entry(*t, log_event_to_value(e))),
+            .map(|(t, e)| tagged_entry(*t, log_event_to_value(e)).to_json()),
     )
 }
 

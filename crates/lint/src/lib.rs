@@ -122,10 +122,13 @@ fn is_hot(rel: &str) -> bool {
 }
 
 /// The hot files that decode untrusted wire bytes: the frame, envelope
-/// and binary parsers, and the two cores that slice their buffers for
+/// and binary parsers, the two cores that slice their buffers for
 /// them — the connection core facing clients, the client core facing a
-/// server that may be hostile or merely buggy.
+/// server that may be hostile or merely buggy — and the JSON reader
+/// every JSON frame payload is walked by, on the reactor thread, though
+/// it lives in `simcore`.
 pub const DECODE_FILES: &[&str] = &[
+    "crates/simcore/src/json.rs",
     "crates/server/src/frame.rs",
     "crates/server/src/binary.rs",
     "crates/server/src/wire.rs",
@@ -141,8 +144,8 @@ pub fn classify(rel: &str) -> Role {
             role.sim = true;
         }
     }
-    role.hot = is_hot(rel);
     role.decode = DECODE_FILES.contains(&rel);
+    role.hot = is_hot(rel) || role.decode;
     role.unsafe_ok = rel.starts_with("compat/polling/");
     role.crate_root = rel == "src/lib.rs"
         || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))

@@ -641,10 +641,16 @@ mod tests {
         let src =
             "pub fn f(buf: &[u8]) -> u8 {\n    let x = buf.first().unwrap();\n    buf[0]\n}\n";
         // A module nobody listed is hot from birth; both cores — the
-        // connection's and the client's — are decode too.
+        // connection's and the client's — are decode too, and so is the
+        // JSON reader the envelope decoders walk frame payloads with,
+        // which makes it hot although it is no server module.
         let born = fire("crates/server/src/brand_new_module.rs", src);
         assert_eq!(born, vec![("panic-unwrap", 2)], "{born:?}");
-        for core in ["crates/server/src/conn.rs", "crates/server/src/client.rs"] {
+        for core in [
+            "crates/server/src/conn.rs",
+            "crates/server/src/client.rs",
+            "crates/simcore/src/json.rs",
+        ] {
             let hits = fire(core, src);
             assert!(hits.contains(&("panic-unwrap", 2)), "{core}: {hits:?}");
             assert!(hits.contains(&("panic-index", 3)), "{core}: {hits:?}");

@@ -39,11 +39,13 @@ fn bad_fixture_tree_fails_with_pinned_findings() {
         "crates/server/src/frame.rs:2: panic-unwrap:",
         "crates/server/src/frame.rs:4: panic-macro:",
         "crates/server/src/frame.rs:6: panic-index:",
+        "crates/simcore/src/json.rs:3: panic-macro:",
+        "crates/simcore/src/json.rs:4: panic-index:",
     ] {
         assert!(out.contains(expect), "missing {expect:?} in:\n{out}");
     }
     assert!(
-        out.contains("spq-lint: 11 findings, 4 files scanned"),
+        out.contains("spq-lint: 13 findings, 5 files scanned"),
         "{out}"
     );
 }

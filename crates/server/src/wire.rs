@@ -10,9 +10,9 @@
 //! tag, so envelope payloads stay line-diffable against stored session
 //! transcripts.
 
-use simcore::json::{self, Value};
+use simcore::json::{self, Reader, Token};
 use simcore::SimTime;
-use spequlos::protocol::{Request, Response};
+use spequlos::protocol::{claim_whole, claimed_whole, Request, Response};
 
 /// One request on the wire: correlation id, service time, payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,37 +36,29 @@ pub struct ResponseEnvelope {
     pub response: Response,
 }
 
-fn envelope(head: Vec<(String, Value)>, inner: Value) -> String {
-    let mut members = head;
-    if let Value::Obj(m) = inner {
-        members.extend(m);
-    }
-    Value::Obj(members).to_json()
-}
-
 impl RequestEnvelope {
     /// Serializes the envelope as one JSON object (one frame payload).
     pub fn to_json(&self) -> String {
-        envelope(
-            vec![
-                ("id".into(), Value::Num(self.id as f64)),
-                ("t".into(), Value::Num(self.at.as_millis() as f64)),
-            ],
-            self.request.to_value(),
-        )
+        json::object(|w| {
+            w.key("id").num(self.id as f64);
+            w.key("t").num(self.at.as_millis() as f64);
+            self.request.write_members(w);
+        })
     }
 
     /// Parses a frame payload produced by [`RequestEnvelope::to_json`].
     pub fn from_json(text: &str) -> Result<RequestEnvelope, String> {
-        let v = json::parse(text)?;
+        let (mut id, mut t) = (None, None);
+        let mut claims = |key: &str, r: &mut Reader<'_>| match key {
+            "id" => claim_whole(&mut id, r),
+            "t" => claim_whole(&mut t, r),
+            _ => false,
+        };
+        let request = json::read(text, |r| Request::read(r, &mut claims))?;
         Ok(RequestEnvelope {
-            id: id_of(&v).ok_or("missing or invalid `id`")?,
-            at: SimTime::from_millis(
-                v.get("t")
-                    .and_then(Value::as_u64)
-                    .ok_or("missing or invalid `t`")?,
-            ),
-            request: Request::from_value(&v)?,
+            id: claimed_whole(id, "id")?,
+            at: SimTime::from_millis(claimed_whole(t, "t")?),
+            request: request?,
         })
     }
 }
@@ -74,31 +66,43 @@ impl RequestEnvelope {
 impl ResponseEnvelope {
     /// Serializes the envelope as one JSON object (one frame payload).
     pub fn to_json(&self) -> String {
-        envelope(
-            vec![("id".into(), Value::Num(self.id as f64))],
-            self.response.to_value(),
-        )
+        json::object(|w| {
+            w.key("id").num(self.id as f64);
+            self.response.write_members(w);
+        })
     }
 
     /// Parses a frame payload produced by [`ResponseEnvelope::to_json`].
     pub fn from_json(text: &str) -> Result<ResponseEnvelope, String> {
-        let v = json::parse(text)?;
+        let mut id = None;
+        let mut claims = |key: &str, r: &mut Reader<'_>| key == "id" && claim_whole(&mut id, r);
+        let response = json::read(text, |r| Response::read(r, &mut claims))?;
         Ok(ResponseEnvelope {
-            id: id_of(&v).ok_or("missing or invalid `id`")?,
-            response: Response::from_value(&v)?,
+            id: claimed_whole(id, "id")?,
+            response: response?,
         })
     }
 }
 
-fn id_of(v: &Value) -> Option<u64> {
-    v.get("id").and_then(Value::as_u64)
-}
-
 /// Best-effort correlation id of a frame payload that failed to decode as
 /// a full envelope — lets the server echo the id on its error reply so
-/// the client's pairing survives a bad request.
+/// the client's pairing survives a bad request. Only a payload that is
+/// one well-formed JSON object has an id: after a syntax error nothing in
+/// it can be trusted. One scan of the top level, nothing built.
 pub fn peek_id(text: &str) -> Option<u64> {
-    json::parse(text).ok().as_ref().and_then(id_of)
+    let mut id = None;
+    let scan = json::read(text, |r| {
+        let head = r.token();
+        if head != Token::Obj {
+            return r.skip_from(&head);
+        }
+        while let Some(key) = r.next_key() {
+            if key != "id" || !claim_whole(&mut id, r) {
+                r.skip_value();
+            }
+        }
+    });
+    scan.ok().and(id.flatten())
 }
 
 #[cfg(test)]
@@ -152,5 +156,39 @@ mod tests {
         assert_eq!(peek_id(r#"{"id":9.0,"req":"unknown_kind"}"#), Some(9));
         assert_eq!(peek_id(r#"{"req":"predict"}"#), None);
         assert_eq!(peek_id("garbage"), None);
+        // The id is a member like any other: anywhere in the object, the
+        // first of its name, whatever stands around it.
+        let anywhere = r#"{"req":7,"x":{"id":1,"y":["\u00e9",{}]},"id":9,"id":10,"t":"never"}"#;
+        assert_eq!(peek_id(anywhere), Some(9));
+        assert_eq!(peek_id(r#"{"id":"9","id":9}"#), None, "first wins");
+        assert_eq!(peek_id(r#"{"id":-9}"#), None);
+        assert_eq!(peek_id(r#"{"id":9.5}"#), None);
+    }
+
+    /// The contract `Conn` answers bad envelopes under (PROTOCOL.md §7): a
+    /// payload that is not *one well-formed JSON object* has no id — the
+    /// reply then carries id 0 — however plausible an `"id"` it shows
+    /// before the point where it breaks.
+    #[test]
+    fn only_a_well_formed_object_has_an_id() {
+        for payload in [
+            r#"{"id":9"#,
+            r#"{"id":9,}"#,
+            r#"{"id":9} trailing"#,
+            r#"{"id":9}{"id":9}"#,
+            r#"{"id":9,"x":"\ud800"}"#,
+            r#"{"id":9,"x":[1,}"#,
+            r#"{"id":9,"x":tru}"#,
+            r#"{"id":9,"x":"unterminated}"#,
+            r#"[{"id":9}]"#,
+            r#"9"#,
+            r#""id""#,
+            "",
+        ] {
+            assert_eq!(peek_id(payload), None, "{payload}");
+            assert!(RequestEnvelope::from_json(payload).is_err(), "{payload}");
+        }
+        let deep = format!(r#"{{"id":9,"x":{}}}"#, "[".repeat(4096));
+        assert_eq!(peek_id(&deep), None, "nesting past the limit");
     }
 }

@@ -12,6 +12,9 @@
 //! * every truncation of a valid payload is a typed error, never a
 //!   panic, and arbitrary byte soup never panics any decoder — envelope
 //!   (§5), frame (§§3–4), or hello (§2);
+//! * the streaming JSON decoders never panic on mutated payloads and
+//!   refuse exactly the documents `json::parse` refuses, with its
+//!   message (§§3, 6);
 //! * garbage hellos are classified without panicking, and a valid hello
 //!   classifies identically no matter what bytes follow it (§2.1);
 //! * a live server serves interleaved JSON and binary connections to
@@ -23,7 +26,7 @@ use proptest::{any, prop_assert, prop_assert_eq, prop_oneof, proptest, ProptestC
 use simcore::SimTime;
 use spequlos::credit::CreditError;
 use spequlos::oracle::{DeployMode, Prediction, Provisioning, StrategyCombo, Trigger};
-use spequlos::protocol::{Request, RequestError, Response, SpqService};
+use spequlos::protocol::{self, Request, RequestError, Response, SpqService};
 use spequlos::scheduler::CloudAction;
 use spequlos::{BotProgress, SpeQuloS, UserId};
 use spq_server::binary;
@@ -31,7 +34,7 @@ use spq_server::frame::{
     decode_binary_frame, decode_hello, decode_json_frame, hello_line, Codec, HelloOutcome,
     MAX_FRAME_BYTES,
 };
-use spq_server::{RemoteService, RequestEnvelope, ResponseEnvelope, Server, ServerConfig};
+use spq_server::{wire, RemoteService, RequestEnvelope, ResponseEnvelope, Server, ServerConfig};
 
 use botwork::BotId;
 
@@ -295,6 +298,112 @@ proptest! {
         legacy.extend(&junk);
         let classified = decode_hello(&legacy).expect("a digit first byte is never an error");
         prop_assert_eq!(classified, Some((HelloOutcome::Legacy, 0)));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// §3/§6: the streaming JSON decoders against the document parser
+// ---------------------------------------------------------------------------
+
+/// Applies byte-level edits to a valid payload: delete, overwrite or
+/// insert a byte from a palette of structural, string and number
+/// characters, double a slice, or cut the tail. `None` when the result is
+/// not UTF-8 (a frame like that never reaches the envelope decoder).
+fn mutate(payload: &str, edits: &[(u8, u16, u8)]) -> Option<String> {
+    const PALETTE: &[u8] = b"\"\\{}[],:0123456789.-+eE truefalsn\n\tu/d8\xc3\xa9";
+    let mut bytes = payload.as_bytes().to_vec();
+    for &(op, at, pick) in edits {
+        let at = at as usize % (bytes.len() + 1);
+        let byte = PALETTE[pick as usize % PALETTE.len()];
+        match op % 5 {
+            0 if at < bytes.len() => drop(bytes.remove(at)),
+            1 if at < bytes.len() => bytes[at] = byte,
+            2 => bytes.insert(at, byte),
+            3 => {
+                let end = (at + pick as usize).min(bytes.len());
+                let slice = bytes[at..end].to_vec();
+                bytes.splice(at..at, slice);
+            }
+            4 => bytes.truncate(at),
+            _ => {}
+        }
+    }
+    String::from_utf8(bytes).ok()
+}
+
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, u16, u8)>> {
+    proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 0..4)
+}
+
+/// What every streaming decoder owes the document parser, which stays the
+/// reference (`json::parse` still reads snapshots): the same texts are
+/// refused as malformed, with the same message, and a well-formed text is
+/// then judged on its fields alone.
+fn check_against_the_document_parser(text: &str) -> Result<(), proptest::TestCaseError> {
+    let tree = simcore::json::parse(text);
+    let request = RequestEnvelope::from_json(text);
+    let response = ResponseEnvelope::from_json(text);
+    let decoded = [
+        request.as_ref().err(),
+        response.as_ref().err(),
+        Request::from_json(text).as_ref().err(),
+        Response::from_json(text).as_ref().err(),
+        protocol::decode_session_entry(text).as_ref().err(),
+        protocol::decode_session(text).as_ref().err(),
+        protocol::decode_responses(text).as_ref().err(),
+    ]
+    .map(|e| e.cloned());
+    match &tree {
+        Err(syntax) => {
+            for e in &decoded {
+                prop_assert_eq!(e.as_ref(), Some(syntax), "document: {}", text);
+            }
+        }
+        Ok(_) => {
+            // Not both an envelope of a request and of a response.
+            prop_assert!(request.is_err() || response.is_err(), "{}", text);
+        }
+    }
+    // The id an error reply echoes is the tree's first `"id"` member.
+    let first_id = tree.as_ref().ok().and_then(|v| v.get("id")?.as_u64());
+    prop_assert_eq!(wire::peek_id(text), first_id, "{}", text);
+    // What was accepted re-encodes to something that decodes to itself.
+    if let Ok(envelope) = request {
+        prop_assert_eq!(
+            RequestEnvelope::from_json(&envelope.to_json()),
+            Ok(envelope)
+        );
+    }
+    if let Ok(envelope) = response {
+        prop_assert_eq!(
+            ResponseEnvelope::from_json(&envelope.to_json()),
+            Ok(envelope)
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn prop_mutated_request_payloads_decode_like_the_document_parser(
+        env in arb_request_envelope(),
+        edits in arb_edits(),
+    ) {
+        if let Some(text) = mutate(&env.to_json(), &edits) {
+            check_against_the_document_parser(&text)?;
+        }
+    }
+
+    #[test]
+    fn prop_mutated_response_payloads_decode_like_the_document_parser(
+        env in arb_response_envelope(),
+        edits in arb_edits(),
+    ) {
+        if let Some(text) = mutate(&env.to_json(), &edits) {
+            check_against_the_document_parser(&text)?;
+        }
     }
 }
 

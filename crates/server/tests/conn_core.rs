@@ -12,7 +12,7 @@
 
 use proptest::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use simcore::SimTime;
-use spequlos::protocol::{Request, SpqService};
+use spequlos::protocol::{Request, RequestError, Response, SpqService};
 use spequlos::{encode_state_json, BotProgress, SpeQuloS, StrategyCombo, UserId};
 use spq_server::conn::{Conn, Dead, Decoded};
 use spq_server::frame::{hello_line, write_frame, Codec};
@@ -266,6 +266,57 @@ fn the_recorded_streams_exercise_what_they_claim() {
     let broken = whole(&streams[4]);
     assert_eq!(broken.verdict, Err(Dead));
     assert_eq!(broken.decoded.len(), session().len() + 1);
+}
+
+/// A bad peer costs one connection's time, never the reactor's (ROADMAP
+/// aim 3): a `max_frame_bytes`-class frame that is mostly one string
+/// body is decoded — and, being a bad envelope, scanned once more for
+/// its id — in time linear in its length. The decoder this replaced
+/// re-validated the rest of the payload once per character and would
+/// have held the reactor thread for minutes on this frame; the budget is
+/// two orders of magnitude short of that and generous for an
+/// unoptimised build.
+#[test]
+fn an_eight_mebibyte_string_body_costs_one_typed_reply_and_not_the_connection() {
+    let body = "é".repeat(4 << 20);
+    let hostile =
+        format!(r#"{{"id":5.0,"t":0.0,"req":"register_quality","user":1.0,"env":"{body}"}}"#);
+    assert!(hostile.len() > 8 << 20);
+    let healthy = RequestEnvelope {
+        id: 6,
+        at: SimTime::ZERO,
+        request: Request::Deposit {
+            user: UserId(1),
+            credits: 1.0,
+        },
+    };
+    let mut wire = hello_line(Codec::Json).into_bytes();
+    write_frame(&mut wire, Codec::Json, hostile.as_bytes());
+    write_frame(&mut wire, Codec::Json, healthy.to_json().as_bytes());
+
+    let start = std::time::Instant::now();
+    let out = run(&wire, &[255], 256 * 1024);
+    let took = start.elapsed();
+
+    assert_eq!(out.verdict, Ok(()), "the stream itself was healthy");
+    let [Decoded::BadEnvelope(reply), Decoded::Request(served)] = &out.decoded[..] else {
+        panic!(
+            "one typed reply, then the next request: {:?}",
+            out.decoded.len()
+        );
+    };
+    assert_eq!(reply.id, 5, "the id is echoed");
+    assert_eq!(
+        reply.response,
+        Response::Error(RequestError::Invalid(
+            "bad envelope: unknown request `register_quality`".into()
+        ))
+    );
+    assert_eq!(served, &healthy, "the connection lives on");
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "decoding must be linear in the frame length: {took:?}"
+    );
 }
 
 proptest! {
