@@ -33,7 +33,7 @@ use crate::oracle::{Prediction, Provisioning, StrategyCombo, Trigger};
 use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
 use botwork::BotId;
-use simcore::json::Value;
+use simcore::json::{Value, Writer};
 use simcore::SimTime;
 use std::fmt::Debug;
 
@@ -69,12 +69,13 @@ pub trait InfoBackend: Debug + Send {
     /// service — cloneable).
     fn clone_box(&self) -> Box<dyn InfoBackend>;
 
-    /// Serializes the module's state for a durability snapshot
-    /// ([`crate::snapshot`]). `None` (the default) opts the module out:
-    /// a service containing it cannot be snapshotted, and durable
-    /// recovery falls back to replaying the whole write-ahead log.
-    fn snapshot_state(&self) -> Option<Value> {
-        None
+    /// Writes the module's state, one JSON value, into a durability
+    /// snapshot ([`crate::snapshot`]) and returns `true`. `false` (the
+    /// default) with nothing written opts the module out: a service
+    /// containing it cannot be snapshotted, and durable recovery falls
+    /// back to replaying the whole write-ahead log.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
+        false
     }
 
     /// Restores state previously produced by
@@ -133,11 +134,12 @@ pub trait OracleStrategy: Debug + Send {
     /// Boxed clone.
     fn clone_box(&self) -> Box<dyn OracleStrategy>;
 
-    /// Serializes the module's state for a durability snapshot
-    /// ([`crate::snapshot`]); `None` (the default) opts out and forces
-    /// full-log replay on recovery.
-    fn snapshot_state(&self) -> Option<Value> {
-        None
+    /// Writes the module's state, one JSON value, into a durability
+    /// snapshot ([`crate::snapshot`]) and returns `true`; `false` (the
+    /// default) with nothing written opts out and forces full-log
+    /// replay on recovery.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
+        false
     }
 
     /// Restores state produced by [`OracleStrategy::snapshot_state`].
@@ -191,11 +193,12 @@ pub trait SchedulingPolicy: Debug + Send {
     /// Boxed clone.
     fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
 
-    /// Serializes the module's state for a durability snapshot
-    /// ([`crate::snapshot`]); `None` (the default) opts out and forces
-    /// full-log replay on recovery.
-    fn snapshot_state(&self) -> Option<Value> {
-        None
+    /// Writes the module's state, one JSON value, into a durability
+    /// snapshot ([`crate::snapshot`]) and returns `true`; `false` (the
+    /// default) with nothing written opts out and forces full-log
+    /// replay on recovery.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
+        false
     }
 
     /// Restores state produced by [`SchedulingPolicy::snapshot_state`].
@@ -243,8 +246,9 @@ impl InfoBackend for Information {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self) -> Option<Value> {
-        Some(crate::snapshot::info_to_value(self))
+    fn snapshot_state(&self, w: &mut Writer<'_>) -> bool {
+        crate::snapshot::write_info(w, self);
+        true
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), String> {

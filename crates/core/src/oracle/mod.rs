@@ -216,8 +216,9 @@ impl crate::modules::OracleStrategy for Oracle {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self) -> Option<simcore::json::Value> {
-        Some(crate::snapshot::oracle_to_value(self))
+    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
+        crate::snapshot::write_oracle(w, self);
+        true
     }
 
     fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {

@@ -325,42 +325,31 @@ pub fn replay<S: SpqService + ?Sized>(
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn num(v: f64) -> Value {
-    Value::Num(v)
-}
-
-pub(crate) fn millis(t: SimTime) -> Value {
-    Value::Num(t.as_millis() as f64)
-}
-
-// A strategy is the one protocol type a snapshot stores too, so its field
-// list lives on the document tree and the request codec embeds it
-// (`Writer::value` / `Reader::value`): `order_qos` is a once-per-BoT
-// request, not the monitoring path.
-pub(crate) fn strategy_to_value(s: &StrategyCombo) -> Value {
-    let mut members = Vec::with_capacity(4);
+// A strategy and a log event are the protocol types a snapshot stores
+// too: one streaming field list each, written here and embedded by
+// `crate::snapshot`; both are read back from the document tree
+// (`order_qos` is a once-per-BoT request, a restore once per start).
+pub(crate) fn write_strategy(w: &mut Writer<'_>, s: &StrategyCombo) {
     let (kind, threshold) = match s.trigger {
         Trigger::CompletionThreshold(t) => ("completion", Some(t)),
         Trigger::AssignmentThreshold(t) => ("assignment", Some(t)),
         Trigger::ExecutionVariance => ("variance", None),
         Trigger::RateDrop { fraction } => ("rate_drop", Some(fraction)),
     };
-    members.push(("trigger".into(), Value::Str(kind.into())));
+    w.begin_object().key("trigger").str(kind);
     if let Some(t) = threshold {
-        members.push(("threshold".into(), num(t)));
+        w.key("threshold").num(t);
     }
-    let prov = match s.provisioning {
+    w.key("provisioning").str(match s.provisioning {
         Provisioning::Greedy => "greedy",
         Provisioning::Conservative => "conservative",
-    };
-    members.push(("provisioning".into(), Value::Str(prov.into())));
-    let dep = match s.deployment {
+    });
+    w.key("deployment").str(match s.deployment {
         DeployMode::Flat => "flat",
         DeployMode::Reschedule => "reschedule",
         DeployMode::CloudDuplication => "cloud_duplication",
-    };
-    members.push(("deployment".into(), Value::Str(dep.into())));
-    Value::Obj(members)
+    });
+    w.end_object();
 }
 
 pub(crate) fn strategy_from_value(v: &Value) -> Result<StrategyCombo, String> {
@@ -686,7 +675,7 @@ impl Request {
                 w.key("bot").num(bot.0 as f64);
                 w.key("credits").num(*credits);
                 if let Some(s) = strategy {
-                    w.key("strategy").value(&strategy_to_value(s));
+                    write_strategy(w.key("strategy"), s);
                 }
             }
             Request::Predict { bot } | Request::Complete { bot } => {
@@ -920,14 +909,6 @@ impl Response {
     }
 }
 
-pub(crate) fn tagged_entry(t: SimTime, inner: Value) -> Value {
-    let mut members = vec![("t".into(), millis(t))];
-    if let Value::Obj(m) = inner {
-        members.extend(m);
-    }
-    Value::Obj(members)
-}
-
 pub(crate) fn entry_time(v: &Value) -> Result<SimTime, String> {
     Ok(SimTime::from_millis(u64_field(v, "t")?))
 }
@@ -967,10 +948,17 @@ pub fn encode_session(session: &[(SimTime, Request)]) -> String {
 /// one such entry per record, and concatenating the decoded entries
 /// reproduces the [`encode_session`] transcript bit-identically.
 pub fn encode_session_entry(t: SimTime, request: &Request) -> String {
-    json::object(|w| {
-        w.key("t").num(t.as_millis() as f64);
-        request.write_members(w);
-    })
+    let mut entry = String::with_capacity(256);
+    write_session_entry(&mut Writer::new(&mut entry), t, request);
+    entry
+}
+
+/// [`encode_session_entry`] into a writer — the write-ahead log stages
+/// records through a buffer it keeps.
+pub(crate) fn write_session_entry(w: &mut Writer<'_>, t: SimTime, request: &Request) {
+    w.begin_object().key("t").num(t.as_millis() as f64);
+    request.write_members(w);
+    w.end_object();
 }
 
 fn read_session_entry(r: &mut Reader<'_>) -> Result<(SimTime, Request), String> {
@@ -999,62 +987,55 @@ pub fn decode_responses(text: &str) -> Result<Vec<Response>, String> {
     decode_entries(text, "responses", |r| Response::read(r, &mut no_extra))
 }
 
-pub(crate) fn log_event_to_value(e: &LogEvent) -> Value {
-    let mut m: Vec<(String, Value)> = Vec::with_capacity(4);
-    let mut tag = |name: &str| m.push(("event".into(), Value::Str(name.into())));
+/// Writes one log entry — its time, then the event's members — as an
+/// object.
+pub(crate) fn write_log_entry(w: &mut Writer<'_>, t: SimTime, e: &LogEvent) {
+    w.begin_object().key("t").num(t.as_millis() as f64);
+    let mut tagged = |name: &str, bot: &BotId| {
+        w.key("event").str(name);
+        w.key("bot").num(bot.0 as f64);
+    };
     match e {
         LogEvent::RegisterQos { bot, env } => {
-            tag("register_qos");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("env".into(), Value::Str(env.clone())));
+            tagged("register_qos", bot);
+            w.key("env").str(env);
         }
         LogEvent::OrderQos { bot, credits } => {
-            tag("order_qos");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("credits".into(), num(*credits)));
+            tagged("order_qos", bot);
+            w.key("credits").num(*credits);
         }
         LogEvent::Predicted {
             bot,
             completion_secs,
             success_rate,
         } => {
-            tag("predicted");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("completion_secs".into(), num(*completion_secs)));
+            tagged("predicted", bot);
+            w.key("completion_secs").num(*completion_secs);
             if let Some(rate) = success_rate {
-                m.push(("success_rate".into(), num(*rate)));
+                w.key("success_rate").num(*rate);
             }
         }
         LogEvent::StartCloudWorkers { bot, count } => {
-            tag("start_cloud_workers");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("count".into(), num((*count).into())));
+            tagged("start_cloud_workers", bot);
+            w.key("count").num((*count).into());
         }
-        LogEvent::StopCloudWorkers { bot } => {
-            tag("stop_cloud_workers");
-            m.push(("bot".into(), num(bot.0 as f64)));
-        }
-        LogEvent::Completed { bot } => {
-            tag("completed");
-            m.push(("bot".into(), num(bot.0 as f64)));
-        }
+        LogEvent::StopCloudWorkers { bot } => tagged("stop_cloud_workers", bot),
+        LogEvent::Completed { bot } => tagged("completed", bot),
         LogEvent::Paid { bot, refund } => {
-            tag("paid");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("refund".into(), num(*refund)));
+            tagged("paid", bot);
+            w.key("refund").num(*refund);
         }
         LogEvent::Throttled {
             bot,
             requested,
             granted,
         } => {
-            tag("throttled");
-            m.push(("bot".into(), num(bot.0 as f64)));
-            m.push(("requested".into(), num((*requested).into())));
-            m.push(("granted".into(), num((*granted).into())));
+            tagged("throttled", bot);
+            w.key("requested").num((*requested).into());
+            w.key("granted").num((*granted).into());
         }
     }
-    Value::Obj(m)
+    w.end_object();
 }
 
 pub(crate) fn log_event_from_value(v: &Value) -> Result<LogEvent, String> {
@@ -1095,10 +1076,11 @@ pub(crate) fn log_event_from_value(v: &Value) -> Result<LogEvent, String> {
 /// Encodes a protocol log (e.g. [`SpeQuloS::log`]) as a JSON array, one
 /// event object per line.
 pub fn encode_log(log: &[(SimTime, LogEvent)]) -> String {
-    encode_entries(
-        log.iter()
-            .map(|(t, e)| tagged_entry(*t, log_event_to_value(e)).to_json()),
-    )
+    encode_entries(log.iter().map(|(t, e)| {
+        let mut line = String::new();
+        write_log_entry(&mut Writer::new(&mut line), *t, e);
+        line
+    }))
 }
 
 /// Decodes a protocol log produced by [`encode_log`].

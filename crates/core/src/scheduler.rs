@@ -172,8 +172,9 @@ impl SchedulingPolicy for Scheduler {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self) -> Option<simcore::json::Value> {
-        Some(crate::snapshot::scheduler_to_value(self))
+    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
+        crate::snapshot::write_scheduler(w, self);
+        true
     }
 
     fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {
@@ -302,8 +303,9 @@ impl SchedulingPolicy for GreedyUntilTc {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self) -> Option<simcore::json::Value> {
-        Some(crate::snapshot::greedy_to_value(self))
+    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
+        crate::snapshot::write_greedy(w, self);
+        true
     }
 
     fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {

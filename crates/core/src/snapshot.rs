@@ -6,9 +6,10 @@
 //! counters, and the internal state of the three pluggable modules —
 //! written with the shared [`simcore::json`] writer so the same state
 //! always produces the same bytes. The write-ahead log ([`crate::wal`])
-//! persists one snapshot every N requests; recovery restores the newest
-//! valid snapshot into a freshly assembled template service and replays
-//! only the log tail through [`crate::protocol::SpqService::handle`].
+//! persists a snapshot once the log's tail outweighs the last one;
+//! recovery restores the newest valid snapshot into a freshly assembled
+//! template service and replays only the log tail through
+//! [`crate::protocol::SpqService::handle`].
 //!
 //! Determinism rules:
 //!
@@ -38,13 +39,13 @@ use crate::credit::{CreditSystem, FavorLedger, Order};
 use crate::info::{ArchivedExecution, BotRecord, Information};
 use crate::oracle::{Oracle, StrategyCombo, VarianceState};
 use crate::protocol::{
-    entry_time, f64_field, log_event_from_value, log_event_to_value, millis, num, str_field,
-    strategy_from_value, strategy_to_value, tagged_entry, u32_field, u64_field,
+    entry_time, f64_field, log_event_from_value, str_field, strategy_from_value, u32_field,
+    u64_field, write_log_entry, write_strategy,
 };
 use crate::scheduler::{BotSchedState, GreedyUntilTc, Scheduler};
 use crate::service::SpeQuloS;
 use crate::tenancy::{CloudPool, TenantMetrics};
-use simcore::json::Value;
+use simcore::json::{self, Value, Writer};
 use simcore::{SimDuration, SimTime, TimeSeries};
 use std::collections::{HashMap, HashSet};
 
@@ -91,13 +92,13 @@ fn decode_err(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Decode(msg.into())
 }
 
-/// A finite float as a JSON number, or a typed error naming the field.
-fn fin(field: &'static str, v: f64) -> Result<Value, SnapshotError> {
-    if v.is_finite() {
-        Ok(Value::Num(v))
-    } else {
-        Err(SnapshotError::NonFinite(field))
+/// Writes a finite float, or fails with a typed error naming the field.
+fn fin(w: &mut Writer<'_>, field: &'static str, v: f64) -> Result<(), SnapshotError> {
+    if !v.is_finite() {
+        return Err(SnapshotError::NonFinite(field));
     }
+    w.num(v);
+    Ok(())
 }
 
 fn sorted_keys<T>(map: &HashMap<u64, T>) -> Vec<u64> {
@@ -129,14 +130,12 @@ fn bool_field(v: &Value, key: &str) -> Result<bool, SnapshotError> {
 // Time series
 // ---------------------------------------------------------------------------
 
-fn series_to_value(series: &TimeSeries) -> Value {
-    Value::Arr(
-        series
-            .points()
-            .iter()
-            .map(|&(t, v)| Value::Arr(vec![millis(t), Value::Num(v)]))
-            .collect(),
-    )
+fn write_series(w: &mut Writer<'_>, series: &TimeSeries) {
+    w.begin_array();
+    for &(t, v) in series.points() {
+        w.begin_array().num(t.as_millis() as f64).num(v).end_array();
+    }
+    w.end_array();
 }
 
 fn series_from_value(v: &Value) -> Result<TimeSeries, String> {
@@ -169,57 +168,46 @@ fn series_from_value(v: &Value) -> Result<TimeSeries, String> {
 // Module state: Information
 // ---------------------------------------------------------------------------
 
-/// Encodes the in-memory [`Information`] store (live records sorted by
+/// Writes the in-memory [`Information`] store (live records sorted by
 /// bot id, archive sorted by environment).
-pub(crate) fn info_to_value(info: &Information) -> Value {
-    let live = sorted_keys(&info.live)
-        .into_iter()
-        .map(|bot| {
-            let rec = &info.live[&bot];
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                ("env".into(), Value::Str(rec.env.clone())),
-                ("size".into(), num(f64::from(rec.size))),
-                ("submitted_at".into(), millis(rec.submitted_at)),
-                ("completed".into(), series_to_value(&rec.completed)),
-                ("dispatched".into(), series_to_value(&rec.dispatched)),
-                ("queued".into(), series_to_value(&rec.queued)),
-                (
-                    "completion".into(),
-                    rec.completion.map(millis).unwrap_or(Value::Null),
-                ),
-            ])
-        })
-        .collect();
+pub(crate) fn write_info(w: &mut Writer<'_>, info: &Information) {
+    w.begin_object().key("live").begin_array();
+    for bot in sorted_keys(&info.live) {
+        let rec = &info.live[&bot];
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("env").str(&rec.env);
+        w.key("size").num(f64::from(rec.size));
+        w.key("submitted_at")
+            .num(rec.submitted_at.as_millis() as f64);
+        write_series(w.key("completed"), &rec.completed);
+        write_series(w.key("dispatched"), &rec.dispatched);
+        write_series(w.key("queued"), &rec.queued);
+        match rec.completion {
+            Some(t) => w.key("completion").num(t.as_millis() as f64),
+            None => w.key("completion").null(),
+        };
+        w.end_object();
+    }
+    w.end_array();
     // spq-lint: allow(det-unordered-iter) — keys are sorted on the next line
     let mut envs: Vec<&String> = info.archive.keys().collect();
     envs.sort();
-    let archive = envs
-        .into_iter()
-        .map(|env| {
-            let execs = info.archive[env]
-                .iter()
-                .map(|e| {
-                    Value::Obj(vec![
-                        ("size".into(), num(f64::from(e.size))),
-                        ("completion".into(), millis(e.completion)),
-                        ("completed".into(), series_to_value(&e.completed)),
-                    ])
-                })
-                .collect();
-            Value::Obj(vec![
-                ("env".into(), Value::Str(env.clone())),
-                ("executions".into(), Value::Arr(execs)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("live".into(), Value::Arr(live)),
-        ("archive".into(), Value::Arr(archive)),
-    ])
+    w.key("archive").begin_array();
+    for env in envs {
+        w.begin_object().key("env").str(env);
+        w.key("executions").begin_array();
+        for e in &info.archive[env] {
+            w.begin_object().key("size").num(f64::from(e.size));
+            w.key("completion").num(e.completion.as_millis() as f64);
+            write_series(w.key("completed"), &e.completed);
+            w.end_object();
+        }
+        w.end_array().end_object();
+    }
+    w.end_array().end_object();
 }
 
-/// Decodes a value produced by [`info_to_value`].
+/// Decodes a value written by [`write_info`].
 pub(crate) fn info_from_value(v: &Value) -> Result<Information, String> {
     let mut live = HashMap::new();
     for rec in v.get("live").and_then(Value::as_array).unwrap_or(&[]) {
@@ -269,27 +257,20 @@ pub(crate) fn info_from_value(v: &Value) -> Result<Information, String> {
 // Module state: Oracle
 // ---------------------------------------------------------------------------
 
-/// Encodes the paper [`Oracle`]'s per-BoT variance state.
-pub(crate) fn oracle_to_value(oracle: &Oracle) -> Value {
-    let variance = sorted_keys(&oracle.variance)
-        .into_iter()
-        .map(|bot| {
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                (
-                    "max_first_half".into(),
-                    num(oracle.variance[&bot].max_first_half),
-                ),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("module".into(), Value::Str("oracle".into())),
-        ("variance".into(), Value::Arr(variance)),
-    ])
+/// Writes the paper [`Oracle`]'s per-BoT variance state.
+pub(crate) fn write_oracle(w: &mut Writer<'_>, oracle: &Oracle) {
+    w.begin_object().key("module").str("oracle");
+    w.key("variance").begin_array();
+    for bot in sorted_keys(&oracle.variance) {
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("max_first_half")
+            .num(oracle.variance[&bot].max_first_half);
+        w.end_object();
+    }
+    w.end_array().end_object();
 }
 
-/// Decodes a value produced by [`oracle_to_value`].
+/// Decodes a value written by [`write_oracle`].
 pub(crate) fn oracle_from_value(v: &Value) -> Result<Oracle, String> {
     if str_field(v, "module")? != "oracle" {
         return Err("module tag is not `oracle`".into());
@@ -311,28 +292,21 @@ pub(crate) fn oracle_from_value(v: &Value) -> Result<Oracle, String> {
 // Module state: schedulers
 // ---------------------------------------------------------------------------
 
-/// Encodes the paper [`Scheduler`]'s per-BoT fleet flags.
-pub(crate) fn scheduler_to_value(scheduler: &Scheduler) -> Value {
-    let state = sorted_keys(&scheduler.state)
-        .into_iter()
-        .map(|bot| {
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                (
-                    "cloud_started".into(),
-                    Value::Bool(scheduler.state[&bot].cloud_started),
-                ),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("module".into(), Value::Str("scheduler".into())),
-        ("allow_topup".into(), Value::Bool(scheduler.allow_topup)),
-        ("state".into(), Value::Arr(state)),
-    ])
+/// Writes the paper [`Scheduler`]'s per-BoT fleet flags.
+pub(crate) fn write_scheduler(w: &mut Writer<'_>, scheduler: &Scheduler) {
+    w.begin_object().key("module").str("scheduler");
+    w.key("allow_topup").bool(scheduler.allow_topup);
+    w.key("state").begin_array();
+    for bot in sorted_keys(&scheduler.state) {
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("cloud_started")
+            .bool(scheduler.state[&bot].cloud_started);
+        w.end_object();
+    }
+    w.end_array().end_object();
 }
 
-/// Decodes a value produced by [`scheduler_to_value`].
+/// Decodes a value written by [`write_scheduler`].
 pub(crate) fn scheduler_from_value(v: &Value) -> Result<Scheduler, String> {
     if str_field(v, "module")? != "scheduler" {
         return Err("module tag is not `scheduler`".into());
@@ -355,23 +329,21 @@ pub(crate) fn scheduler_from_value(v: &Value) -> Result<Scheduler, String> {
     Ok(Scheduler { state, allow_topup })
 }
 
-/// Encodes the deadline-aware [`GreedyUntilTc`] policy.
-pub(crate) fn greedy_to_value(policy: &GreedyUntilTc) -> Value {
+/// Writes the deadline-aware [`GreedyUntilTc`] policy.
+pub(crate) fn write_greedy(w: &mut Writer<'_>, policy: &GreedyUntilTc) {
     // spq-lint: allow(det-unordered-iter) — set members are sorted on the next line
-    let mut started: Vec<u64> = policy.started.iter().copied().collect();
-    started.sort_unstable();
-    Value::Obj(vec![
-        ("module".into(), Value::Str("greedy_until_tc".into())),
-        ("target".into(), num(policy.target.as_millis() as f64)),
-        (
-            "started".into(),
-            // spq-lint: allow(det-unordered-iter) — `started` is the sorted Vec built above, not the set
-            Value::Arr(started.into_iter().map(|b| num(b as f64)).collect()),
-        ),
-    ])
+    let mut bots: Vec<u64> = policy.started.iter().copied().collect();
+    bots.sort_unstable();
+    w.begin_object().key("module").str("greedy_until_tc");
+    w.key("target").num(policy.target.as_millis() as f64);
+    w.key("started").begin_array();
+    for bot in bots {
+        w.num(bot as f64);
+    }
+    w.end_array().end_object();
 }
 
-/// Decodes a value produced by [`greedy_to_value`].
+/// Decodes a value written by [`write_greedy`].
 pub(crate) fn greedy_from_value(v: &Value) -> Result<GreedyUntilTc, String> {
     if str_field(v, "module")? != "greedy_until_tc" {
         return Err("module tag is not `greedy_until_tc`".into());
@@ -389,29 +361,25 @@ pub(crate) fn greedy_from_value(v: &Value) -> Result<GreedyUntilTc, String> {
 // Service state
 // ---------------------------------------------------------------------------
 
-fn credits_to_value(credits: &CreditSystem) -> Result<Value, SnapshotError> {
-    let mut accounts = Vec::with_capacity(credits.accounts.len());
+fn write_credits(w: &mut Writer<'_>, credits: &CreditSystem) -> Result<(), SnapshotError> {
     // The credit maps are BTreeMaps: iteration is already key-sorted.
+    w.begin_object().key("accounts").begin_array();
     for (&user, &balance) in &credits.accounts {
-        accounts.push(Value::Obj(vec![
-            ("user".into(), num(user as f64)),
-            ("balance".into(), fin("balance", balance)?),
-        ]));
+        w.begin_object().key("user").num(user as f64);
+        fin(w.key("balance"), "balance", balance)?;
+        w.end_object();
     }
-    let mut orders = Vec::with_capacity(credits.orders.len());
+    w.end_array().key("orders").begin_array();
     for (&bot, order) in &credits.orders {
-        orders.push(Value::Obj(vec![
-            ("bot".into(), num(bot as f64)),
-            ("user".into(), num(order.user.0 as f64)),
-            ("provisioned".into(), fin("provisioned", order.provisioned)?),
-            ("spent".into(), fin("spent", order.spent)?),
-            ("closed".into(), Value::Bool(order.closed)),
-        ]));
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("user").num(order.user.0 as f64);
+        fin(w.key("provisioned"), "provisioned", order.provisioned)?;
+        fin(w.key("spent"), "spent", order.spent)?;
+        w.key("closed").bool(order.closed);
+        w.end_object();
     }
-    Ok(Value::Obj(vec![
-        ("accounts".into(), Value::Arr(accounts)),
-        ("orders".into(), Value::Arr(orders)),
-    ]))
+    w.end_array().end_object();
+    Ok(())
 }
 
 fn credits_from_value(v: &Value) -> Result<CreditSystem, SnapshotError> {
@@ -439,18 +407,19 @@ fn credits_from_value(v: &Value) -> Result<CreditSystem, SnapshotError> {
     Ok(CreditSystem { accounts, orders })
 }
 
-fn favor_map_to_value(
+fn write_favor_map(
+    w: &mut Writer<'_>,
     field_name: &'static str,
     map: &HashMap<u64, f64>,
-) -> Result<Value, SnapshotError> {
-    let mut entries = Vec::with_capacity(map.len());
+) -> Result<(), SnapshotError> {
+    w.begin_array();
     for user in sorted_keys(map) {
-        entries.push(Value::Obj(vec![
-            ("user".into(), num(user as f64)),
-            ("cpu_hours".into(), fin(field_name, map[&user])?),
-        ]));
+        w.begin_object().key("user").num(user as f64);
+        fin(w.key("cpu_hours"), field_name, map[&user])?;
+        w.end_object();
     }
-    Ok(Value::Arr(entries))
+    w.end_array();
+    Ok(())
 }
 
 fn favor_map_from_value(v: &[Value]) -> Result<HashMap<u64, f64>, SnapshotError> {
@@ -465,21 +434,18 @@ fn favor_map_from_value(v: &[Value]) -> Result<HashMap<u64, f64>, SnapshotError>
     Ok(map)
 }
 
-fn pool_to_value(pool: &CloudPool) -> Value {
-    let leases = sorted_keys(&pool.leases)
-        .into_iter()
-        .map(|bot| {
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                ("workers".into(), num(f64::from(pool.leases[&bot]))),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("capacity".into(), num(f64::from(pool.capacity))),
-        ("peak_in_use".into(), num(f64::from(pool.peak_in_use))),
-        ("leases".into(), Value::Arr(leases)),
-    ])
+fn write_pool(w: &mut Writer<'_>, pool: &CloudPool) {
+    w.begin_object()
+        .key("capacity")
+        .num(f64::from(pool.capacity));
+    w.key("peak_in_use").num(f64::from(pool.peak_in_use));
+    w.key("leases").begin_array();
+    for bot in sorted_keys(&pool.leases) {
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("workers").num(f64::from(pool.leases[&bot]));
+        w.end_object();
+    }
+    w.end_array().end_object();
 }
 
 fn pool_from_value(v: &Value) -> Result<CloudPool, SnapshotError> {
@@ -500,125 +466,93 @@ fn pool_from_value(v: &Value) -> Result<CloudPool, SnapshotError> {
     })
 }
 
-/// Encodes the full state of `service` as a deterministic JSON value.
+/// Writes the full state of `service` as one deterministic JSON object:
+/// the one field list per type that [`encode_state_json`], [`encode_state`]
+/// and the write-ahead log's snapshot files all come from. On an error
+/// the writer's text is left unfinished and is to be discarded.
+pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), SnapshotError> {
+    w.begin_object().key("config").begin_object();
+    w.key("tick").num(service.tick.as_millis() as f64);
+    write_strategy(w.key("default_strategy"), &service.default_strategy);
+    match service.pool.as_ref() {
+        Some(pool) => w.key("pool_capacity").num(f64::from(pool.capacity)),
+        None => w.key("pool_capacity").null(),
+    };
+    // Recorded only for sharded services: omitting the default keeps
+    // every pre-sharding snapshot byte-identical.
+    if service.bot_stride != 1 {
+        w.key("bot_stride").num(service.bot_stride as f64);
+    }
+    w.end_object();
+    write_credits(w.key("credits"), &service.credits)?;
+    w.key("favors").begin_object();
+    write_favor_map(w.key("donated"), "donated", &service.favors.donated)?;
+    write_favor_map(w.key("consumed"), "consumed", &service.favors.consumed)?;
+    w.end_object();
+    w.key("strategies").begin_array();
+    for bot in sorted_keys(&service.strategies) {
+        w.begin_object().key("bot").num(bot as f64);
+        write_strategy(w.key("strategy"), &service.strategies[&bot]);
+        w.end_object();
+    }
+    w.end_array().key("users").begin_array();
+    for bot in sorted_keys(&service.users) {
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("user").num(service.users[&bot].0 as f64);
+        w.end_object();
+    }
+    w.end_array().key("next_bot").num(service.next_bot as f64);
+    w.key("log").begin_array();
+    for (t, event) in &service.log {
+        write_log_entry(w, *t, event);
+    }
+    w.end_array();
+    match service.pool.as_ref() {
+        Some(pool) => write_pool(w.key("pool"), pool),
+        None => {
+            w.key("pool").null();
+        }
+    }
+    w.key("tenants").begin_array();
+    for bot in sorted_keys(&service.tenants) {
+        let m = &service.tenants[&bot];
+        w.begin_object().key("bot").num(bot as f64);
+        w.key("requested").num(m.requested as f64);
+        w.key("granted").num(m.granted as f64);
+        w.key("denied").num(m.denied as f64);
+        w.key("throttled_ticks").num(m.throttled_ticks as f64);
+        w.end_object();
+    }
+    w.end_array();
+    if !service.info.snapshot_state(w.key("info")) {
+        return Err(SnapshotError::UnsupportedModule("info"));
+    }
+    if !service.oracle.snapshot_state(w.key("oracle")) {
+        return Err(SnapshotError::UnsupportedModule("oracle"));
+    }
+    if !service.scheduler.snapshot_state(w.key("scheduler")) {
+        return Err(SnapshotError::UnsupportedModule("scheduler"));
+    }
+    w.end_object();
+    Ok(())
+}
+
+/// Encodes the full state of `service` as deterministic JSON text.
 ///
 /// The same service state always produces the same bytes (maps are
 /// sorted, floats use the shortest-round-trip form), so byte equality of
 /// two encodings is state equality — the property the crash-injection
-/// suite asserts on.
-pub fn encode_state(service: &SpeQuloS) -> Result<Value, SnapshotError> {
-    let info = service
-        .info
-        .snapshot_state()
-        .ok_or(SnapshotError::UnsupportedModule("info"))?;
-    let oracle = service
-        .oracle
-        .snapshot_state()
-        .ok_or(SnapshotError::UnsupportedModule("oracle"))?;
-    let scheduler = service
-        .scheduler
-        .snapshot_state()
-        .ok_or(SnapshotError::UnsupportedModule("scheduler"))?;
-
-    let strategies = sorted_keys(&service.strategies)
-        .into_iter()
-        .map(|bot| {
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                (
-                    "strategy".into(),
-                    strategy_to_value(&service.strategies[&bot]),
-                ),
-            ])
-        })
-        .collect();
-    let users = sorted_keys(&service.users)
-        .into_iter()
-        .map(|bot| {
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                ("user".into(), num(service.users[&bot].0 as f64)),
-            ])
-        })
-        .collect();
-    let log = service
-        .log
-        .iter()
-        .map(|(t, e)| tagged_entry(*t, log_event_to_value(e)))
-        .collect();
-    let tenants = sorted_keys(&service.tenants)
-        .into_iter()
-        .map(|bot| {
-            let m = &service.tenants[&bot];
-            Value::Obj(vec![
-                ("bot".into(), num(bot as f64)),
-                ("requested".into(), num(m.requested as f64)),
-                ("granted".into(), num(m.granted as f64)),
-                ("denied".into(), num(m.denied as f64)),
-                ("throttled_ticks".into(), num(m.throttled_ticks as f64)),
-            ])
-        })
-        .collect();
-
-    let mut config = vec![
-        ("tick".into(), num(service.tick.as_millis() as f64)),
-        (
-            "default_strategy".into(),
-            strategy_to_value(&service.default_strategy),
-        ),
-        (
-            "pool_capacity".into(),
-            service
-                .pool
-                .as_ref()
-                .map(|p| num(f64::from(p.capacity)))
-                .unwrap_or(Value::Null),
-        ),
-    ];
-    // Recorded only for sharded services: omitting the default keeps
-    // every pre-sharding snapshot byte-identical.
-    if service.bot_stride != 1 {
-        config.push(("bot_stride".into(), num(service.bot_stride as f64)));
-    }
-
-    Ok(Value::Obj(vec![
-        ("config".into(), Value::Obj(config)),
-        ("credits".into(), credits_to_value(&service.credits)?),
-        (
-            "favors".into(),
-            Value::Obj(vec![
-                (
-                    "donated".into(),
-                    favor_map_to_value("donated", &service.favors.donated)?,
-                ),
-                (
-                    "consumed".into(),
-                    favor_map_to_value("consumed", &service.favors.consumed)?,
-                ),
-            ]),
-        ),
-        ("strategies".into(), Value::Arr(strategies)),
-        ("users".into(), Value::Arr(users)),
-        ("next_bot".into(), num(service.next_bot as f64)),
-        ("log".into(), Value::Arr(log)),
-        (
-            "pool".into(),
-            service
-                .pool
-                .as_ref()
-                .map(pool_to_value)
-                .unwrap_or(Value::Null),
-        ),
-        ("tenants".into(), Value::Arr(tenants)),
-        ("info".into(), info),
-        ("oracle".into(), oracle),
-        ("scheduler".into(), scheduler),
-    ]))
+/// suite asserts on. Streamed: no document tree is built.
+pub fn encode_state_json(service: &SpeQuloS) -> Result<String, SnapshotError> {
+    let mut text = String::new();
+    write_state(&mut Writer::new(&mut text), service)?;
+    Ok(text)
 }
 
-/// [`encode_state`] straight to the deterministic JSON text.
-pub fn encode_state_json(service: &SpeQuloS) -> Result<String, SnapshotError> {
-    encode_state(service).map(|v| v.to_json())
+/// [`encode_state_json`] as a document tree — what [`restore_state`]
+/// takes.
+pub fn encode_state(service: &SpeQuloS) -> Result<Value, SnapshotError> {
+    json::parse(&encode_state_json(service)?).map_err(SnapshotError::Decode)
 }
 
 /// Restores a state value produced by [`encode_state`] into `template` —
@@ -753,15 +687,6 @@ pub fn restore_state(mut template: SpeQuloS, state: &Value) -> Result<SpeQuloS, 
     template.pool = pool;
     template.tenants = tenants;
     Ok(template)
-}
-
-/// Whether every module of `service` supports snapshotting (i.e.
-/// [`encode_state`] will not fail with
-/// [`SnapshotError::UnsupportedModule`]).
-pub fn supports_snapshots(service: &SpeQuloS) -> bool {
-    service.info.snapshot_state().is_some()
-        && service.oracle.snapshot_state().is_some()
-        && service.scheduler.snapshot_state().is_some()
 }
 
 #[cfg(test)]

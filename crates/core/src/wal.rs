@@ -4,9 +4,11 @@
 //! deterministic function of its request transcript — `replay` of the
 //! same `(time, request)` sequence reproduces the same state, bit for
 //! bit. Durability therefore reduces to persisting that transcript: the
-//! [`WalStore`] appends every request to a checksummed log *before* it
-//! is dispatched, and periodically writes a full-state snapshot
-//! ([`crate::snapshot`]) so recovery replays only the log tail.
+//! [`WalStore`] puts every request in a checksummed log *before* its
+//! reply is released — [`WalStore::stage`] encodes records into memory,
+//! [`WalStore::commit`] writes and syncs a group of them at once — and
+//! writes a full-state snapshot ([`crate::snapshot`]) whenever the log's
+//! tail has outgrown the last one, so recovery replays only that tail.
 //!
 //! # On-disk layout
 //!
@@ -28,10 +30,11 @@
 //! where the payload is the single-line JSON session entry of
 //! [`crate::protocol::encode_session_entry`] — the same bytes the
 //! transcript tooling already reads and writes. A snapshot file is
-//! `{"format":1,"applied":N,"state":{...}}` with `state` produced by
-//! [`crate::snapshot::encode_state`]; it is written to a temp file,
-//! fsynced, renamed into place, and the directory fsynced, so a crash
-//! mid-snapshot never damages an existing one.
+//! `{"format":1,"applied":N,"state":{...}}` with `state` the text of
+//! [`crate::snapshot::encode_state_json`]; it is written to a temp file
+//! and renamed into place — file and directory fsynced under
+//! [`FsyncPolicy::Always`] — so a crash mid-snapshot never damages an
+//! existing one.
 //!
 //! # Crash semantics
 //!
@@ -44,23 +47,25 @@
 //! torn write and surfaces as a typed [`WalError::Corrupt`]; recovery
 //! never guesses, never panics, and never silently diverges — the
 //! records it yields are always an exact prefix of the records that
-//! were appended.
+//! were appended. The writer keeps its half of that bargain by being
+//! fail-stop: after a failed write or fsync it never writes behind the
+//! damage (see [`WalStore::commit`]).
 //!
-//! Snapshots are advisory: an unreadable, malformed, or
-//! ahead-of-the-log snapshot is skipped (falling back to the previous
-//! snapshot, then to full replay from genesis), because the log alone
-//! is sufficient for exact recovery. The one hard error is a
+//! Snapshots are advisory: an unreadable or malformed snapshot is
+//! skipped (falling back to the previous snapshot, then to full replay
+//! from genesis) and one ahead of the log is deleted, because the log
+//! alone is sufficient for exact recovery. The one hard error is a
 //! configuration mismatch between the snapshot and the restore
 //! template — replaying a log against a differently-configured service
 //! *would* diverge, so that is refused.
 
-use crate::protocol::{decode_session_entry, encode_session_entry, Request, SpqService};
+use crate::protocol::{decode_session_entry, write_session_entry, Request, SpqService};
 use crate::service::SpeQuloS;
-use crate::snapshot::{encode_state, restore_state, SnapshotError, SNAPSHOT_FORMAT};
-use simcore::json::{self, Value};
+use crate::snapshot::{restore_state, write_state, SnapshotError, SNAPSHOT_FORMAT};
+use simcore::json::{self, Value, Writer};
 use simcore::SimTime;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Name of the append-only record stream inside a WAL directory.
@@ -76,12 +81,14 @@ const SNAP_SUFFIX: &str = ".json";
 /// When appends are flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every append — an acknowledged request is durable.
-    /// This is the default and the only policy with crash guarantees.
+    /// `fsync` in every commit (and of every snapshot) — an acknowledged
+    /// request is durable. This is the default and the only policy with
+    /// crash guarantees.
     Always,
-    /// No `fsync`; the OS flushes when it pleases. Only for measuring
-    /// append overhead and for tests — a crash may lose acknowledged
-    /// requests (recovery still yields an exact *prefix*, never garbage).
+    /// No `fsync`, of the log or of snapshots; the OS flushes when it
+    /// pleases. Only for measuring append overhead and for tests — a
+    /// crash may lose acknowledged requests (recovery still yields an
+    /// exact *prefix*, never garbage).
     Never,
 }
 
@@ -222,23 +229,39 @@ pub struct RecoveryReport {
     pub snapshots_discarded: u32,
 }
 
-/// An open write-ahead log: appends records, takes snapshots, prunes old
-/// ones. Obtained from [`WalStore::open`] together with the [`Recovery`]
-/// describing what was already on disk.
+/// An open write-ahead log: stages and commits records, takes snapshots,
+/// prunes old ones. Obtained from [`WalStore::open`] together with the
+/// [`Recovery`] describing what was already on disk.
 #[derive(Debug)]
 pub struct WalStore {
     dir: PathBuf,
     file: File,
     policy: FsyncPolicy,
+    /// Records and bytes committed to the log.
     records: u64,
+    log_bytes: u64,
+    /// The newest snapshot: how many records it holds, where the log
+    /// stood when it was taken, and the size of its file.
     snapshot_applied: u64,
+    snapshot_offset: u64,
+    snapshot_bytes: u64,
+    /// Framed records staged since the last commit, and how many.
+    staged: Vec<u8>,
+    staged_records: u64,
+    /// Where a record's payload and a snapshot's text are written; kept,
+    /// so that neither allocates.
+    text: String,
+    /// A commit failed: the log's tail is unknown and nothing is written
+    /// behind it any more (see [`WalStore::commit`]).
+    failed: bool,
 }
 
 impl WalStore {
     /// Opens (creating if necessary) the WAL in `dir`, scans and
-    /// validates the existing log, truncates any torn tail, and selects
-    /// the newest usable snapshot. Returns the store positioned for
-    /// appending plus the [`Recovery`] needed to rebuild the service.
+    /// validates the existing log, truncates any torn tail, deletes
+    /// snapshots that claim more records than the log holds, and selects
+    /// the newest usable one. Returns the store positioned for appending
+    /// plus the [`Recovery`] needed to rebuild the service.
     pub fn open(
         dir: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -263,16 +286,33 @@ impl WalStore {
         }
         file.seek(SeekFrom::Start(scan.valid_bytes))?;
 
-        let (snapshot, snapshots_discarded) = select_snapshot(&dir, scan.records.len() as u64)?;
-        let snapshot_applied = snapshot.as_ref().map(|(a, _)| *a).unwrap_or(0);
         let records = scan.records.len() as u64;
+        let (snapshot, snapshots_discarded) = select_snapshot(&dir, records)?;
+        let snapshot_applied = snapshot.as_ref().map_or(0, |(applied, _)| *applied);
+        // The snapshot trigger's two numbers come from the disk, so the
+        // rule survives restarts: the snapshot's size and where record
+        // `applied` starts — where record `applied − 1` ends.
+        let (snapshot_offset, snapshot_bytes) = match snapshot_applied.checked_sub(1) {
+            Some(last) => (
+                scan.ends.get(last as usize).copied().unwrap_or(0),
+                fs::metadata(snapshot_path(&dir, snapshot_applied))?.len(),
+            ),
+            None => (0, 0),
+        };
         Ok((
             WalStore {
                 dir,
                 file,
                 policy,
                 records,
+                log_bytes: scan.valid_bytes,
                 snapshot_applied,
+                snapshot_offset,
+                snapshot_bytes,
+                staged: Vec::new(),
+                staged_records: 0,
+                text: String::new(),
+                failed: false,
             },
             Recovery {
                 records: scan.records,
@@ -283,12 +323,14 @@ impl WalStore {
         ))
     }
 
-    /// Appends one request. With [`FsyncPolicy::Always`] the record is
-    /// on stable storage when this returns — only then may the request
-    /// be dispatched and acknowledged. Returns the new record count.
-    pub fn append(&mut self, at: SimTime, request: &Request) -> Result<u64, WalError> {
-        let payload = encode_session_entry(at, request);
-        let bytes = payload.as_bytes();
+    /// Encodes one request behind the records already staged — memory
+    /// only, no system call. Nothing staged is on disk, or counted by
+    /// [`WalStore::record_count`], before [`WalStore::commit`] returns.
+    pub fn stage(&mut self, at: SimTime, request: &Request) -> Result<(), WalError> {
+        self.check_live()?;
+        self.text.clear();
+        write_session_entry(&mut Writer::new(&mut self.text), at, request);
+        let bytes = self.text.as_bytes();
         let len = u32::try_from(bytes.len())
             .ok()
             .filter(|&l| l <= MAX_RECORD_BYTES)
@@ -296,49 +338,107 @@ impl WalStore {
                 offset: 0,
                 reason: format!("record payload of {} bytes exceeds maximum", bytes.len()),
             })?;
-        let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
-        self.file.write_all(&frame)?;
-        if self.policy == FsyncPolicy::Always {
-            self.file.sync_data()?;
+        self.staged.extend_from_slice(&len.to_le_bytes());
+        self.staged.extend_from_slice(&crc32(bytes).to_le_bytes());
+        self.staged.extend_from_slice(bytes);
+        self.staged_records += 1;
+        Ok(())
+    }
+
+    /// Writes everything staged with one `write` and, under
+    /// [`FsyncPolicy::Always`], one `fsync`: when this returns `Ok` the
+    /// staged records are in the log — on stable storage, under
+    /// `Always` — and only then may their replies be released.
+    ///
+    /// The store is fail-stop. A failed write or fsync leaves the log's
+    /// tail unknown (possibly a partial record), and writing behind it
+    /// would turn a torn *tail*, which [`WalStore::open`] truncates,
+    /// into mid-file corruption, which it must refuse. So after the
+    /// first failure every `stage`, `commit` and `snapshot` fails
+    /// without touching a file.
+    pub fn commit(&mut self) -> Result<(), WalError> {
+        self.check_live()?;
+        if self.staged.is_empty() {
+            return Ok(());
         }
-        self.records += 1;
+        let written = self.file.write_all(&self.staged).and_then(|()| {
+            if self.policy == FsyncPolicy::Always {
+                self.file.sync_data()?;
+            }
+            Ok(())
+        });
+        if let Err(e) = written {
+            self.failed = true;
+            return Err(e.into());
+        }
+        self.records += self.staged_records;
+        self.log_bytes += self.staged.len() as u64;
+        self.staged.clear();
+        self.staged_records = 0;
+        Ok(())
+    }
+
+    fn check_live(&self) -> Result<(), WalError> {
+        if self.failed {
+            return Err(io::Error::other("the log is closed: an earlier commit failed").into());
+        }
+        Ok(())
+    }
+
+    /// Appends one request: [`WalStore::stage`] and [`WalStore::commit`].
+    /// With [`FsyncPolicy::Always`] the record is on stable storage when
+    /// this returns. Returns the new record count.
+    pub fn append(&mut self, at: SimTime, request: &Request) -> Result<u64, WalError> {
+        self.stage(at, request)?;
+        self.commit()?;
         Ok(self.records)
     }
 
-    /// Writes a snapshot of `service` — which must reflect exactly the
-    /// requests appended so far — and prunes all but the two newest
-    /// snapshots. The write is atomic (temp file + fsync + rename + dir
-    /// fsync): a crash at any point leaves the previous snapshots intact.
+    /// Whether the log has grown by at least the newest snapshot's size
+    /// since that snapshot was taken (always, before the first one).
+    /// Snapshotting no more often than this bounds the snapshot bytes
+    /// ever written by the log bytes ever written, and the tail a
+    /// recovery replays by the bytes of the snapshot it restores.
+    pub fn tail_outweighs_snapshot(&self) -> bool {
+        self.log_bytes.saturating_sub(self.snapshot_offset) >= self.snapshot_bytes
+    }
+
+    /// Commits what is staged, writes a snapshot of `service` — which
+    /// must reflect exactly the requests staged so far — and prunes all
+    /// but the two newest snapshots. The write is atomic (temp file +
+    /// rename, fsynced with the directory under [`FsyncPolicy::Always`]):
+    /// a crash at any point leaves the previous snapshots intact.
     pub fn snapshot(&mut self, service: &SpeQuloS) -> Result<(), WalError> {
-        let state = encode_state(service)?;
-        let doc = Value::Obj(vec![
-            ("format".into(), Value::Num(SNAPSHOT_FORMAT as f64)),
-            ("applied".into(), Value::Num(self.records as f64)),
-            ("state".into(), state),
-        ]);
-        let final_path = self
-            .dir
-            .join(format!("{SNAP_PREFIX}{}{SNAP_SUFFIX}", self.records));
-        let tmp_path = self
-            .dir
-            .join(format!("{SNAP_PREFIX}{}{SNAP_SUFFIX}.tmp", self.records));
+        self.commit()?;
+        self.text.clear();
+        let mut w = Writer::new(&mut self.text);
+        w.begin_object().key("format").num(SNAPSHOT_FORMAT as f64);
+        w.key("applied").num(self.records as f64);
+        write_state(w.key("state"), service)?;
+        w.end_object();
+        self.text.push('\n');
+        let durable = self.policy == FsyncPolicy::Always;
+        let final_path = snapshot_path(&self.dir, self.records);
+        let tmp_path = final_path.with_extension("json.tmp");
         {
             let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(doc.to_json().as_bytes())?;
-            tmp.write_all(b"\n")?;
-            tmp.sync_all()?;
+            tmp.write_all(self.text.as_bytes())?;
+            if durable {
+                tmp.sync_all()?;
+            }
         }
         fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
+        if durable {
+            sync_dir(&self.dir)?;
+        }
         self.snapshot_applied = self.records;
+        self.snapshot_offset = self.log_bytes;
+        self.snapshot_bytes = self.text.len() as u64;
         self.prune_snapshots()?;
         Ok(())
     }
 
-    /// Records currently in the log.
+    /// Records committed to the log.
     pub fn record_count(&self) -> u64 {
         self.records
     }
@@ -357,10 +457,7 @@ impl WalStore {
         let mut counts = snapshot_counts(&self.dir)?;
         counts.sort_unstable_by(|a, b| b.cmp(a));
         for &applied in counts.iter().skip(2) {
-            let _ = fs::remove_file(
-                self.dir
-                    .join(format!("{SNAP_PREFIX}{applied}{SNAP_SUFFIX}")),
-            );
+            let _ = fs::remove_file(snapshot_path(&self.dir, applied));
         }
         Ok(())
     }
@@ -368,6 +465,8 @@ impl WalStore {
 
 struct LogScan {
     records: Vec<(SimTime, Request)>,
+    /// Where each record ends.
+    ends: Vec<u64>,
     valid_bytes: u64,
     truncated_bytes: u64,
 }
@@ -380,12 +479,13 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
     let mut reader = BufReader::new(file.try_clone()?);
     reader.seek(SeekFrom::Start(0))?;
     let mut records = Vec::new();
+    let mut ends = Vec::new();
     let mut offset: u64 = 0;
     loop {
         let mut header = [0u8; 8];
         match read_exact_or_eof(&mut reader, &mut header)? {
             Fill::Empty => break, // clean end of log
-            Fill::Partial => return Ok(torn(records, offset, file_len)),
+            Fill::Partial => return Ok(scanned(records, ends, file_len)),
             Fill::Full => {}
         }
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
@@ -402,12 +502,12 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
         let mut payload = vec![0u8; len as usize];
         match read_exact_or_eof(&mut reader, &mut payload)? {
             Fill::Full => {}
-            Fill::Empty | Fill::Partial => return Ok(torn(records, offset, file_len)),
+            Fill::Empty | Fill::Partial => return Ok(scanned(records, ends, file_len)),
         }
         if crc32(&payload) != crc {
             if offset + extent >= file_len {
                 // Damaged *last* record: a torn write, drop it.
-                return Ok(torn(records, offset, file_len));
+                return Ok(scanned(records, ends, file_len));
             }
             return Err(WalError::Corrupt {
                 offset,
@@ -424,17 +524,18 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
         })?;
         records.push((t, request));
         offset += extent;
+        ends.push(offset);
     }
-    Ok(LogScan {
-        records,
-        valid_bytes: offset,
-        truncated_bytes: 0,
-    })
+    Ok(scanned(records, ends, offset))
 }
 
-fn torn(records: Vec<(SimTime, Request)>, valid_bytes: u64, file_len: u64) -> LogScan {
+/// The scan's answer: the valid records, which stop at `file_len` or —
+/// a torn tail — short of it.
+fn scanned(records: Vec<(SimTime, Request)>, ends: Vec<u64>, file_len: u64) -> LogScan {
+    let valid_bytes = ends.last().copied().unwrap_or(0);
     LogScan {
         records,
+        ends,
         valid_bytes,
         truncated_bytes: file_len.saturating_sub(valid_bytes),
     }
@@ -482,28 +583,36 @@ fn snapshot_counts(dir: &Path) -> Result<Vec<u64>, WalError> {
     Ok(counts)
 }
 
-/// Picks the newest snapshot that parses, matches the format version,
-/// agrees with its filename, and does not claim more records than the
-/// log holds. Unusable candidates are counted, not fatal — the log can
-/// always be replayed from genesis.
+fn snapshot_path(dir: &Path, applied: u64) -> PathBuf {
+    dir.join(format!("{SNAP_PREFIX}{applied}{SNAP_SUFFIX}"))
+}
+
+/// Picks the newest snapshot that parses, matches the format version
+/// and agrees with its filename. Unusable candidates are counted, not
+/// fatal — the log can always be replayed from genesis.
+///
+/// One that claims more records than the log holds is deleted, not just
+/// passed over: the log it was taken from is gone (cut by a crash under
+/// [`FsyncPolicy::Never`], or replaced by an older copy), and once the
+/// log regrows past `applied` with *other* records the file would pass
+/// for a snapshot of them.
 fn select_snapshot(dir: &Path, records: u64) -> Result<(Option<(u64, Value)>, u32), WalError> {
     let mut counts = snapshot_counts(dir)?;
     counts.sort_unstable_by(|a, b| b.cmp(a));
     let mut discarded = 0u32;
     for applied in counts {
-        let path = dir.join(format!("{SNAP_PREFIX}{applied}{SNAP_SUFFIX}"));
-        match load_snapshot(&path, applied, records) {
-            Some(state) => return Ok((Some((applied, state)), discarded)),
-            None => discarded += 1,
+        let path = snapshot_path(dir, applied);
+        if applied > records {
+            fs::remove_file(&path)?;
+        } else if let Some(state) = load_snapshot(&path, applied) {
+            return Ok((Some((applied, state)), discarded));
         }
+        discarded += 1;
     }
     Ok((None, discarded))
 }
 
-fn load_snapshot(path: &Path, applied: u64, records: u64) -> Option<Value> {
-    if applied > records {
-        return None; // claims requests the log does not hold
-    }
+fn load_snapshot(path: &Path, applied: u64) -> Option<Value> {
     let text = fs::read_to_string(path).ok()?;
     let doc = json::parse(&text).ok()?;
     if doc.get("format")?.as_u64()? != SNAPSHOT_FORMAT {
@@ -559,6 +668,7 @@ const fn crc32_table() -> [u32; 256] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::encode_state_json;
     use crate::UserId;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -582,6 +692,14 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Bytes the log spends on `requests`: header and payload of each.
+    fn framed_len(requests: &[(SimTime, Request)]) -> usize {
+        requests
+            .iter()
+            .map(|(t, r)| 8 + crate::protocol::encode_session_entry(*t, r).len())
+            .sum()
     }
 
     #[test]
@@ -680,8 +798,8 @@ mod tests {
         assert_eq!(report.snapshot_applied, 12);
         assert_eq!(report.replayed, 8);
         assert_eq!(
-            encode_state(&recovered).unwrap().to_json(),
-            encode_state(&golden).unwrap().to_json(),
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&golden).unwrap(),
             "snapshot + tail replay must equal the uninterrupted run"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -716,9 +834,158 @@ mod tests {
             partial.handle(r.clone(), *t);
         }
         assert_eq!(
-            encode_state(&recovered).unwrap().to_json(),
-            encode_state(&partial).unwrap().to_json(),
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&partial).unwrap(),
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_ahead_of_log_is_deleted_before_the_log_regrows_past_it() {
+        let dir = temp_dir("regrow");
+        let mut first = SpeQuloS::new();
+        {
+            let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+            for (t, r) in &sample_requests(6) {
+                wal.append(*t, r).unwrap();
+                first.handle(r.clone(), *t);
+            }
+            wal.snapshot(&first).unwrap();
+        }
+        let path = dir.join(WAL_FILE);
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..framed_len(&sample_requests(3))]).unwrap();
+        // Another history grows past the stale snapshot's count.
+        let others: Vec<(SimTime, Request)> = (0..5u64)
+            .map(|i| {
+                let withdrawn = Request::Deposit {
+                    user: UserId(7),
+                    credits: 0.5 + i as f64,
+                };
+                (SimTime::from_secs(100 + i), withdrawn)
+            })
+            .collect();
+        {
+            let (mut wal, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+            assert_eq!(recovery.records().len(), 3);
+            assert_eq!(snapshot_counts(&dir).unwrap(), Vec::<u64>::new());
+            for (t, r) in &others {
+                wal.append(*t, r).unwrap();
+            }
+        }
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovery.records().len(), 8);
+        assert_eq!(recovery.snapshot_applied(), None);
+        let (recovered, _) = recovery.recover(SpeQuloS::new()).unwrap();
+        let mut replayed = SpeQuloS::new();
+        for (t, r) in sample_requests(3).iter().chain(&others) {
+            replayed.handle(r.clone(), *t);
+        }
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&replayed).unwrap(),
+            "recovery must be a replay of the eight records on disk"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn staged_records_reach_the_log_only_at_commit() {
+        let dir = temp_dir("stage");
+        let requests = sample_requests(7);
+        let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Always).unwrap();
+        let on_disk = |dir: &Path| fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        wal.append(requests[0].0, &requests[0].1).unwrap();
+        let one = on_disk(&dir);
+        assert_eq!(one, framed_len(&requests[..1]) as u64);
+        for (t, r) in &requests[1..] {
+            wal.stage(*t, r).unwrap();
+        }
+        assert_eq!(wal.record_count(), 1, "staged is not committed");
+        assert_eq!(on_disk(&dir), one, "staging writes nothing");
+        wal.commit().unwrap();
+        wal.commit().unwrap(); // nothing staged: a no-op
+        assert_eq!(wal.record_count(), 7);
+        assert_eq!(
+            on_disk(&dir),
+            framed_len(&requests) as u64,
+            "a group is its records, back to back"
+        );
+        drop(wal);
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(recovery.records(), &requests[..]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A full disk, by way of `/dev/full`: every write fails with ENOSPC.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_commit_closes_the_log_for_good() {
+        let dir = temp_dir("failstop");
+        let requests = sample_requests(4);
+        let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Always).unwrap();
+        for (t, r) in &requests[..2] {
+            wal.append(*t, r).unwrap();
+        }
+        let full = OpenOptions::new().write(true).open("/dev/full").unwrap();
+        let log = std::mem::replace(&mut wal.file, full);
+        let (t, r) = &requests[2];
+        wal.stage(*t, r).expect("staging is memory only");
+        assert!(matches!(wal.commit(), Err(WalError::Io(_))));
+        assert_eq!(wal.record_count(), 2, "only committed records count");
+        // The disk has room again — and the log stays closed: a write
+        // now would land behind whatever the failed one left.
+        wal.file = log;
+        let len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert!(wal.stage(*t, r).is_err());
+        assert!(wal.commit().is_err());
+        assert!(wal.append(*t, r).is_err());
+        assert!(wal.snapshot(&SpeQuloS::new()).is_err());
+        assert_eq!(wal.record_count(), 2);
+        drop(wal);
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), len);
+        assert_eq!(snapshot_counts(&dir).unwrap(), Vec::<u64>::new());
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(recovery.records(), &requests[..2]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_snapshot_trigger_follows_the_log_and_survives_a_restart() {
+        let dir = temp_dir("trigger");
+        let mut service = SpeQuloS::new();
+        let requests = sample_requests(40);
+        let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert!(wal.tail_outweighs_snapshot(), "no snapshot yet: always due");
+        let mut feed = requests.iter();
+        let mut step = |wal: &mut WalStore, service: &mut SpeQuloS| {
+            let (t, r) = feed.next().expect("enough requests");
+            wal.append(*t, r).unwrap();
+            service.handle(r.clone(), *t);
+        };
+        step(&mut wal, &mut service);
+        wal.snapshot(&service).unwrap();
+        assert!(!wal.tail_outweighs_snapshot(), "nothing appended since");
+        let snapshot_bytes = fs::metadata(snapshot_path(&dir, 1)).unwrap().len();
+        let log_at_snapshot = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let mut appended = 0;
+        while !wal.tail_outweighs_snapshot() {
+            step(&mut wal, &mut service);
+            appended += 1;
+            // Both numbers are on disk, so a reopened store agrees.
+            let (reopened, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+            assert_eq!(
+                reopened.tail_outweighs_snapshot(),
+                wal.tail_outweighs_snapshot(),
+                "after {appended} appends"
+            );
+        }
+        let tail = fs::metadata(dir.join(WAL_FILE)).unwrap().len() - log_at_snapshot;
+        assert!(
+            tail >= snapshot_bytes,
+            "due only once the tail outweighs it"
+        );
+        assert!(appended > 1, "and not a record earlier");
         fs::remove_dir_all(&dir).unwrap();
     }
 

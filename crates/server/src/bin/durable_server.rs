@@ -7,6 +7,10 @@
 //!                [--tick-ms N] [--snapshot-every N] [--no-fsync]
 //! ```
 //!
+//! `--snapshot-every N` snapshots at least every `N` requests apart (and
+//! no sooner than the log has grown by the last snapshot's size; see
+//! `DurabilityConfig::snapshot_every`).
+//!
 //! Prints `LISTENING <addr>` on stdout once the socket is bound (the
 //! test harness parses this line for the ephemeral port), then serves
 //! until killed. The service template is assembled from the command-line

@@ -45,9 +45,10 @@
 //!   request/response, `send`/`flush`/`recv` for pipelining.
 //!
 //! Durability composes with the request path rather than adding a
-//! layer: [`Server::spawn_durable`] appends every request
-//! to a write-ahead log ([`spequlos::wal`]) and fsyncs *before*
-//! dispatching it, snapshots the full service state periodically, and on
+//! layer: [`Server::spawn_durable`] commits every request to a
+//! write-ahead log ([`spequlos::wal`]) — written and fsynced in groups,
+//! one per connection turn — *before* releasing its reply, snapshots
+//! the full service state as the log outgrows the last snapshot, and on
 //! startup recovers snapshot + log tail through the ordinary
 //! `SpqService::handle` path — an acknowledged request survives a
 //! `SIGKILL` of the whole process (see `tests/crash_recovery.rs`).

@@ -4,13 +4,14 @@
 //! [`Server::spawn`] starts exactly one shard thread. It owns the
 //! listener, every connection (a [`crate::conn::Conn`] core around a
 //! non-blocking socket) and the [`SpeQuloS`] itself, and dispatches each
-//! complete request *inline* — decode → (durable append) →
+//! complete request *inline* — decode → (durable stage) →
 //! `service.handle` → encode — with no cross-thread handoff anywhere on
 //! the request path; no router thread is started and nothing is routed.
 //! Codec negotiation, ordering and backpressure are the engine's and are
 //! described there; [`Server::spawn_durable`] puts the write-ahead log
-//! in front of dispatch, so "acknowledged ⇒ durable" holds per request
-//! (a reply cannot even be *encoded* until the append returned).
+//! between dispatch and the socket, so "acknowledged ⇒ durable" holds
+//! per request (a connection's replies are *flushed* only after the
+//! group commit that covers them returned).
 //!
 //! Shutdown recovers the service: [`ServerHandle::into_service`] wakes
 //! the shard, which drops the listener and every connection and returns
@@ -56,14 +57,17 @@ pub struct DurabilityConfig {
     /// When appends reach stable storage. [`FsyncPolicy::Always`] is the
     /// only setting under which an acknowledged request survives a crash.
     pub fsync: FsyncPolicy,
-    /// Take a full-state snapshot every this many appended requests
-    /// (0 disables snapshots; recovery then replays the whole log).
+    /// Take a full-state snapshot at least every this many requests
+    /// apart (0 disables snapshots; recovery then replays the whole
+    /// log) — and no sooner than the log has grown by the last
+    /// snapshot's size, so a large state is not rewritten for every few
+    /// kilobytes of log.
     pub snapshot_every: u64,
 }
 
 impl DurabilityConfig {
-    /// Durable defaults for `dir`: fsync on every append, snapshot every
-    /// 4096 requests.
+    /// Durable defaults for `dir`: fsync in every commit, snapshots at
+    /// least every 4096 requests apart.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -134,9 +138,13 @@ impl Server {
     }
 
     /// Binds `addr` and serves a *durable* service: every request is
-    /// appended to the write-ahead log in `durability.dir` — and, under
-    /// [`FsyncPolicy::Always`], fsynced — *before* it is dispatched, so
-    /// an acknowledged request survives a crash of the whole process.
+    /// written to the write-ahead log in `durability.dir` — and, under
+    /// [`FsyncPolicy::Always`], fsynced — *before* its reply is
+    /// released, so an acknowledged request survives a crash of the
+    /// whole process. Records are committed in groups: everything one
+    /// connection turn executed shares one `write` and one `fsync`, and
+    /// no reply byte reaches a socket before the record of its request,
+    /// and of every request executed before it, is on disk.
     ///
     /// If the directory already holds state from a previous run, it is
     /// recovered first — newest usable snapshot plus log-tail replay
@@ -145,12 +153,16 @@ impl Server {
     /// that wrote it. The returned [`RecoveryReport`] says where the
     /// state came from.
     ///
-    /// A failed append is answered with a typed
-    /// [`spequlos::RequestError::Transport`] error and the request is
-    /// *not* dispatched: the client knows durability was not achieved,
-    /// and the on-disk log never lags the in-memory state. Snapshot
-    /// failures are non-fatal (the log alone recovers exactly); they
-    /// only cost recovery time.
+    /// The log is fail-stop. When a commit fails (disk full, i/o
+    /// error) the connection whose turn it was is closed with its
+    /// replies unsent, the log is never written again — a write behind a
+    /// partial record would turn a torn tail, which recovery truncates,
+    /// into mid-file corruption, which it refuses — and every later
+    /// request on any connection is answered with a typed
+    /// [`spequlos::RequestError::Transport`] error and *not* dispatched:
+    /// the client knows durability was not achieved. Restarting recovers
+    /// exactly the committed requests. Snapshot failures are non-fatal
+    /// (the log alone recovers exactly); they only cost recovery time.
     pub fn spawn_durable(
         template: SpeQuloS,
         addr: impl ToSocketAddrs,

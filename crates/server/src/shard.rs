@@ -5,9 +5,10 @@
 //! write-ahead log, when durable) and a set of connections. It parks in
 //! `poll(2)` (the vendored [`polling`] shim) until a socket is ready,
 //! lets the connection's [`Conn`] core move bytes and decode frames, and
-//! executes each request *inline* — decode → (durable append) →
-//! `service.handle` → encode — with no cross-thread hop on the
-//! steady-state request path. Everything a connection does with bytes
+//! executes each request *inline* — decode → (durable stage) →
+//! `service.handle` → encode, then one group commit before the turn's
+//! replies are flushed — with no cross-thread hop on the steady-state
+//! request path. Everything a connection does with bytes
 //! lives in [`crate::conn`]; this module is event loops and execution.
 //!
 //! **One shard** is [`crate::Server`]: the shard owns the listener and
@@ -79,7 +80,7 @@ use crate::wire::{RequestEnvelope, ResponseEnvelope};
 use polling::{Event, Poller};
 use spequlos::protocol::{RequestError, Response, SpqService};
 use spequlos::tenancy::{route_atomic, route_request, ShardQuota};
-use spequlos::wal::{RecoveryReport, WalStore};
+use spequlos::wal::{RecoveryReport, WalError, WalStore};
 use spequlos::SpeQuloS;
 use std::collections::VecDeque;
 use std::io;
@@ -202,20 +203,19 @@ impl Store {
         self
     }
 
-    /// The request path: append-before-dispatch, handle (through the
-    /// pool quota when there is one), snapshot bookkeeping.
+    /// The request path: stage the record, handle (through the pool
+    /// quota when there is one). The reply must not leave this shard
+    /// before [`Store::commit`].
     fn execute(&mut self, envelope: RequestEnvelope) -> ResponseEnvelope {
         let RequestEnvelope { id, at, request } = envelope;
-        // Write-ahead: the record must be durable before the state
-        // changes. A batch is one record — atomic in the log exactly as
-        // it is atomic in dispatch.
+        // Write-ahead: the record is staged before the state changes,
+        // so the log's order is the dispatch order. A batch is one
+        // record — atomic in the log exactly as it is atomic in dispatch.
         if let Some(d) = self.durable.as_mut() {
-            if let Err(e) = d.wal.append(at, &request) {
-                let response = Response::Error(RequestError::Transport(format!(
-                    "write-ahead log append failed: {e}"
-                )));
-                return ResponseEnvelope { id, response }; // not durable ⇒ not dispatched
+            if let Err(e) = d.wal.stage(at, &request) {
+                return wal_refusal(id, &e); // not logged ⇒ not dispatched
             }
+            d.since_snapshot += 1;
         }
         let timing = self
             .observer
@@ -228,19 +228,42 @@ impl Store {
         if let (Some(observe), Some((kind, start))) = (self.observer.as_mut(), timing) {
             observe(kind, start.elapsed());
         }
-        if let Some(d) = self.durable.as_mut() {
-            d.since_snapshot += 1;
-            if d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every {
-                // The service now reflects exactly the appended records,
-                // so the snapshot's `applied` count is truthful. Failure
-                // is non-fatal: the log alone recovers exactly; retry
-                // after the next period rather than on every request.
-                let _ = d.wal.snapshot(&self.service);
-                d.since_snapshot = 0;
-            }
-        }
         ResponseEnvelope { id, response }
     }
+
+    /// Group commit: one write — one fsync, under `FsyncPolicy::Always`
+    /// — for every record staged since the last one. Until it returns
+    /// `Ok`, no reply to any of those requests may reach a socket or
+    /// another shard. A failure is final: the log is closed and every
+    /// later request is refused (fail-stop, see `WalStore::commit`).
+    fn commit(&mut self) -> Result<(), WalError> {
+        let Some(d) = self.durable.as_mut() else {
+            return Ok(());
+        };
+        d.wal.commit()?;
+        // The service now reflects exactly the committed records, so a
+        // snapshot's `applied` count is truthful. At least
+        // `snapshot_every` requests apart, and only once the log's tail
+        // outweighs the last snapshot: total snapshot work stays linear
+        // in the log. Failure is non-fatal — the log alone recovers
+        // exactly — and retried a period later, not on every commit.
+        if d.snapshot_every > 0
+            && d.since_snapshot >= d.snapshot_every
+            && d.wal.tail_outweighs_snapshot()
+        {
+            let _ = d.wal.snapshot(&self.service);
+            d.since_snapshot = 0;
+        }
+        Ok(())
+    }
+}
+
+/// The typed answer to a request the write-ahead log could not take.
+fn wal_refusal(id: u64, e: &WalError) -> ResponseEnvelope {
+    let response = Response::Error(RequestError::Transport(format!(
+        "write-ahead log append failed: {e}"
+    )));
+    ResponseEnvelope { id, response }
 }
 
 // ---------------------------------------------------------------------------
@@ -275,8 +298,9 @@ impl ShardedServer {
 
     /// [`ShardedServer::spawn_sharded`] with per-shard durability:
     /// shard `i` owns the write-ahead log in `durability.dir/shard-<i>`
-    /// and appends each request it executes *before* dispatching it —
-    /// append→fsync→dispatch, shard-locally. Existing state is
+    /// and commits each request it executes *before* releasing its
+    /// reply — stage→dispatch→commit→release, shard-locally, forwarded
+    /// requests included. Existing state is
     /// recovered first, all shards in parallel; the reports come back
     /// in shard order.
     pub fn spawn_durable_sharded(
@@ -862,22 +886,31 @@ impl Shard {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .drain(..)
             .collect();
+        let mut executed = Vec::new();
         for msg in inbound {
             match msg {
-                // This shard owns the tenant: execute (the append goes to
-                // *this* shard's WAL) and send the reply back.
+                // This shard owns the tenant: execute (the record goes to
+                // *this* shard's WAL); the reply waits for the commit.
                 Inbound::Forward {
                     origin,
                     ticket,
                     envelope,
-                } => {
-                    let reply = self.store.execute(envelope);
-                    if let Some(mesh) = self.mesh.as_ref() {
-                        mesh.links[origin as usize].push(Inbound::Completion(ticket, reply));
-                    }
-                }
+                } => executed.push((origin, ticket, self.store.execute(envelope))),
                 Inbound::Completion(ticket, reply) => self.apply_completion(ticket, reply),
             }
+        }
+        // One commit for every forward of this wakeup; only then do the
+        // replies cross to their origin shards. If it fails they turn
+        // into the refusal every later request gets.
+        let committed = self.store.commit();
+        let Some(mesh) = self.mesh.as_ref() else {
+            return;
+        };
+        for (origin, ticket, mut reply) in executed {
+            if let Err(e) = &committed {
+                reply = wal_refusal(reply.id, e);
+            }
+            mesh.links[origin as usize].push(Inbound::Completion(ticket, reply));
         }
     }
 
@@ -897,17 +930,28 @@ impl Shard {
         }
     }
 
-    /// One connection's turn: pull bytes, serve complete frames, push
-    /// replies.
+    /// One connection's turn: pull bytes, serve complete frames, commit
+    /// what they staged, push replies. Every reply queued here follows
+    /// the commit that covers it, and the turn ends on a commit, so the
+    /// reactor never parks with staged records.
     fn step(&mut self, conn: &mut ShardConn, readable: bool) -> Result<(), Dead> {
         if readable {
             conn.sock.fill()?;
         }
-        self.serve_buffered(conn)?;
+        self.serve_committed(conn)?;
         conn.sock.flush()?;
         // Flushing may have drained below the high-water mark: consume
         // requests that were parked behind backpressure.
-        self.serve_buffered(conn)
+        self.serve_committed(conn)
+    }
+
+    /// [`Shard::serve_buffered`], then the group commit — also when the
+    /// framing broke mid-buffer: the requests before the break ran. A
+    /// failed commit closes the connection with its replies unsent.
+    fn serve_committed(&mut self, conn: &mut ShardConn) -> Result<(), Dead> {
+        let served = self.serve_buffered(conn);
+        self.store.commit().map_err(|_| Dead)?;
+        served
     }
 
     fn serve_buffered(&mut self, conn: &mut ShardConn) -> Result<(), Dead> {
@@ -989,7 +1033,8 @@ mod tests {
     use crate::frame::Codec;
     use simcore::SimTime;
     use spequlos::tenancy::shard_of_user;
-    use spequlos::{Request, Response, SpqService, UserId};
+    use spequlos::wal::FsyncPolicy;
+    use spequlos::{encode_state_json, Request, Response, SpqService, UserId};
     use std::io::Write;
     use std::path::PathBuf;
 
@@ -1230,6 +1275,162 @@ mod tests {
             let shard = shard_of_user(user, SHARDS) as usize;
             assert_eq!(services[shard].credits.balance(user), 10.0);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the log in `dir` alone rebuilds, as the snapshot encoding.
+    fn log_only_state(dir: &Path, template: SpeQuloS) -> String {
+        for entry in std::fs::read_dir(dir).expect("wal dir") {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "json") {
+                std::fs::remove_file(path).expect("delete snapshot");
+            }
+        }
+        let (_, recovery) = WalStore::open(dir, FsyncPolicy::Always).expect("reopen");
+        let (replayed, report) = recovery.recover(template).expect("recover");
+        assert_eq!(report.snapshot_applied, 0);
+        encode_state_json(&replayed).expect("encodes")
+    }
+
+    #[test]
+    fn every_shards_log_replays_to_the_state_it_served_forwards_included() {
+        const SHARDS: u32 = 3;
+        let dir = temp_dir("log-equals-state");
+        let shard_cfg = ShardConfig::deterministic(SHARDS, 1_000);
+        let (handle, _) = ShardedServer::spawn_durable_sharded(
+            SpeQuloS::new(),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            shard_cfg,
+            DurabilityConfig::new(&dir),
+        )
+        .expect("spawn");
+        // One mixed-tenant connection, fully pipelined: its shard serves
+        // a third of the deposits and forwards the rest, so records are
+        // staged by socket turns and by forward groups alike.
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        let mut core = ClientCore::new(Codec::Json);
+        let mut wire = Vec::new();
+        for k in 1..=40u64 {
+            let deposit = Request::Deposit {
+                user: UserId(k % 11),
+                credits: k as f64,
+            };
+            core.queue_request(&mut wire, deposit, SimTime::from_secs(k));
+        }
+        stream.write_all(&wire).expect("write");
+        for id in 0..40u64 {
+            let reply = core.read_reply(&mut stream).expect("read").expect("reply");
+            assert_eq!(reply.id, id);
+            assert!(matches!(reply.response, Response::Deposited { .. }));
+        }
+        drop(stream);
+        let services = handle.into_services();
+        let templates = shard_cfg.split(SpeQuloS::new());
+        let mut records = 0;
+        for (i, ((template, _), served)) in templates.into_iter().zip(&services).enumerate() {
+            let shard_dir = dir.join(format!("shard-{i}"));
+            assert_eq!(
+                log_only_state(&shard_dir, template),
+                encode_state_json(served).expect("encodes"),
+                "shard {i}: the log and the served state part ways"
+            );
+            let (wal, _) = WalStore::open(&shard_dir, FsyncPolicy::Always).expect("count");
+            records += wal.record_count();
+        }
+        assert_eq!(records, 40, "every request logged once, on its owner");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pipelined_durable_run_snapshots_in_proportion_to_its_state() {
+        const EVERY: u64 = 8;
+        const WINDOW: usize = 32;
+        let dir = temp_dir("proportional");
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.snapshot_every = EVERY;
+        let (handle, _) = crate::Server::spawn_durable(
+            SpeQuloS::new(),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            durability,
+        )
+        .expect("spawn");
+        // One BoT reporting progress 600 times: every report lengthens
+        // the Information module's time series, so the state outgrows
+        // `EVERY` records of log early on.
+        let user = UserId(1);
+        let bot = botwork::BotId(0);
+        let mut requests = vec![
+            Request::Deposit { user, credits: 1e6 },
+            Request::RegisterQos {
+                user,
+                env: "t/XWHEP/DURABLE".into(),
+                size: 1_000,
+            },
+        ];
+        requests.extend((1..=600u32).map(|k| Request::ReportProgress {
+            bot,
+            progress: spequlos::BotProgress {
+                now: SimTime::from_secs(60 * u64::from(k)),
+                size: 1_000,
+                completed: k,
+                dispatched: 1_000,
+                queued: 1_000 - k,
+                running: 10,
+                cloud_running: 0,
+            },
+        }));
+        let total = requests.len();
+        let mut remote = RemoteService::connect(handle.addr()).expect("connect");
+        let (mut sent, mut received) = (0, 0);
+        let mut requests = requests.into_iter();
+        while received < total {
+            while sent - received < WINDOW {
+                let Some(request) = requests.next() else {
+                    break;
+                };
+                remote.send(request, SimTime::from_secs(sent as u64));
+                sent += 1;
+            }
+            remote.flush().expect("flush");
+            let reply = remote.recv().expect("reply");
+            assert!(!matches!(reply.response, Response::Error(_)), "{reply:?}");
+            received += 1;
+        }
+        drop(remote);
+        let served = encode_state_json(&handle.into_service()).expect("encodes");
+
+        let mut kept: Vec<u64> = std::fs::read_dir(&dir)
+            .expect("wal dir")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                name.strip_prefix("snap-")?
+                    .strip_suffix(".json")?
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        kept.sort_unstable();
+        let [older, newer] = kept[..] else {
+            panic!("two snapshots are kept, found {kept:?}");
+        };
+        // The first snapshot came with the first group that reached
+        // `EVERY` records, so anything later than that is at least the
+        // second, and `newer` at least the third.
+        assert!(older > EVERY + WINDOW as u64, "kept {kept:?}");
+        assert!(
+            newer - older > EVERY,
+            "a state heavier than {EVERY} records of log spaces its snapshots out: {kept:?}"
+        );
+        let tail = {
+            let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Always).expect("reopen");
+            assert_eq!(recovery.snapshot_applied(), Some(newer));
+            let (recovered, _) = recovery.recover(SpeQuloS::new()).expect("recover");
+            encode_state_json(&recovered).expect("encodes")
+        };
+        assert_eq!(tail, served, "snapshot + tail");
+        assert_eq!(log_only_state(&dir, SpeQuloS::new()), served, "log alone");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,14 +5,18 @@
 //! The test drives the real `durable_server` binary as a subprocess over
 //! TCP — the same deployment shape an operator runs — and kills it with
 //! `SIGKILL` (never a graceful shutdown) at fixed acknowledgement counts
-//! plus once at an arbitrary wall-clock moment mid-flood. Because the
-//! client sends serially over one connection, after `k` acknowledgements
-//! the log holds either `k` or `k+1` records (at most one request was in
-//! flight); the suite reads the log to learn the exact count `N`, checks
-//! the recovered state equals an in-process replay of the first `N`
-//! golden requests, then finishes the remaining workload against the
-//! restarted server and checks the final state equals the golden run —
-//! all comparisons on the full deterministic snapshot encoding
+//! plus once at an arbitrary wall-clock moment mid-flood, in two legs.
+//! The serial leg sends one request at a time, so after `k`
+//! acknowledgements the log holds either `k` or `k+1` records (at most
+//! one request was in flight). The pipelined leg keeps 32 in flight, so
+//! the server commits them in groups and the kill lands inside one: the
+//! log then holds every acknowledged request and no more than were sent
+//! — `acked ≤ N ≤ sent` — and is an exact prefix of the workload. Either
+//! way the suite reads the log to learn the exact count `N`, checks the
+//! recovered state equals an in-process replay of the first `N` golden
+//! requests, then finishes the remaining workload against the restarted
+//! server and checks the final state equals the golden run — all
+//! comparisons on the full deterministic snapshot encoding
 //! ([`spequlos::snapshot::encode_state_json`]), so "equal" means every
 //! account balance, order, favor, log line, lease and counter.
 
@@ -309,4 +313,136 @@ fn sigkill_at_an_arbitrary_moment_recovers_a_prefix() {
         "recovered state is not the exact golden prefix"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The pipelined leg: the kill lands inside a group commit
+// ---------------------------------------------------------------------------
+
+/// Requests the pipelined client keeps in flight.
+const WINDOW: usize = 32;
+
+/// Pipelines `workload` with [`WINDOW`] requests in flight until
+/// `stop_after` of them are acknowledged or the server is gone; returns
+/// how many were sent and how many acknowledged.
+fn pipeline(
+    client: &mut RemoteService,
+    workload: &[(SimTime, Request)],
+    stop_after: usize,
+) -> (usize, usize) {
+    let (mut sent, mut acked) = (0, 0);
+    while acked < stop_after.min(workload.len()) {
+        while sent < workload.len() && sent - acked < WINDOW {
+            let (t, request) = &workload[sent];
+            client.send(request.clone(), *t);
+            sent += 1;
+        }
+        if client.flush().is_err() {
+            break; // server died mid-write
+        }
+        let Ok(reply) = client.recv() else {
+            break; // server died mid-exchange
+        };
+        assert!(
+            !matches!(
+                reply.response,
+                Response::Error(spequlos::RequestError::Transport(_))
+            ),
+            "durability failure surfaced to client: {reply:?}"
+        );
+        acked += 1;
+    }
+    (sent, acked)
+}
+
+/// What a kill with `sent` requests written and `acked` acknowledged
+/// must leave behind: a log that is an exact prefix of the workload,
+/// holds every acknowledged request and none that was never sent, and
+/// recovers to the golden state after that many requests. Returns the
+/// log's record count.
+fn assert_recovers_a_sent_prefix(dir: &Path, sent: usize, acked: usize) -> usize {
+    let (_, recovery) = WalStore::open(dir, FsyncPolicy::Never).expect("wal readable after kill");
+    let persisted = recovery.records().len();
+    assert!(
+        acked <= persisted && persisted <= sent,
+        "acknowledged ⇒ durable, none invented: acked {acked}, persisted {persisted}, sent {sent}"
+    );
+    assert_eq!(
+        recovery.records(),
+        &golden_workload()[..persisted],
+        "the log is not a prefix of what was sent"
+    );
+    let (recovered, _) = recovery.recover(template()).expect("recover");
+    assert_eq!(
+        encode_state_json(&recovered).expect("recovered encodes"),
+        golden_state_after(persisted),
+        "recovered state diverges from the golden prefix"
+    );
+    persisted
+}
+
+/// Restarts on `dir`, pipelines the rest of the workload, kills again
+/// and compares with the uninterrupted run.
+fn finish_pipelined_and_compare(dir: &Path, persisted: usize) {
+    let workload = golden_workload();
+    let server = spawn_server(dir);
+    let mut client = RemoteService::connect(server.addr).expect("reconnect");
+    let rest = &workload[persisted..];
+    assert_eq!(
+        pipeline(&mut client, rest, rest.len()),
+        (rest.len(), rest.len())
+    );
+    drop(client);
+    server.kill();
+    assert_eq!(
+        assert_recovers_a_sent_prefix(dir, workload.len(), workload.len()),
+        workload.len()
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+fn pipelined_crash_at(kill_after_acks: usize, tag: &str) {
+    let dir = temp_dir(tag);
+    let workload = golden_workload();
+    let server = spawn_server(&dir);
+    let mut client = RemoteService::connect(server.addr).expect("connect");
+    let (sent, acked) = pipeline(&mut client, &workload, kill_after_acks);
+    assert_eq!(acked, kill_after_acks);
+    assert!(sent > acked, "the kill must find requests in flight");
+    server.kill();
+    drop(client);
+    let persisted = assert_recovers_a_sent_prefix(&dir, sent, acked);
+    finish_pipelined_and_compare(&dir, persisted);
+}
+
+#[test]
+fn pipelined_sigkill_during_registration_phase_recovers_a_sent_prefix() {
+    pipelined_crash_at(5, "pipe-early");
+}
+
+#[test]
+fn pipelined_sigkill_during_billing_recovers_a_sent_prefix() {
+    pipelined_crash_at(101, "pipe-billing");
+}
+
+#[test]
+fn pipelined_sigkill_after_snapshots_recovers_a_sent_prefix() {
+    pipelined_crash_at(223, "pipe-late");
+}
+
+#[test]
+fn pipelined_sigkill_at_an_arbitrary_moment_recovers_a_sent_prefix() {
+    let dir = temp_dir("pipe-timed");
+    let server = spawn_server(&dir);
+    let addr = server.addr;
+    let feeder = std::thread::spawn(move || {
+        let mut client = RemoteService::connect(addr).expect("connect");
+        let workload = golden_workload();
+        pipeline(&mut client, &workload, workload.len())
+    });
+    std::thread::sleep(std::time::Duration::from_millis(15));
+    server.kill();
+    let (sent, acked) = feeder.join().expect("feeder");
+    let persisted = assert_recovers_a_sent_prefix(&dir, sent, acked);
+    finish_pipelined_and_compare(&dir, persisted);
 }

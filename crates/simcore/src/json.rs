@@ -9,11 +9,12 @@
 //!   allocation beyond strings that carry escapes. The SpeQuloS wire
 //!   protocol (`spequlos::protocol`, the envelopes of `spq-server`) and
 //!   the write-ahead log's records are decoded and encoded directly on
-//!   them — the request path never builds a [`Value`].
+//!   them — the request path never builds a [`Value`] — and snapshots
+//!   (`spequlos::snapshot`) are written on the writer.
 //! * [`parse`] and [`Value`] are the general document tree, built by the
-//!   same reader and written by the same writer: snapshots
-//!   (`spequlos::snapshot`) and the bench telemetry records
-//!   (`BENCH_<name>.json`, see `spq-bench::telemetry`) live here.
+//!   same reader and written by the same writer: restoring a snapshot
+//!   and the bench telemetry records (`BENCH_<name>.json`, see
+//!   `spq-bench::telemetry`) live here.
 //!
 //! Both read untrusted bytes on a reactor thread, so the work done is
 //! linear in the length of the text — strings are scanned in runs, never
@@ -198,6 +199,12 @@ impl<'o> Writer<'o> {
         self
     }
 
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.sep().out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
     /// Writes a number exactly as [`fmt_f64`] spells it.
     pub fn num(&mut self, v: f64) -> &mut Self {
         push_f64(self.sep().out, v);
@@ -216,10 +223,7 @@ impl<'o> Writer<'o> {
     pub fn value(&mut self, v: &Value) -> &mut Self {
         match v {
             Value::Null => self.null(),
-            Value::Bool(b) => {
-                self.sep().out.push_str(if *b { "true" } else { "false" });
-                self
-            }
+            Value::Bool(b) => self.bool(*b),
             Value::Num(n) => self.num(*n),
             Value::Str(s) => self.str(s),
             Value::Arr(items) => {
@@ -263,9 +267,25 @@ fn push_f64(out: &mut String, v: f64) {
         out.write_str("-0.0")
     } else {
         // `{v:.1}` of a whole number below 1e15 is its integer digits
-        // and `.0`; integer formatting gets there several times faster,
-        // and ids, counters and timestamps are most of what is written.
-        write!(out, "{}.0", v as i64)
+        // and `.0`. Ids, counters and timestamps are most of what is
+        // written, so the digits come off a stack buffer, not `fmt`.
+        let mut digits = [b'0'; 15];
+        let mut rest = v.abs() as u64;
+        let mut start = digits.len();
+        for slot in digits.iter_mut().rev() {
+            *slot = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            start -= 1;
+            if rest == 0 {
+                break;
+            }
+        }
+        if v < 0.0 {
+            out.push('-');
+        }
+        let digits = digits.get(start..).unwrap_or_default();
+        out.push_str(std::str::from_utf8(digits).unwrap_or_default());
+        out.write_str(".0")
     };
 }
 
