@@ -1,54 +1,18 @@
-//! Runs every reproduction experiment and writes all reports to the
-//! output directory (default `results/`). Emits `BENCH_repro_all.json`
-//! telemetry covering the whole campaign.
-use spq_bench::{experiments::*, telemetry, Opts};
-use spq_harness::write_file;
+//! `repro_all [name …]` — runs the named reproduction reports (every
+//! report of `spq_bench::experiments::REPORTS` when none is named) and
+//! writes them to the output directory (default `results/`).
+use spq_bench::{experiments, opts, Opts};
 
 fn main() {
-    let opts = Opts::from_args();
-    let ((), tele) = telemetry::measure("repro_all", &opts, |o| (run_all(o), None));
-    tele.write_or_warn();
-}
-
-fn run_all(opts: &Opts) {
-    let out = &opts.out_dir;
-    let save = |name: &str, text: &str| {
-        println!("=== {name} ===\n{text}");
-        write_file(out.join(name), text).expect("write report");
-    };
-
-    save("fig1.txt", &profiling::fig1(opts));
-    let (t, csv) = profiling::fig2(opts);
-    save("fig2.txt", &t);
-    write_file(out.join("fig2.csv"), &csv).expect("csv");
-    save("table1.txt", &profiling::table1(opts));
-    save("table2.txt", &calibration::table2(opts));
-    save("table3.txt", &calibration::table3(opts));
-
-    let sweep = strategies::sweep_all_combos(opts);
-    let (t, csv) = strategies::fig4(&sweep);
-    save("fig4.txt", &t);
-    write_file(out.join("fig4.csv"), &csv).expect("csv");
-    save("fig5.txt", &strategies::fig5(&sweep));
-
-    let runs = performance::sweep_default_combo(opts);
-    save("fig6.txt", &performance::fig6(&runs));
-    let (t, csv) = performance::fig7(&runs);
-    save("fig7.txt", &t);
-    write_file(out.join("fig7.csv"), &csv).expect("csv");
-
-    let mut popts = opts.clone();
-    popts.seeds = popts.seeds.max(5);
-    save("table4.txt", &prediction::table4(&popts));
-    save("table5.txt", &edgi::table5(opts));
-    save("multitenant.txt", &multitenant::report(opts));
-
-    save("ablation_credit.txt", &ablations::credit(opts));
-    save("ablation_tick.txt", &ablations::tick(opts));
-    save("ablation_timeout.txt", &ablations::timeout(opts));
-    save("ablation_boot.txt", &ablations::boot(opts));
-    save("ablation_threshold.txt", &ablations::threshold(opts));
-    save("ablation_middleware.txt", &ablations::middleware(opts));
-
-    println!("all reports written to {}", out.display());
+    let mut names = Vec::new();
+    let options = Opts::from_args_with(|arg, _| {
+        let positional = !arg.starts_with('-');
+        if positional {
+            names.push(arg.to_string());
+        }
+        positional
+    });
+    if let Err(msg) = experiments::run_all(&options, &names) {
+        opts::usage(&msg);
+    }
 }

@@ -41,79 +41,62 @@
 
 use spequlos::SpeQuloS;
 use spq_bench::loadgen::{
-    self, max_sustained_rate, sweep_ladder, ArrivalPlan, ArrivalSpec, LatencyHistogram, LoadReport,
+    self, max_sustained_rate, sweep_ladder, ArrivalPlan, ArrivalSpec, LoadReport,
 };
 use spq_bench::telemetry::LatencyTelemetry;
 use spq_bench::{telemetry, Opts};
 use spq_harness::workload::RequestMix;
 use spq_server::{Server, ServerConfig, ShardConfig, ShardedServer};
-use std::sync::{Arc, Mutex};
 
-/// One run: a fresh observed server, the plan at `rate`, both sides'
-/// histograms (client sojourn time, server service time).
-fn run_at(
-    rate: f64,
-    connections: u32,
-    warmup_secs: f64,
-    measured_secs: f64,
-    seed: u64,
-    mix: &RequestMix,
-) -> std::io::Result<(LoadReport, LatencyHistogram)> {
-    let service_hist = Arc::new(Mutex::new(LatencyHistogram::new()));
-    let observer_hist = Arc::clone(&service_hist);
-    let handle = Server::spawn_observed(
-        SpeQuloS::new(),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        Box::new(move |_kind, elapsed| {
-            observer_hist
-                .lock()
-                .expect("service histogram poisoned")
-                .record(elapsed.as_nanos() as u64);
-        }),
-    )?;
-    let plan = ArrivalPlan::generate(
-        ArrivalSpec {
-            rate,
-            connections,
-            warmup_secs,
-            measured_secs,
-            seed,
-        },
-        mix,
-    );
-    let report = loadgen::run(handle.addr(), &plan)?;
-    drop(handle.into_service());
-    let hist = service_hist.lock().expect("service histogram poisoned");
-    Ok((report, hist.clone()))
+/// One run: the plan of `spec` against a fresh server — single-shard, or
+/// `shards` shards behind the router — and the client-side sojourn
+/// times. (What `SpqService::handle` itself costs per request kind is
+/// `service.handle_ns.<kind>` in `BENCHMARK.json`.)
+fn run_at(shards: Option<u32>, spec: ArrivalSpec, mix: &RequestMix) -> std::io::Result<LoadReport> {
+    let plan = ArrivalPlan::generate(spec, mix);
+    match shards {
+        None => {
+            let handle = Server::spawn(SpeQuloS::new(), "127.0.0.1:0", ServerConfig::default())?;
+            let report = loadgen::run(handle.addr(), &plan);
+            drop(handle.into_service());
+            report
+        }
+        Some(shards) => {
+            let config = ShardConfig::new(shards);
+            let handle = ShardedServer::spawn_loopback(SpeQuloS::new(), config)?;
+            let report = loadgen::run(handle.addr(), &plan);
+            drop(handle.into_services());
+            report
+        }
+    }
 }
 
-/// One run against a fresh `shards`-shard server. No service-time
-/// histogram: the observer hook is a single-dispatch-loop feature, and
-/// the sharded comparison only needs the client-side sojourn times.
-fn run_sharded_at(
-    shards: u32,
-    rate: f64,
-    connections: u32,
-    warmup_secs: f64,
-    measured_secs: f64,
-    seed: u64,
+/// The rate ladder around an already-run `primary`: every other step
+/// against a fresh server, one text line per step. Returns the steps
+/// and the requests the reruns sent.
+fn sweep(
+    shards: Option<u32>,
+    primary: &LoadReport,
+    spec: ArrivalSpec,
+    ladder: &[f64],
     mix: &RequestMix,
-) -> std::io::Result<LoadReport> {
-    let handle = ShardedServer::spawn_loopback(SpeQuloS::new(), ShardConfig::new(shards))?;
-    let plan = ArrivalPlan::generate(
-        ArrivalSpec {
-            rate,
-            connections,
-            warmup_secs,
-            measured_secs,
-            seed,
-        },
-        mix,
-    );
-    let report = loadgen::run(handle.addr(), &plan)?;
-    drop(handle.into_services());
-    Ok(report)
+    text: &mut String,
+) -> (Vec<(f64, LoadReport)>, u64) {
+    let (mut steps, mut sent) = (Vec::new(), 0);
+    for &rate in ladder {
+        let report = if (rate - spec.rate).abs() < 1e-9 {
+            primary.clone()
+        } else {
+            let report =
+                run_at(shards, ArrivalSpec { rate, ..spec }, mix).expect("sweep step failed");
+            sent += report.sent;
+            report
+        };
+        text.push_str("  ");
+        text.push_str(&line(rate, &report));
+        steps.push((rate, report));
+    }
+    (steps, sent)
 }
 
 fn line(rate: f64, r: &LoadReport) -> String {
@@ -165,6 +148,13 @@ fn main() {
 
     let mix = loadgen::recorded_mix();
     let ladder = sweep_ladder(rate, sweep_steps);
+    let spec = ArrivalSpec {
+        rate,
+        connections,
+        warmup_secs: warmup,
+        measured_secs: secs,
+        seed,
+    };
 
     let (value, mut tele) = telemetry::measure("repro_load", &opts, |_| {
         let mut text = String::new();
@@ -175,40 +165,16 @@ fn main() {
         ));
         text.push_str(&format!("request mix: {}\n\n", mix.describe()));
 
-        let (primary, service_hist) = run_at(rate, connections, warmup, secs, seed, &mix)
+        let primary = run_at(None, spec, &mix)
             .expect("load run failed — is something else bound to loopback?");
         text.push_str("primary: ");
         text.push_str(&line(rate, &primary));
-        text.push_str(&format!(
-            "  server-side service time: p50 {:.4} ms, p99 {:.4} ms over {} requests\n",
-            service_hist.quantile_ms(0.50),
-            service_hist.quantile_ms(0.99),
-            service_hist.count(),
-        ));
-        text.push_str(&format!(
-            "  (sojourn p99 {:.3} ms vs service p99 {:.4} ms — the gap is queueing)\n",
-            primary.p99_ms(),
-            service_hist.quantile_ms(0.99),
-        ));
 
-        let mut events = primary.sent;
-        let mut steps: Vec<(f64, LoadReport)> = Vec::new();
         if !ladder.is_empty() {
             text.push_str("\nrate sweep:\n");
-            for &step_rate in &ladder {
-                let report = if (step_rate - rate).abs() < 1e-9 {
-                    primary.clone()
-                } else {
-                    let (report, _) = run_at(step_rate, connections, warmup, secs, seed, &mix)
-                        .expect("sweep step failed");
-                    events += report.sent;
-                    report
-                };
-                text.push_str("  ");
-                text.push_str(&line(step_rate, &report));
-                steps.push((step_rate, report));
-            }
         }
+        let (steps, sent) = sweep(None, &primary, spec, &ladder, &mix, &mut text);
+        let mut events = primary.sent + sent;
         let sustained = max_sustained_rate(&steps, slo_ms);
         match sustained {
             Some(r) => text.push_str(&format!(
@@ -223,26 +189,18 @@ fn main() {
         if let Some(shards) = shards {
             text.push_str(&format!("\nsharded rung ({shards} shards):\n"));
             let sharded_primary =
-                run_sharded_at(shards, rate, connections, warmup, secs, seed, &mix)
-                    .expect("sharded load run failed");
-            events += sharded_primary.sent;
+                run_at(Some(shards), spec, &mix).expect("sharded load run failed");
             text.push_str("  primary: ");
             text.push_str(&line(rate, &sharded_primary));
-            let mut sharded_steps: Vec<(f64, LoadReport)> = Vec::new();
-            for &step_rate in &ladder {
-                let report = if (step_rate - rate).abs() < 1e-9 {
-                    sharded_primary.clone()
-                } else {
-                    let report =
-                        run_sharded_at(shards, step_rate, connections, warmup, secs, seed, &mix)
-                            .expect("sharded sweep step failed");
-                    events += report.sent;
-                    report
-                };
-                text.push_str("  ");
-                text.push_str(&line(step_rate, &report));
-                sharded_steps.push((step_rate, report));
-            }
+            let (sharded_steps, sent) = sweep(
+                Some(shards),
+                &sharded_primary,
+                spec,
+                &ladder,
+                &mix,
+                &mut text,
+            );
+            events += sharded_primary.sent + sent;
             let sharded_sustained = max_sustained_rate(&sharded_steps, slo_ms);
             // Sustained-rate ratio when both sweeps produced one;
             // achieved-rate ratio otherwise (≈1.0 below saturation by

@@ -3,18 +3,17 @@
 //! bounded cloud-worker pool (the §5 deployed-service regime).
 //!
 //! Accepts `--tenants N` on top of the shared options to run a single
-//! tenant count (the shape the CI perf gate measures), and emits
-//! `BENCH_repro_multitenant.json` telemetry (events/sec over the whole
-//! report) for `spq-bench compare`.
+//! tenant count (`--tenants 32` at the default seed and scale is the
+//! 869 375-event golden). The report is not a measurement: what the
+//! simulation costs is `sim_multitenant` in `BENCHMARK.json`.
 //!
 //! With `--shards M` the binary switches to the sharded tenant storm
 //! (`multitenant::storm`): a `ShardedServer` over loopback, one worker
 //! thread per shard, every tenant streamed through a full protocol
 //! session with O(shards × chunk) client memory — the shape the CI
 //! `sharded-scale` job runs at `--tenants 100000 --shards 8`. The storm
-//! emits its own `BENCH_repro_multitenant_sharded.json` record (events
-//! = requests served) so the scale gate compares against its own
-//! baseline, not the simulation report's.
+//! emits a `BENCH_repro_multitenant_sharded.json` record (events =
+//! requests served) for that job's compare gate.
 use spq_bench::experiments::multitenant;
 use spq_bench::{opts, telemetry, Opts};
 use spq_harness::write_file;
@@ -64,16 +63,7 @@ fn main() {
         Some(n) => vec![n],
         None => multitenant::TENANT_COUNTS.to_vec(),
     };
-    let (text, tele) = telemetry::measure("repro_multitenant", &options, |o| {
-        let (text, events) = multitenant::report_for_counts(o, &counts);
-        (text, Some(events))
-    });
+    let text = multitenant::report_for_counts(&options, &counts);
     print!("{text}");
     write_file(options.out_dir.join("multitenant.txt"), &text).expect("write report");
-    let joined = counts
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    tele.with_config("tenants", joined).write_or_warn();
 }

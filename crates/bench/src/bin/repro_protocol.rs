@@ -1,50 +1,39 @@
-//! Protocol throughput: requests/sec through `SpqService::handle` —
-//! in-process (batched vs. unbatched) and over real loopback sockets
-//! across a connection ladder.
+//! The connection ladder: requests/sec through a live `spq-server`
+//! over real loopback sockets at 1 → 4 096 concurrent connections.
 //!
-//! The wire deployment (`spq-server`) funnels every middleware
-//! interaction through the typed protocol, so `handle` throughput bounds
-//! how many monitoring ticks a deployed service can absorb per second.
-//! This binary measures two things:
-//!
-//! 1. **In-process**: a synthetic multi-BoT monitoring workload through
-//!    `SpqService::handle` two ways — one request per call, and whole
-//!    ticks pipelined as `Request::Batch` frames. This is the historical
-//!    measurement the CI gate has always tracked.
-//! 2. **Wire ladder**: pipelined request/response exchanges over real
-//!    loopback TCP at {1, 64, 1024, 4096} concurrent connections, under
-//!    three server/codec combinations — the single-shard server with the
-//!    negotiated binary codec (PROTOCOL.md §4–§5), the sharded server
-//!    ([`LADDER_SHARDS`] shard reactors behind the accept-and-route
-//!    layer, binary codec), and the single-shard server with the JSON
-//!    codec (§3). (The thread-per-connection baseline the reactor
-//!    replaced — 20× slower at 1024 connections — is recorded in
-//!    CHANGES.md PR 8 and no longer exists as code.)
+//! Pipelined request/response exchanges over loopback TCP at {1, 64,
+//! 1024, 4096} concurrent connections, under three server/codec
+//! combinations — the single-shard server with the negotiated binary
+//! codec (PROTOCOL.md §4–§5), the sharded server ([`LADDER_SHARDS`]
+//! shard reactors behind the accept-and-route layer, binary codec), and
+//! the single-shard server with the JSON codec (§3). This is the one
+//! throughput measurement the repository's benchmark (`benchmark/`: two
+//! load-bearing connections, one reactor) cannot host; what a request
+//! costs inside `SpqService::handle` is its `service.handle_ns*`.
 //!
 //! Each ladder connection deposits as its own user (user = global
 //! connection index), so on the sharded rung the connections spread
 //! evenly across shards and every request stays shard-local. Honesty
 //! note on the sharded rung: shard parallelism needs cores — on a
-//! single-core host the shard reactors time-slice one CPU and
-//! `c<conns>_sharded_speedup` lands ≈1.0 (slightly below, paying for
-//! the router hop); the ≥3× figure is only observable on a multi-core
-//! host. See BENCHMARKS.md § Sharded ladder.
+//! single-core host the shard reactors time-slice one CPU and the
+//! `shard speedup` column lands ≈1.0 (slightly below, paying for the
+//! router hop); the ≥3× figure is only observable on a multi-core host.
+//! See BENCHMARKS.md § Sharded ladder.
 //!
 //! Emits `BENCH_repro_protocol.json` for the `spq-bench compare` CI
-//! gate; the per-rung req/s and sharded-vs-single speedups land in the
-//! telemetry `config` map (keys `c<conns>_<mode>_rps`,
-//! `c<conns>_sharded_speedup`).
+//! gate: every rung's req/s is one key of the record's numeric `metrics`
+//! object (`c<conns>_<mode>_rps`), gated on its own; a rung that fails
+//! writes no key, which the gate reports as a regression. The speedup
+//! column is text only — a ratio of two gated rungs, never gated itself.
 //!
-//! `--scale` multiplies the number of concurrent BoTs in the in-process
-//! phase (default 200 at scale 1.0); `--seeds` repeats that workload to
-//! lengthen the measurement. The ladder runs once regardless of
-//! `--seeds` (socket wall time dominates; repetition belongs to the
-//! in-process phase). `--threads` overrides the ladder's client thread
-//! count (0 = min(8, connections)).
+//! The ladder is climbed [`PASSES`] times — a rung's rate is the median
+//! of its passes — regardless of `--seeds` and `--scale`. `--threads`
+//! overrides the ladder's client thread count (0 = min(8,
+//! connections)).
 
 use simcore::SimTime;
-use spequlos::protocol::{Request, Response, SpqService};
-use spequlos::{BotProgress, SpeQuloS, StrategyCombo, UserId};
+use spequlos::protocol::{Request, Response};
+use spequlos::{SpeQuloS, UserId};
 use spq_bench::{telemetry, Opts};
 use spq_server::{
     Codec, RemoteService, Server, ServerConfig, ServerHandle, ShardConfig, ShardedHandle,
@@ -54,90 +43,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::Instant;
 
-/// Monitoring minutes simulated per BoT.
-const TICKS: u64 = 400;
-
-fn progress(minute: u64, size: u32) -> BotProgress {
-    // A steady linear burn that crosses the 90% trigger near the end, so
-    // the workload exercises the scheduler paths too, deterministically.
-    let completed = ((minute * u64::from(size)) / TICKS).min(u64::from(size)) as u32;
-    BotProgress {
-        now: SimTime::from_secs(minute * 60),
-        size,
-        completed,
-        dispatched: size,
-        queued: 0,
-        running: size - completed,
-        cloud_running: 0,
-    }
-}
-
-/// Registers and orders `bots` BoTs on a fresh service; returns it with
-/// the assigned ids.
-fn primed_service(bots: u64) -> (SpeQuloS, Vec<botwork::BotId>) {
-    let mut spq = SpeQuloS::new();
-    let mut ids = Vec::with_capacity(bots as usize);
-    for b in 0..bots {
-        let user = UserId(b);
-        spq.credits.deposit(user, 10_000.0);
-        let bot = spq.register_qos("bench/XWHEP/SMALL", 1_000, user, SimTime::ZERO);
-        spq.order_qos(bot, 1_500.0, StrategyCombo::paper_default(), SimTime::ZERO)
-            .expect("funded");
-        ids.push(bot);
-    }
-    (spq, ids)
-}
-
-/// One request per `handle` call. Returns (requests served, wall secs).
-fn unbatched(bots: u64) -> (u64, f64) {
-    let (mut spq, ids) = primed_service(bots);
-    let start = Instant::now();
-    let mut served = 0u64;
-    for minute in 1..=TICKS {
-        let now = SimTime::from_secs(minute * 60);
-        for &bot in &ids {
-            let r = spq.handle(
-                Request::ReportProgress {
-                    bot,
-                    progress: progress(minute, 1_000),
-                },
-                now,
-            );
-            assert!(!matches!(r, Response::Error(_)), "{r:?}");
-            served += 1;
-        }
-    }
-    (served, start.elapsed().as_secs_f64())
-}
-
-/// Whole ticks pipelined: one `Request::Batch` per minute carrying every
-/// BoT's report. Returns (sub-requests served, wall secs).
-fn batched(bots: u64) -> (u64, f64) {
-    let (mut spq, ids) = primed_service(bots);
-    let start = Instant::now();
-    let mut served = 0u64;
-    for minute in 1..=TICKS {
-        let now = SimTime::from_secs(minute * 60);
-        let tick: Vec<Request> = ids
-            .iter()
-            .map(|&bot| Request::ReportProgress {
-                bot,
-                progress: progress(minute, 1_000),
-            })
-            .collect();
-        let Response::Batch(responses) = spq.handle(Request::Batch(tick), now) else {
-            panic!("a batch answers with a batch");
-        };
-        assert_eq!(responses.len(), ids.len());
-        served += responses.len() as u64;
-    }
-    (served, start.elapsed().as_secs_f64())
-}
-
-// ---------------------------------------------------------------------------
-// Wire ladder: loopback sockets at 1 → 4096 connections
-// ---------------------------------------------------------------------------
-
 /// Connection counts the ladder climbs.
 const LADDER: [usize; 4] = [1, 64, 1024, 4096];
 
@@ -146,9 +51,18 @@ const LADDER: [usize; 4] = [1, 64, 1024, 4096];
 /// 256 KiB write high-water mark (PROTOCOL.md §9).
 const WINDOW: usize = 16;
 
-/// Approximate requests per (rung × mode); rounds are derived from it so
-/// every connection sends at least one window.
-const RUNG_TARGET: usize = 32_000;
+/// Approximate requests per (rung × mode × pass); rounds are derived
+/// from it so every connection sends at least one window. Sized so a
+/// rung measures for about a second: at 32 000 a rung lasted ≈ 30 ms and
+/// its rate moved ±50 % between runs (BENCHMARKS.md § The connection
+/// ladder has the measured spreads).
+const RUNG_TARGET: usize = 1_000_000;
+
+/// Times the whole ladder is climbed. A rung's rate is the median over
+/// its passes: the host's vCPUs change speed — and, on the
+/// one-connection rungs, wake latency — for seconds at a time, which a
+/// longer rung cannot average out but passes a ladder apart can.
+const PASSES: usize = 3;
 
 /// Shard count of the sharded ladder rung. Four keeps the rung honest
 /// on small hosts (thread oversubscription stays mild) while still
@@ -307,118 +221,76 @@ fn rung(mode: WireMode, conns: usize, client_threads: usize) -> io::Result<(u64,
     Ok((served, wall))
 }
 
+/// Median of a rung's passes; `None` when any pass failed.
+fn median(mut passes: Vec<f64>) -> Option<f64> {
+    passes.sort_by(f64::total_cmp);
+    (passes.len() == PASSES).then(|| passes[PASSES / 2])
+}
+
 fn main() {
     let opts = Opts::from_args();
-    let bots = ((200.0 * opts.scale).round() as u64).max(1);
+    const MODES: [WireMode; 3] = [
+        WireMode::ReactorBin,
+        WireMode::ShardedBin,
+        WireMode::ReactorJson,
+    ];
 
-    // (conns, mode key, req/s) for every rung that ran; hoisted out of
-    // the measured closure so the telemetry config can carry the curve.
-    let mut curve: Vec<(usize, &'static str, f64)> = Vec::new();
+    // (metric key, req/s) for every rung that ran; hoisted out of the
+    // measured closure so the telemetry record can carry the curve.
+    let mut curve: Vec<(String, f64)> = Vec::new();
 
-    let (report, tele) = telemetry::measure("repro_protocol", &opts, |o| {
-        let mut text = String::new();
-        text.push_str("Protocol throughput — requests/sec through SpqService::handle\n");
-        text.push_str(&format!(
-            "{bots} BoTs x {TICKS} monitoring minutes, {} repetition(s)\n\n",
-            o.seeds
-        ));
-        let mut total = 0u64;
-        let (mut un_req, mut un_wall) = (0u64, 0.0f64);
-        let (mut ba_req, mut ba_wall) = (0u64, 0.0f64);
-        for _ in 0..o.seeds.max(1) {
-            let (r, w) = unbatched(bots);
-            un_req += r;
-            un_wall += w;
-            let (r, w) = batched(bots);
-            ba_req += r;
-            ba_wall += w;
-        }
-        total += un_req + ba_req;
-        text.push_str(&format!(
-            "unbatched : {:>12.0} req/s  ({un_req} requests in {un_wall:.3}s)\n",
-            un_req as f64 / un_wall.max(1e-9),
-        ));
-        text.push_str(&format!(
-            "batched   : {:>12.0} req/s  ({ba_req} requests in {ba_wall:.3}s)\n",
-            ba_req as f64 / ba_wall.max(1e-9),
-        ));
-
-        text.push_str(&format!(
-            "\nWire ladder — pipelined loopback exchanges, window {WINDOW}\n\
-             (reactor = one shard, no router; sharded = {LADDER_SHARDS} shard reactors behind the router)\n\n"
-        ));
-        text.push_str(
-            "conns    reactor+bin req/s   sharded+bin req/s   reactor+json req/s   shard speedup\n",
-        );
-        for &conns in &LADDER {
-            let client_threads = if o.threads > 0 {
-                o.threads
-            } else {
-                conns.min(8)
-            };
-            let mut row: Vec<String> = vec![format!("{conns:<8}")];
-            let mut bin_rps = None;
-            let mut sharded_rps = None;
-            for mode in [
-                WireMode::ReactorBin,
-                WireMode::ShardedBin,
-                WireMode::ReactorJson,
-            ] {
-                match rung(mode, conns, client_threads) {
-                    Ok((served, wall)) => {
-                        let rps = served as f64 / wall.max(1e-9);
-                        total += served;
-                        curve.push((conns, mode.key(), rps));
-                        match mode {
-                            WireMode::ReactorBin => bin_rps = Some(rps),
-                            WireMode::ShardedBin => sharded_rps = Some(rps),
-                            WireMode::ReactorJson => {}
-                        }
-                        row.push(format!("{rps:>21.0}"));
-                    }
-                    Err(e) => {
-                        eprintln!("ladder: {} at {conns} conns failed: {e}", mode.key());
-                        row.push(format!("{:>21}", "(failed)"));
+    let (report, mut tele) = telemetry::measure("repro_protocol", &opts, |o| {
+        // rates[rung][mode]: one sample per pass that succeeded.
+        let mut rates = vec![[const { Vec::new() }; MODES.len()]; LADDER.len()];
+        for _ in 0..PASSES {
+            for (&conns, rung_rates) in LADDER.iter().zip(&mut rates) {
+                let client_threads = if o.threads > 0 {
+                    o.threads
+                } else {
+                    conns.min(8)
+                };
+                for (mode, samples) in MODES.iter().zip(rung_rates) {
+                    match rung(*mode, conns, client_threads) {
+                        Ok((served, wall)) => samples.push(served as f64 / wall.max(1e-9)),
+                        Err(e) => eprintln!("ladder: {} at {conns} conns failed: {e}", mode.key()),
                     }
                 }
             }
-            match (sharded_rps, bin_rps) {
-                (Some(s), Some(b)) if b > 0.0 => row.push(format!("{:>14.2}x", s / b)),
-                _ => row.push(format!("{:>15}", "—")),
-            }
-            text.push_str(&row.join(""));
-            text.push('\n');
         }
-        (text, Some(total))
+
+        let mut text = format!(
+            "Wire ladder — pipelined loopback exchanges, window {WINDOW}, median of {PASSES} passes\n\
+             (reactor = one shard, no router; sharded = {LADDER_SHARDS} shard reactors behind the router)\n\n"
+        );
+        text.push_str(
+            "conns    reactor+bin req/s   sharded+bin req/s   reactor+json req/s   shard speedup\n",
+        );
+        for (&conns, rung_rates) in LADDER.iter().zip(rates) {
+            let rps = rung_rates.map(median);
+            text.push_str(&format!("{conns:<8}"));
+            for (mode, rps) in MODES.iter().zip(rps) {
+                match rps {
+                    Some(rps) => {
+                        curve.push((format!("c{conns}_{}_rps", mode.key()), rps.round()));
+                        text.push_str(&format!("{rps:>21.0}"));
+                    }
+                    None => text.push_str(&format!("{:>21}", "(failed)")),
+                }
+            }
+            match (rps[1], rps[0]) {
+                (Some(sharded), Some(bin)) if bin > 0.0 => {
+                    text.push_str(&format!("{:>14.2}x\n", sharded / bin));
+                }
+                _ => text.push_str(&format!("{:>15}\n", "—")),
+            }
+        }
+        (text, None)
     });
     print!("{report}");
     spq_harness::write_file(opts.out_dir.join("protocol.txt"), &report).expect("write report");
 
-    let mut tele = tele
-        .with_config("bots", bots)
-        .with_config("ladder_shards", LADDER_SHARDS);
-    /// Per-rung throughput by mode: (reactor_bin, sharded_bin).
-    type RungRates = (Option<f64>, Option<f64>);
-    let mut by_rung: std::collections::BTreeMap<usize, RungRates> =
-        std::collections::BTreeMap::new();
-    for &(conns, key, rps) in &curve {
-        tele = tele.with_config(&format!("c{conns}_{key}_rps"), format!("{rps:.0}"));
-        let entry = by_rung.entry(conns).or_default();
-        match key {
-            "reactor_bin" => entry.0 = Some(rps),
-            "sharded_bin" => entry.1 = Some(rps),
-            _ => {}
-        }
-    }
-    for (conns, (bin, sharded)) in by_rung {
-        if let (Some(s), Some(b)) = (sharded, bin) {
-            if b > 0.0 {
-                tele = tele.with_config(
-                    &format!("c{conns}_sharded_speedup"),
-                    format!("{:.2}", s / b),
-                );
-            }
-        }
-    }
-    tele.write_or_warn();
+    tele.metrics = curve;
+    tele.with_config("ladder_shards", LADDER_SHARDS)
+        .with_config("passes", PASSES)
+        .write_or_warn();
 }

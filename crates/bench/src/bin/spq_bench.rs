@@ -6,9 +6,11 @@
 //! ```
 //!
 //! `compare` diffs two `BENCH_*.json` records and exits 1 when the
-//! current run regressed — the CI perf gate. Throughput (events/sec when
-//! both records carry it, wall time otherwise) is gated by `--threshold`
-//! (default 0.25 = 25 %); when both records carry latency telemetry
+//! current run regressed — the CI perf gate. Every key of the baseline's
+//! `metrics` (the ladder's rungs; a missing key regresses) — or, for
+//! records without `metrics`, throughput (events/sec when both records
+//! carry it, wall time otherwise) — is gated by `--threshold` (default
+//! 0.25 = 25 %); when both records carry latency telemetry
 //! (`repro_load` runs), tail latency `p99_ms` is additionally gated by
 //! the tighter `--latency-threshold` (default 0.15) and
 //! `max_sustained_rate` by `--threshold`. `show` pretty-prints one

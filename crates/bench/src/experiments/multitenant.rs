@@ -31,12 +31,6 @@ fn base_scenario(opts: &Opts, seed: u64) -> Scenario {
 
 /// One multi-tenant table for `tenants` concurrent users.
 pub fn table_for(opts: &Opts, tenants: u32) -> String {
-    table_for_counted(opts, tenants).0
-}
-
-/// [`table_for`], also returning the number of simulation events the run
-/// processed (feeds the `BENCH_repro_multitenant.json` telemetry).
-pub fn table_for_counted(opts: &Opts, tenants: u32) -> (String, u64) {
     let seed = opts.seed_list().first().copied().unwrap_or(1);
     let exp = Experiment::new(base_scenario(opts, seed))
         .tenants(tenants)
@@ -104,30 +98,26 @@ pub fn table_for_counted(opts: &Opts, tenants: u32) -> (String, u64) {
         report.peak_pool_in_use <= report.pool_capacity,
         "pool invariant violated"
     );
-    (out, report.events)
+    out
 }
 
 /// The full multi-tenant report over [`TENANT_COUNTS`].
 pub fn report(opts: &Opts) -> String {
-    report_for_counts(opts, &TENANT_COUNTS).0
+    report_for_counts(opts, &TENANT_COUNTS)
 }
 
 /// The multi-tenant report for explicit tenant counts (the binary's
-/// `--tenants N` selects a single count), plus the total simulation events
-/// across every table.
-pub fn report_for_counts(opts: &Opts, counts: &[u32]) -> (String, u64) {
+/// `--tenants N` selects a single count).
+pub fn report_for_counts(opts: &Opts, counts: &[u32]) -> String {
     let mut out = String::from(
         "Multi-tenant QoS service: concurrent BoT arbitration over a shared \
          credit pool\n(one SpeQuloS instance; per-tenant BE-DCIs; \
          credit-proportional fair share; favors tie-break)\n\n",
     );
-    let mut events = 0u64;
     for &tenants in counts {
-        let (text, ev) = table_for_counted(opts, tenants);
-        out.push_str(&text);
-        events += ev;
+        out.push_str(&table_for(opts, tenants));
     }
-    (out, events)
+    out
 }
 
 // ---------------------------------------------------------------------------

@@ -1,24 +1,10 @@
 //! # spq-bench — reproduction harness for every table and figure
 //!
-//! One binary per experiment of the SpeQuloS paper (see DESIGN.md §4 for
-//! the experiment index):
-//!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `repro_fig1` | Fig. 1 example execution profile |
-//! | `repro_fig2` | Fig. 2 tail-slowdown CDF |
-//! | `repro_table1` | Table 1 tail composition |
-//! | `repro_table2` | Table 2 trace statistics |
-//! | `repro_table3` | Table 3 BoT classes |
-//! | `repro_fig4` | Fig. 4 TRE CCDF (18 combos) |
-//! | `repro_fig5` | Fig. 5 credit consumption |
-//! | `repro_fig6` | Fig. 6 completion times (9C-C-R) |
-//! | `repro_fig7` | Fig. 7 execution stability |
-//! | `repro_table4` | Table 4 prediction success |
-//! | `repro_table5` | Table 5 EDGI deployment |
-//! | `repro_multitenant` | §5 deployed-service regime: 2/8/32 tenants over a shared pool |
-//! | `ablation_*` | DESIGN.md ablations |
-//! | `repro_all` | everything above, into `results/` |
+//! `repro_all [name …]` writes the paper's tables, figures and the
+//! ablations into `results/`; [`experiments::REPORTS`] is the name table.
+//! `repro_protocol`, `repro_load` and `repro_multitenant` are the three
+//! measurements `benchmark/` cannot host (BENCHMARKS.md), and `spq-bench`
+//! compares their `BENCH_*.json` records.
 //!
 //! All binaries accept `--seeds N --scale F --threads N --out DIR --full`.
 

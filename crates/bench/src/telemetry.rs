@@ -1,23 +1,21 @@
-//! Perf telemetry for the reproduction binaries and benches.
+//! Perf telemetry for the measuring reproduction binaries.
 //!
-//! Every `repro_*` binary (and, via [`BenchGuard`], every criterion bench)
-//! emits a machine-readable `BENCH_<name>.json` next to where it runs:
-//! wall time, events simulated, events/sec, peak RSS, the run
-//! configuration and the git SHA. Two such files — a checked-in baseline
-//! and a fresh run — feed the `spq-bench compare` subcommand, which exits
-//! nonzero when throughput regressed past a threshold; CI runs it on every
-//! push so a perf regression cannot land silently (the evaluation campaign
-//! is >25 000 simulations — simulator throughput bounds what the
-//! reproduction can explore).
+//! `repro_protocol`, `repro_load` and `repro_multitenant` emit a
+//! machine-readable `BENCH_<name>.json` next to where they run: wall
+//! time, requests served, peak RSS, the run configuration and the git
+//! SHA. Two such files — a checked-in baseline and a fresh run — feed the
+//! `spq-bench compare` subcommand, which exits nonzero when a gated
+//! metric regressed past its threshold. These records hold only what the
+//! repository's benchmark (`benchmark/`, `BENCHMARK.json`) cannot host;
+//! BENCHMARKS.md says which file owns which number.
 //!
 //! The JSON encoding is deliberately minimal and dependency-free (the
 //! build environment has no registry access): records are a flat object
-//! with one nested `config` object and one optional nested `latency`
-//! object. The parser and the string/number formatting live in the
-//! shared [`simcore::json`] module — one implementation serves both this
-//! telemetry format and the SpeQuloS wire protocol
-//! (`spequlos::protocol`) — and are re-exported here as [`json`] for
-//! existing callers.
+//! with one nested `config` object and optional nested `metrics` and
+//! `latency` objects. The parser and the string/number formatting are
+//! the shared [`simcore::json`] module — one implementation serves both
+//! this telemetry format and the SpeQuloS wire protocol
+//! (`spequlos::protocol`).
 //!
 //! # The `BENCH_<name>.json` schema
 //!
@@ -32,6 +30,7 @@
 //! | `events` | integer | when counted | simulation events (or requests sent, for load runs) |
 //! | `events_per_sec` | number | when counted | `events / wall_secs` |
 //! | `peak_rss_bytes` | integer | always | peak resident set size (0 if unknown) |
+//! | `metrics` | object | ladder runs only | named rates, string → number, each gated on its own (higher is better) |
 //! | `latency` | object | load runs only | latency-SLO telemetry, below |
 //! | `config` | object | always | run configuration, string → string |
 //!
@@ -56,17 +55,16 @@
 //! | `max_sustained_rate` | number, optional | highest swept rate meeting the SLO (absent when no sweep ran or every step missed) |
 //! | `slo_p99_ms` | number | the p99 budget the run was gated against |
 //!
-//! `spq-bench compare` gates throughput (`events_per_sec`) with
-//! `--threshold` and, when both records carry `latency`, additionally
-//! gates `p99_ms` (lower is better) with the tighter
-//! `--latency-threshold` and `max_sustained_rate` (higher is better)
-//! with `--threshold`.
+//! `spq-bench compare` gates, with `--threshold`, every key of the
+//! baseline's `metrics` (higher is better; a key the current record
+//! lacks is a regression) or — for records without `metrics` —
+//! throughput (`events_per_sec`, else `wall_secs`); when both records
+//! carry `latency` it additionally gates `p99_ms` (lower is better) with
+//! the tighter `--latency-threshold` and `max_sustained_rate` (higher is
+//! better) with `--threshold`.
 
 use crate::opts::Opts;
-use json::{escape, fmt_f64};
-/// The shared dependency-free JSON subset implementation (hoisted to
-/// `simcore::json`; re-exported for backwards compatibility).
-pub use simcore::json;
+use simcore::json::{self, escape, fmt_f64};
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -85,6 +83,7 @@ pub const SCHEMA_KEYS: &[&str] = &[
     "events",
     "events_per_sec",
     "peak_rss_bytes",
+    "metrics",
     "latency",
     "config",
 ];
@@ -136,7 +135,7 @@ pub struct LatencyTelemetry {
     pub slo_p99_ms: f64,
 }
 
-/// One measured run of a reproduction binary or bench.
+/// One measured run of a reproduction binary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Telemetry {
     /// Record name; the emitted file is `BENCH_<name>.json`.
@@ -151,6 +150,9 @@ pub struct Telemetry {
     pub events_per_sec: Option<f64>,
     /// Peak resident set size of the process, in bytes (0 if unknown).
     pub peak_rss_bytes: u64,
+    /// Named rates (the connection ladder's rungs), each gated on its
+    /// own, higher is better; empty for every other run.
+    pub metrics: Vec<(String, f64)>,
     /// Latency-SLO telemetry; only load-generating runs carry it.
     pub latency: Option<LatencyTelemetry>,
     /// Run configuration, as ordered key → value strings.
@@ -203,6 +205,14 @@ impl Telemetry {
             out.push_str(&format!("  \"events_per_sec\": {},\n", fmt_f64(eps)));
         }
         out.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
+        if !self.metrics.is_empty() {
+            let rows: Vec<String> = self
+                .metrics
+                .iter()
+                .map(|(k, v)| format!("\n    \"{}\": {}", escape(k), fmt_f64(*v)))
+                .collect();
+            out.push_str(&format!("  \"metrics\": {{{}\n  }},\n", rows.join(",")));
+        }
         if let Some(lat) = &self.latency {
             out.push_str("  \"latency\": {\n");
             out.push_str(&format!("    \"p50_ms\": {},\n", fmt_f64(lat.p50_ms)));
@@ -288,6 +298,20 @@ impl Telemetry {
             }
             None => None,
         };
+        let metrics = match field("metrics") {
+            Some(v) => v
+                .as_object()
+                .ok_or("`metrics` must be an object")?
+                .iter()
+                .map(|(k, v)| {
+                    let v = v
+                        .as_f64()
+                        .ok_or_else(|| format!("metric `{k}` must be a number"))?;
+                    Ok((k.clone(), v))
+                })
+                .collect::<Result<Vec<_>, String>>()?,
+            None => Vec::new(),
+        };
         let config = match field("config") {
             Some(v) => v
                 .as_object()
@@ -314,6 +338,7 @@ impl Telemetry {
                 .map(|v| v as u64),
             events_per_sec: field("events_per_sec").and_then(json::Value::as_f64),
             peak_rss_bytes: num_field("peak_rss_bytes")? as u64,
+            metrics,
             latency,
             config,
         })
@@ -342,6 +367,7 @@ pub fn measure<T>(
         events,
         events_per_sec: events.map(|e| e as f64 / wall_secs.max(1e-9)),
         peak_rss_bytes: peak_rss_bytes(),
+        metrics: Vec::new(),
         latency: None,
         config: vec![
             ("seeds".into(), opts.seeds.to_string()),
@@ -350,41 +376,6 @@ pub fn measure<T>(
         ],
     };
     (value, tele)
-}
-
-/// Scope guard for `harness = false` bench targets: created at the top of
-/// `main`, it emits `BENCH_<name>.json` (wall time of the whole bench run,
-/// peak RSS, git SHA) when dropped.
-pub struct BenchGuard {
-    name: String,
-    start: Instant,
-}
-
-impl BenchGuard {
-    /// Starts measuring; `name` becomes the telemetry record name.
-    pub fn new(name: &str) -> Self {
-        BenchGuard {
-            name: name.to_string(),
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for BenchGuard {
-    fn drop(&mut self) {
-        let wall_secs = self.start.elapsed().as_secs_f64();
-        Telemetry {
-            name: self.name.clone(),
-            git_sha: git_sha(),
-            wall_secs,
-            events: None,
-            events_per_sec: None,
-            peak_rss_bytes: peak_rss_bytes(),
-            latency: None,
-            config: Vec::new(),
-        }
-        .write_or_warn();
-    }
 }
 
 /// Commit of the working tree: `$GITHUB_SHA` in CI, otherwise
@@ -452,10 +443,13 @@ pub fn compare(baseline: &Telemetry, current: &Telemetry, threshold: f64) -> Com
 }
 
 /// Compares `current` against `baseline`. `threshold` is relative (0.25
-/// = fail when 25 % worse) and gates the throughput metrics: throughput
-/// (`events_per_sec`, higher is better) when both records carry it,
-/// otherwise wall time (lower is better); plus `max_sustained_rate`
-/// (higher is better) when both records carry latency telemetry. The
+/// = fail when 25 % worse) and gates the throughput metrics: every key of
+/// the baseline's `metrics` (higher is better; a key missing from
+/// `current` is a regression) and, unless both records carry `metrics`,
+/// throughput (`events_per_sec`, higher is better) when both records
+/// carry it, otherwise wall time (lower is better); plus
+/// `max_sustained_rate` (higher is better) when both records carry
+/// latency telemetry. The
 /// separate — conventionally tighter — `latency_threshold` gates
 /// `p99_ms` (lower is better). Any gated metric past its threshold
 /// regresses the whole comparison. Configuration mismatches are
@@ -498,15 +492,30 @@ pub fn compare_with(
     // Each gated metric: (name, baseline, current, higher_is_better,
     // threshold). Any one past its threshold regresses the comparison.
     let mut gates: Vec<(&str, f64, f64, bool, f64)> = Vec::new();
-    match (baseline.events_per_sec, current.events_per_sec) {
-        (Some(b), Some(c)) => gates.push(("events_per_sec", b, c, true, threshold)),
-        _ => gates.push((
-            "wall_secs",
-            baseline.wall_secs,
-            current.wall_secs,
-            false,
-            threshold,
-        )),
+    let mut regressed = false;
+    for (key, base_v) in &baseline.metrics {
+        match current.metrics.iter().find(|(k, _)| k == key) {
+            Some((_, cur_v)) => gates.push((key.as_str(), *base_v, *cur_v, true, threshold)),
+            None => {
+                regressed = true;
+                report.push_str(&format!(
+                    "{}: {key} baseline {base_v:.3} -> missing from current record, REGRESSED\n",
+                    current.name
+                ));
+            }
+        }
+    }
+    if baseline.metrics.is_empty() || current.metrics.is_empty() {
+        match (baseline.events_per_sec, current.events_per_sec) {
+            (Some(b), Some(c)) => gates.push(("events_per_sec", b, c, true, threshold)),
+            _ => gates.push((
+                "wall_secs",
+                baseline.wall_secs,
+                current.wall_secs,
+                false,
+                threshold,
+            )),
+        }
     }
     if let (Some(base_lat), Some(cur_lat)) = (&baseline.latency, &current.latency) {
         gates.push((
@@ -527,7 +536,6 @@ pub fn compare_with(
         }
     }
 
-    let mut regressed = false;
     for (metric, base_v, cur_v, higher_is_better, gate_threshold) in &gates {
         // Worsening as a ratio (1.0 = unchanged, 2.0 = twice as bad):
         // unbounded in the regression direction for both metric
@@ -584,6 +592,7 @@ mod tests {
             events: Some(500_000),
             events_per_sec: Some(400_000.0),
             peak_rss_bytes: 64 * 1024 * 1024,
+            metrics: Vec::new(),
             latency: None,
             config: vec![
                 ("seeds".into(), "3".into()),
@@ -663,6 +672,7 @@ mod tests {
         // A record with every optional part present must emit exactly
         // the documented keys, in the documented order.
         let t = Telemetry {
+            metrics: sample_metrics(),
             latency: Some(sample_latency()),
             ..sample()
         };
@@ -799,6 +809,75 @@ mod tests {
         assert!(!out.regressed, "{}", out.report);
         let out = compare(&mk(1.0), &mk(1.5), 0.25);
         assert!(out.regressed, "{}", out.report);
+    }
+
+    fn sample_metrics() -> Vec<(String, f64)> {
+        vec![
+            ("c1_reactor_bin_rps".into(), 400_000.0),
+            ("c64_reactor_bin_rps".into(), 1_200_000.0),
+        ]
+    }
+
+    /// A ladder-shaped record: rungs in `metrics`, no blended throughput.
+    fn ladder(rungs: Vec<(String, f64)>) -> Telemetry {
+        Telemetry {
+            events: None,
+            events_per_sec: None,
+            metrics: rungs,
+            ..sample()
+        }
+    }
+
+    #[test]
+    fn metrics_roundtrip_through_json() {
+        let t = ladder(sample_metrics());
+        let parsed = Telemetry::from_json(&t.to_json()).expect("roundtrip");
+        assert_eq!(parsed, t);
+    }
+
+    #[test]
+    fn compare_gates_every_metric_on_its_own() {
+        let base = ladder(sample_metrics());
+        // One rung collapses while the other doubles: a blended rate
+        // would have improved.
+        let mut cur = ladder(sample_metrics());
+        cur.metrics[0].1 = 200_000.0;
+        cur.metrics[1].1 = 2_400_000.0;
+        let out = compare(&base, &cur, 0.30);
+        assert!(out.regressed, "{}", out.report);
+        assert!(
+            out.report.contains("c1_reactor_bin_rps baseline") && out.report.contains("REGRESSED"),
+            "{}",
+            out.report
+        );
+        // An improvement on every rung never regresses, however slow the
+        // wall clock: with `metrics` on both sides nothing else is gated.
+        let mut cur = ladder(sample_metrics());
+        cur.metrics.iter_mut().for_each(|(_, v)| *v *= 3.0);
+        cur.wall_secs = 100.0;
+        let out = compare(&base, &cur, 0.30);
+        assert!(!out.regressed, "{}", out.report);
+        assert!(!out.report.contains("wall_secs"), "{}", out.report);
+        assert!(!out.report.contains("events_per_sec"), "{}", out.report);
+    }
+
+    #[test]
+    fn compare_fails_a_metric_missing_from_the_current_record() {
+        let base = ladder(sample_metrics());
+        let mut cur = ladder(sample_metrics());
+        cur.metrics.remove(1); // the rung failed: its key was never written
+        let out = compare(&base, &cur, 0.30);
+        assert!(out.regressed, "{}", out.report);
+        assert!(
+            out.report.contains("c64_reactor_bin_rps") && out.report.contains("missing"),
+            "{}",
+            out.report
+        );
+        // A key only the current record carries is not gated.
+        let mut cur = ladder(sample_metrics());
+        cur.metrics.push(("c16384_reactor_bin_rps".into(), 1.0));
+        let out = compare(&base, &cur, 0.30);
+        assert!(!out.regressed, "{}", out.report);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! EC2 2011 price history) are not redistributable; DESIGN.md §3 documents
 //! the substitution. The load-bearing property — churn statistics that
 //! produce the paper's tail effect — is preserved and auditable via
-//! [`stats::measure`] and the `repro_table2` binary.
+//! [`stats::measure`] and `repro_all table2`.
 //!
 //! ```
 //! use betrace::{Preset, SimTime};

@@ -5,8 +5,8 @@
 //! trace files are not available, so we sample interval durations from a
 //! monotone piecewise log-linear inverse CDF anchored at those quartiles,
 //! with extrapolated tails. By construction the sampled quartiles reproduce
-//! the published ones (checked by `repro_table2`), which is the property the
-//! tail-effect mechanics depend on.
+//! the published ones (checked by `repro_all table2`), which is the property
+//! the tail-effect mechanics depend on.
 
 use simcore::Prng;
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! Measured statistics of a generated trace — the reproduction of Table 2.
 //!
-//! `repro_table2` builds each preset, measures it with this module, and
+//! `repro_all table2` builds each preset, measures it with this module, and
 //! prints measured-vs-published rows so the calibration of the synthetic
 //! generators is auditable.
 

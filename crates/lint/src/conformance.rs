@@ -15,6 +15,10 @@
 //!   their package names) ↔ the README and ARCHITECTURE crate maps.
 //! * `spec-ci-jobs` — job ids in `.github/workflows/ci.yml` ↔ the CI
 //!   jobs table in README's CI section.
+//! * `spec-bench-baselines` — the `BENCH_*.json` files at the root ↔ the
+//!   `!/BENCH_*.json` exceptions in `.gitignore` ↔ the baselines the
+//!   workflow's `spq-bench … compare` steps gate: one set, so no
+//!   checked-in baseline goes ungated and no gate lacks its baseline.
 //!
 //! Each check runs only when its primary source file exists under the
 //! root, so the same pass works on the fixture mini-trees the
@@ -31,6 +35,7 @@ pub fn check(root: &Path) -> std::io::Result<Vec<Finding>> {
     out.extend(telemetry_schema(root)?);
     out.extend(crate_map(root)?);
     out.extend(ci_jobs(root)?);
+    out.extend(bench_baselines(root)?);
     Ok(out)
 }
 
@@ -640,6 +645,93 @@ fn ci_jobs(root: &Path) -> std::io::Result<Vec<Finding>> {
                 format!("README lists CI job `{job}` which does not exist in {CI_YML}"),
             ));
         }
+    }
+    Ok(out)
+}
+
+// ---------------------------------------------------------------------------
+// spec-bench-baselines
+// ---------------------------------------------------------------------------
+
+const GITIGNORE: &str = ".gitignore";
+
+/// `BENCH_<name>.json`, a bare file name.
+fn is_baseline_name(s: &str) -> bool {
+    s.starts_with("BENCH_") && s.ends_with(".json") && !s.contains('/')
+}
+
+/// Baselines the workflow gates: the argument right after each
+/// `compare` word of a run step (commands continue across `\` line
+/// ends; comment lines do not count), when it is a root-level
+/// `BENCH_*.json`.
+fn gated_baselines(workflow: &str) -> Vec<(String, u32)> {
+    let words = workflow
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim_start().starts_with('#'))
+        .flat_map(|(idx, line)| line.split_whitespace().map(move |w| (w, idx as u32 + 1)))
+        .filter(|(w, _)| *w != "\\");
+    let mut gated = Vec::new();
+    let mut after_compare = false;
+    for (word, line) in words {
+        if after_compare && is_baseline_name(word) {
+            gated.push((word.to_string(), line));
+        }
+        after_compare = word == "compare";
+    }
+    gated
+}
+
+fn bench_baselines(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let Some(workflow) = read_if_exists(root, CI_YML)? else {
+        return Ok(Vec::new());
+    };
+    let gated = gated_baselines(&workflow);
+    let gitignore = read_if_exists(root, GITIGNORE)?.unwrap_or_default();
+    let excepted: Vec<(String, u32)> = gitignore
+        .lines()
+        .enumerate()
+        .filter_map(|(idx, line)| Some((line.trim().strip_prefix("!/")?, idx as u32 + 1)))
+        .filter(|(name, _)| is_baseline_name(name))
+        .map(|(name, line)| (name.to_string(), line))
+        .collect();
+    let on_disk: Vec<String> = std::fs::read_dir(root)?
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| is_baseline_name(name))
+        .collect();
+
+    let mut names: Vec<&String> = gated.iter().chain(&excepted).map(|(n, _)| n).collect();
+    names.extend(&on_disk);
+    names.sort();
+    names.dedup();
+    let mut out = Vec::new();
+    for name in names {
+        let line_in = |set: &[(String, u32)]| set.iter().find(|(n, _)| n == name).map(|(_, l)| *l);
+        let (gate, exception, file) = (line_in(&gated), line_in(&excepted), on_disk.contains(name));
+        if gate.is_some() == file && exception.is_some() == file {
+            continue;
+        }
+        // Anchored at the gate, else the exception, else the file itself.
+        let (anchor, line) = match (gate, exception) {
+            (Some(line), _) => (CI_YML, line),
+            (None, Some(line)) => (GITIGNORE, line),
+            (None, None) => (name.as_str(), 1),
+        };
+        let yn = |present: bool| if present { "yes" } else { "no" };
+        out.push(finding(
+            anchor,
+            line,
+            "spec-bench-baselines",
+            format!(
+                "`{name}`: compared by a CI step: {}, `!/{name}` in {GITIGNORE}: {}, file at the \
+                 root: {} — a baseline is all three (checked in, tracked, gated) or deleted",
+                yn(gate.is_some()),
+                yn(exception.is_some()),
+                yn(file),
+            ),
+        ));
     }
     Ok(out)
 }

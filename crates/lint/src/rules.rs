@@ -23,6 +23,7 @@ pub const RULE_IDS: &[&str] = &[
     "spec-telemetry-schema",
     "spec-crate-map",
     "spec-ci-jobs",
+    "spec-bench-baselines",
 ];
 
 /// HashMap/HashSet methods whose visit order is unspecified.

@@ -65,6 +65,39 @@ fn clean_fixture_tree_passes_and_lists_honored_suppressions() {
 }
 
 #[test]
+fn baselines_fixture_pins_every_way_the_three_sets_can_disagree() {
+    // Checked in + excepted + gated is the only clean combination.
+    let (code, out) = run_lint(&fixture("baselines"));
+    assert_eq!(code, 1, "baselines tree must exit 1:\n{out}");
+    for expect in [
+        ".github/workflows/ci.yml:11: spec-bench-baselines: `BENCH_ghost.json`: compared by a CI step: yes, `!/BENCH_ghost.json` in .gitignore: no, file at the root: no",
+        ".gitignore:4: spec-bench-baselines: `BENCH_gone.json`: compared by a CI step: no, `!/BENCH_gone.json` in .gitignore: yes, file at the root: no",
+        ".gitignore:3: spec-bench-baselines: `BENCH_orphan.json`: compared by a CI step: no, `!/BENCH_orphan.json` in .gitignore: yes, file at the root: yes",
+    ] {
+        assert!(out.contains(expect), "missing {expect:?} in:\n{out}");
+    }
+    assert!(out.contains("spq-lint: 3 findings"), "{out}");
+
+    // A record dropped at the root by a local run, never excepted: the
+    // fourth disagreement, built in a scratch copy (git would not track
+    // such a file inside the fixture).
+    let scratch = std::env::temp_dir().join(format!("spq-lint-baselines-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(scratch.join(".github/workflows")).expect("mk scratch tree");
+    for file in [".gitignore", ".github/workflows/ci.yml"] {
+        std::fs::copy(fixture("baselines").join(file), scratch.join(file)).expect("copy fixture");
+    }
+    std::fs::write(scratch.join("BENCH_stray.json"), "{}").expect("write stray record");
+    let (code, out) = run_lint(&scratch);
+    let _ = std::fs::remove_dir_all(&scratch);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("BENCH_stray.json:1: spec-bench-baselines: `BENCH_stray.json`: compared by a CI step: no"),
+        "{out}"
+    );
+}
+
+#[test]
 fn the_repository_itself_lints_clean_at_head() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (code, out) = run_lint(&root);

@@ -85,8 +85,6 @@ pub mod wire;
 
 pub use client::{ClientCore, RemoteService};
 pub use frame::{write_frame, Codec, FrameError, MAX_FRAME_BYTES};
-pub use server::{
-    DurabilityConfig, DurableError, RequestObserver, Server, ServerConfig, ServerHandle,
-};
+pub use server::{DurabilityConfig, DurableError, Server, ServerConfig, ServerHandle};
 pub use shard::{ShardConfig, ShardedHandle, ShardedServer};
 pub use wire::{RequestEnvelope, ResponseEnvelope};

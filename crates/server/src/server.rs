@@ -110,17 +110,6 @@ impl From<io::Error> for DurableError {
     }
 }
 
-/// Per-request timing observer for [`Server::spawn_observed`]: called
-/// after each served request with the request's wire tag
-/// ([`spequlos::protocol::Request::kind`]; batches report as `"batch"`)
-/// and the wall-clock time `SpqService::handle` took — service time
-/// only, excluding framing, buffering and socket I/O.
-///
-/// The observer runs on the shard thread, between requests: keep it
-/// cheap (a histogram record, a counter bump), because its cost is
-/// serialized into the request path exactly like the service itself.
-pub type RequestObserver = Box<dyn FnMut(&'static str, std::time::Duration) + Send>;
-
 /// Factory for protocol servers; see the [module docs](self).
 pub struct Server;
 
@@ -171,23 +160,6 @@ impl Server {
     ) -> Result<(ServerHandle, RecoveryReport), DurableError> {
         let (store, report) = Store::recover(template, &durability.dir, &durability)?;
         Ok((Self::spawn_store(store, addr, config)?, report))
-    }
-
-    /// [`Server::spawn`] with a per-request timing hook: `observer` sees
-    /// every request the server executes (kind tag + service time). This
-    /// is how the load generator's `repro_load` separates *service* time
-    /// from *sojourn* time — under open-loop overload the client-side
-    /// latency explodes while the per-request service time stays flat,
-    /// which is the signature of queueing collapse rather than a slow
-    /// handler. Timing adds two `Instant::now` calls per request; servers
-    /// spawned without an observer skip them entirely.
-    pub fn spawn_observed(
-        service: SpeQuloS,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        observer: RequestObserver,
-    ) -> io::Result<ServerHandle> {
-        Self::spawn_store(Store::new(service).observed(observer), addr, config)
     }
 
     /// [`Server::spawn`] on `127.0.0.1:0` with the default configuration —
@@ -241,7 +213,6 @@ mod tests {
     use spequlos::UserId;
     use std::io::{BufRead, BufReader, BufWriter, Write};
     use std::net::TcpStream;
-    use std::sync::{Arc, Mutex};
     use std::thread;
 
     /// Writes one JSON frame to a socket the way a raw client does.
@@ -457,49 +428,6 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(matches!(r, Response::Deposited { .. }));
-    }
-
-    #[test]
-    fn observed_server_times_every_request() {
-        let samples = Arc::new(Mutex::new(Vec::<(&'static str, std::time::Duration)>::new()));
-        let sink = Arc::clone(&samples);
-        let handle = Server::spawn_observed(
-            SpeQuloS::new(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            Box::new(move |kind, took| sink.lock().expect("sink").push((kind, took))),
-        )
-        .expect("bind loopback");
-        let mut remote = RemoteService::connect(handle.addr()).expect("connect");
-        for k in 0..5u64 {
-            let r = remote.handle(
-                Request::Deposit {
-                    user: UserId(1),
-                    credits: 1.0,
-                },
-                SimTime::from_secs(k),
-            );
-            assert!(matches!(r, Response::Deposited { .. }));
-        }
-        // A batch counts as one served request, tagged "batch".
-        let rs = remote.handle_batch(
-            vec![
-                Request::Predict {
-                    bot: botwork::BotId(0),
-                },
-                Request::Predict {
-                    bot: botwork::BotId(1),
-                },
-            ],
-            SimTime::ZERO,
-        );
-        assert_eq!(rs.len(), 2);
-        drop(remote);
-        drop(handle);
-        let samples = samples.lock().expect("samples");
-        assert_eq!(samples.len(), 6, "five deposits + one batch");
-        assert_eq!(samples.iter().filter(|(k, _)| *k == "deposit").count(), 5);
-        assert_eq!(samples.iter().filter(|(k, _)| *k == "batch").count(), 1);
     }
 
     #[test]

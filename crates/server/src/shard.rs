@@ -75,7 +75,7 @@
 //! run — changing `N` changes which orders are admitted when.
 
 use crate::conn::{Conn, Dead, Decoded};
-use crate::server::{DurabilityConfig, DurableError, RequestObserver, ServerConfig};
+use crate::server::{DurabilityConfig, DurableError, ServerConfig};
 use crate::wire::{RequestEnvelope, ResponseEnvelope};
 use polling::{Event, Poller};
 use spequlos::protocol::{RequestError, Response, SpqService};
@@ -161,13 +161,12 @@ struct Durable {
 }
 
 /// Everything behind one shard's request path: the service, its pool
-/// quota (sharded pooled deployments), its write-ahead log (durable
-/// deployments) and the timing hook (`Server::spawn_observed`).
+/// quota (sharded pooled deployments) and its write-ahead log (durable
+/// deployments).
 pub(crate) struct Store {
     service: SpeQuloS,
     quota: Option<ShardQuota>,
     durable: Option<Durable>,
-    observer: Option<RequestObserver>,
 }
 
 impl Store {
@@ -176,7 +175,6 @@ impl Store {
             service,
             quota: None,
             durable: None,
-            observer: None,
         }
     }
 
@@ -198,11 +196,6 @@ impl Store {
         Ok((store, report))
     }
 
-    pub(crate) fn observed(mut self, observer: RequestObserver) -> Store {
-        self.observer = Some(observer);
-        self
-    }
-
     /// The request path: stage the record, handle (through the pool
     /// quota when there is one). The reply must not leave this shard
     /// before [`Store::commit`].
@@ -217,17 +210,10 @@ impl Store {
             }
             d.since_snapshot += 1;
         }
-        let timing = self
-            .observer
-            .is_some()
-            .then(|| (request.kind(), Instant::now()));
         let response = match self.quota.as_ref() {
             None => self.service.handle(request, at),
             Some(quota) => quota.handle(&mut self.service, request, at),
         };
-        if let (Some(observe), Some((kind, start))) = (self.observer.as_mut(), timing) {
-            observe(kind, start.elapsed());
-        }
         ResponseEnvelope { id, response }
     }
 

@@ -8,7 +8,8 @@
 //! * [`spequlos`] — the paper's contribution: the QoS service itself;
 //! * [`spq_server`] — the wire deployment: framed TCP transport serving
 //!   the protocol, plus the `RemoteService` client;
-//! * [`spq_bench`] — reproduction binaries, perf telemetry and the
+//! * [`spq_bench`] — `repro_all`'s report table
+//!   (`spq_bench::experiments::REPORTS`), perf telemetry and the
 //!   `spq-load` open-loop load generator (`spq_bench::loadgen`);
 //! * [`dgrid`] — BOINC / XtremWeb-HEP middleware simulators;
 //! * [`betrace`] — BE-DCI availability trace generators (Table 2);

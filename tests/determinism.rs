@@ -6,7 +6,7 @@ use betrace::Preset;
 use botwork::BotClass;
 use simcore::SimDuration;
 use spequlos::snapshot::encode_state_json;
-use spequlos::wal::{FsyncPolicy, WalStore};
+use spequlos::wal::{FsyncPolicy, RecoveryReport, WalStore};
 use spequlos::{SpeQuloS, StrategyCombo};
 use spq_harness::{Experiment, MwKind, Scenario, SessionSink, TenantArrivals};
 
@@ -118,12 +118,14 @@ fn single_tenant_runs_match_pre_multitenant_golden_output() {
 fn wal_replay_of_the_multitenant_golden_is_bit_identical() {
     // The write-ahead log's whole durability argument is "the service is
     // deterministic, so replaying the request transcript rebuilds the
-    // state". This leg proves it at full scale on the CI perf-gate golden
-    // (BENCH_repro_multitenant.json: seed 1, scale 1.0, 32 tenants over a
-    // 16-worker pool, tail-heavy arrivals): record every protocol request
-    // the run makes, feed the transcript through an on-disk WAL
-    // (append → reopen → recover), and require the recovered service to
-    // encode byte-identically to the directly-run one.
+    // state". This leg proves it at full scale on the multi-tenant golden
+    // (seed 1, scale 1.0, 32 tenants over a 16-worker pool, tail-heavy
+    // arrivals — pinned here and, as `sim_multitenant`'s seed-1 cluster 0,
+    // in benchmark/src/sim.rs): record every protocol request the run
+    // makes, feed the transcript through an on-disk WAL (append → reopen →
+    // recover), and require the recovered service to encode
+    // byte-identically to the directly-run one — from the log alone, and
+    // again from a snapshot of the whole log.
     let mut sc = Scenario::new(Preset::G5kLyon, MwKind::Xwhep, BotClass::Big, 1)
         .with_strategy(StrategyCombo::paper_default());
     sc.scale = 1.0;
@@ -137,8 +139,8 @@ fn wal_replay_of_the_multitenant_golden_is_bit_identical() {
         })
         .record_into(sink.clone())
         .run_multi_tenant();
-    // Same golden the bench telemetry gate pins: any drift in the
-    // simulation itself shows up here before it shows up as a perf diff.
+    // Any drift in the simulation itself shows up here before it shows
+    // up as a perf diff.
     assert_eq!(report.events, 869_375, "multi-tenant golden event count");
     let direct = encode_state_json(&report.service).expect("direct state encodes");
 
@@ -162,14 +164,35 @@ fn wal_replay_of_the_multitenant_golden_is_bit_identical() {
             wal.append(*t, request).expect("append");
         }
     }
-    let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("reopen wal");
-    let template = SpeQuloS::builder().pool(16).tick(tick).build();
-    let (recovered, recovery_report) = recovery.recover(template).expect("recover");
+    let template = || SpeQuloS::builder().pool(16).tick(tick).build();
+    let (mut wal, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("reopen wal");
+    let (recovered, recovery_report) = recovery.recover(template()).expect("recover");
     assert_eq!(recovery_report.replayed, transcript.len() as u64);
     assert_eq!(
         encode_state_json(&recovered).expect("recovered state encodes"),
         direct,
         "WAL append-then-replay diverged from the directly-run service"
+    );
+
+    // Snapshot restore at the same scale: nothing left to replay, same bytes.
+    wal.snapshot(&recovered)
+        .expect("snapshot the recovered state");
+    drop(wal);
+    let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("reopen after snapshot");
+    let (restored, recovery_report) = recovery.recover(template()).expect("restore");
+    assert_eq!(
+        recovery_report,
+        RecoveryReport {
+            snapshot_applied: 2_010,
+            replayed: 0,
+            truncated_bytes: 0,
+            snapshots_discarded: 0,
+        }
+    );
+    assert_eq!(
+        encode_state_json(&restored).expect("restored state encodes"),
+        direct,
+        "snapshot restore diverged from the directly-run service"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -97,6 +97,7 @@ fn load_report_feeds_the_telemetry_gate() {
         events: Some(report.sent),
         events_per_sec: Some(report.sent as f64 / report.elapsed_secs.max(1e-9)),
         peak_rss_bytes: 0,
+        metrics: Vec::new(),
         latency: Some(LatencyTelemetry {
             p50_ms: report.p50_ms(),
             p95_ms: report.p95_ms(),
