@@ -53,9 +53,9 @@ const WINDOW: usize = 16;
 
 /// Approximate requests per (rung × mode × pass); rounds are derived
 /// from it so every connection sends at least one window. Sized so a
-/// rung measures for about a second: at 32 000 a rung lasted ≈ 30 ms and
-/// its rate moved ±50 % between runs (BENCHMARKS.md § The connection
-/// ladder has the measured spreads).
+/// rung measures for about a second; a 30 ms rung's rate moves ±50 %
+/// between runs (BENCHMARKS.md § The connection ladder has the measured
+/// spreads).
 const RUNG_TARGET: usize = 1_000_000;
 
 /// Times the whole ladder is climbed. A rung's rate is the median over
@@ -266,9 +266,9 @@ fn main() {
             "conns    reactor+bin req/s   sharded+bin req/s   reactor+json req/s   shard speedup\n",
         );
         for (&conns, rung_rates) in LADDER.iter().zip(rates) {
-            let rps = rung_rates.map(median);
+            let [bin, sharded, json] = rung_rates.map(median);
             text.push_str(&format!("{conns:<8}"));
-            for (mode, rps) in MODES.iter().zip(rps) {
+            for (mode, rps) in MODES.iter().zip([bin, sharded, json]) {
                 match rps {
                     Some(rps) => {
                         curve.push((format!("c{conns}_{}_rps", mode.key()), rps.round()));
@@ -277,7 +277,7 @@ fn main() {
                     None => text.push_str(&format!("{:>21}", "(failed)")),
                 }
             }
-            match (rps[1], rps[0]) {
+            match (sharded, bin) {
                 (Some(sharded), Some(bin)) if bin > 0.0 => {
                     text.push_str(&format!("{:>14.2}x\n", sharded / bin));
                 }
