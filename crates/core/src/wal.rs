@@ -1005,6 +1005,115 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A BoT's lifecycle, twenty records long: a deposit, a registration,
+    /// an order, then progress reports that fill its Information record.
+    fn lifecycle_requests() -> Vec<(SimTime, Request)> {
+        let bot = botwork::BotId(0);
+        let mut requests = vec![
+            (
+                SimTime::ZERO,
+                Request::Deposit {
+                    user: UserId(1),
+                    credits: 500.0,
+                },
+            ),
+            (
+                SimTime::ZERO,
+                Request::RegisterQos {
+                    user: UserId(1),
+                    env: "env".into(),
+                    size: 20,
+                },
+            ),
+            (
+                SimTime::ZERO,
+                Request::OrderQos {
+                    bot,
+                    credits: 100.0,
+                    strategy: None,
+                },
+            ),
+        ];
+        for minute in 1..=17u64 {
+            let now = SimTime::from_mins(minute);
+            let progress = crate::BotProgress {
+                now,
+                size: 20,
+                completed: minute as u32,
+                dispatched: 20,
+                queued: 20 - minute as u32,
+                running: 1,
+                cloud_running: 0,
+            };
+            requests.push((now, Request::ReportProgress { bot, progress }));
+        }
+        requests
+    }
+
+    /// Serves [`lifecycle_requests`] into `dir`, snapshotting after each
+    /// record count in `at`; returns the served service.
+    fn serve_with_snapshots(dir: &Path, at: &[usize]) -> SpeQuloS {
+        let mut served = SpeQuloS::new();
+        let (mut wal, _) = WalStore::open(dir, FsyncPolicy::Never).unwrap();
+        for (i, (t, r)) in lifecycle_requests().into_iter().enumerate() {
+            wal.append(t, &r).unwrap();
+            served.handle(r, t);
+            if at.contains(&(i + 1)) {
+                wal.snapshot(&served).unwrap();
+            }
+        }
+        served
+    }
+
+    #[test]
+    fn an_unparseable_newest_snapshot_falls_back_to_the_older_one() {
+        let dir = temp_dir("unparseable");
+        let served = serve_with_snapshots(&dir, &[6, 12]);
+        let newest = snapshot_path(&dir, 12);
+        let text = fs::read_to_string(&newest).unwrap();
+        fs::write(&newest, &text[..text.len() / 2]).unwrap();
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovery.snapshot_applied(), Some(6));
+        let (recovered, report) = recovery.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(
+            (
+                report.snapshot_applied,
+                report.replayed,
+                report.snapshots_discarded
+            ),
+            (6, 14, 1)
+        );
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&served).unwrap()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_newest_snapshot_whose_state_fails_to_restore_replays_the_whole_log() {
+        let dir = temp_dir("unrestorable");
+        let served = serve_with_snapshots(&dir, &[6, 12]);
+        let unrestorable = "{\"format\":1,\"applied\":12,\"state\":{}}\n";
+        fs::write(snapshot_path(&dir, 12), unrestorable).unwrap();
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(recovery.snapshot_applied(), Some(12), "it parses");
+        let (recovered, report) = recovery.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(
+            (
+                report.snapshot_applied,
+                report.replayed,
+                report.snapshots_discarded
+            ),
+            (0, 20, 1)
+        );
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&served).unwrap()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn config_mismatch_on_recover_is_a_hard_error() {
         let dir = temp_dir("mismatch");
