@@ -126,6 +126,17 @@ fn bool_field(v: &Value, key: &str) -> Result<bool, SnapshotError> {
     }
 }
 
+/// A module's member array. Required: a member read as empty when it
+/// is missing would restore a different state than the one snapshotted.
+fn module_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    match v.get(key) {
+        None => Err(format!("missing `{key}`")),
+        Some(items) => items
+            .as_array()
+            .ok_or_else(|| format!("`{key}` must be an array")),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Time series
 // ---------------------------------------------------------------------------
@@ -210,7 +221,7 @@ pub(crate) fn write_info(w: &mut Writer<'_>, info: &Information) {
 /// Decodes a value written by [`write_info`].
 pub(crate) fn info_from_value(v: &Value) -> Result<Information, String> {
     let mut live = HashMap::new();
-    for rec in v.get("live").and_then(Value::as_array).unwrap_or(&[]) {
+    for rec in module_array(v, "live")? {
         let bot = u64_field(rec, "bot")?;
         let completion = match rec.get("completion") {
             None | Some(Value::Null) => None,
@@ -232,7 +243,7 @@ pub(crate) fn info_from_value(v: &Value) -> Result<Information, String> {
         }
     }
     let mut archive: HashMap<String, Vec<ArchivedExecution>> = HashMap::new();
-    for entry in v.get("archive").and_then(Value::as_array).unwrap_or(&[]) {
+    for entry in module_array(v, "archive")? {
         let env = str_field(entry, "env")?.to_string();
         let mut execs = Vec::new();
         for e in entry
@@ -276,7 +287,7 @@ pub(crate) fn oracle_from_value(v: &Value) -> Result<Oracle, String> {
         return Err("module tag is not `oracle`".into());
     }
     let mut variance = HashMap::new();
-    for entry in v.get("variance").and_then(Value::as_array).unwrap_or(&[]) {
+    for entry in module_array(v, "variance")? {
         let bot = u64_field(entry, "bot")?;
         let state = VarianceState {
             max_first_half: f64_field(entry, "max_first_half")?,
@@ -316,7 +327,7 @@ pub(crate) fn scheduler_from_value(v: &Value) -> Result<Scheduler, String> {
         _ => return Err("missing or invalid `allow_topup`".into()),
     };
     let mut state = HashMap::new();
-    for entry in v.get("state").and_then(Value::as_array).unwrap_or(&[]) {
+    for entry in module_array(v, "state")? {
         let bot = u64_field(entry, "bot")?;
         let cloud_started = match entry.get("cloud_started") {
             Some(Value::Bool(b)) => *b,
@@ -350,7 +361,7 @@ pub(crate) fn greedy_from_value(v: &Value) -> Result<GreedyUntilTc, String> {
     }
     let target = SimDuration::from_millis(u64_field(v, "target")?);
     let mut started = HashSet::new();
-    for entry in v.get("started").and_then(Value::as_array).unwrap_or(&[]) {
+    for entry in module_array(v, "started")? {
         let bot = entry.as_u64().ok_or("`started` entries must be bot ids")?;
         started.insert(bot);
     }

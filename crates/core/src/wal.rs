@@ -1114,6 +1114,32 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Snapshots carry no checksum: one flipped byte in the key `"live"`
+    /// once restored an empty Information store, and the next progress
+    /// report diverged from the service that wrote the log.
+    #[test]
+    fn a_snapshot_missing_a_module_member_is_discarded_for_the_log() {
+        let dir = temp_dir("livx");
+        serve_with_snapshots(&dir, &[12]);
+        let path = snapshot_path(&dir, 12);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.replacen("\"live\"", "\"livX\"", 1)).unwrap();
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let (recovered, report) = recovery.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(
+            (report.snapshot_applied, report.snapshots_discarded),
+            (0, 1)
+        );
+        fs::remove_file(&path).unwrap();
+        let (_, log_only) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let (replayed, _) = log_only.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&replayed).unwrap()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn config_mismatch_on_recover_is_a_hard_error() {
         let dir = temp_dir("mismatch");
