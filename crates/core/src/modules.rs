@@ -33,7 +33,7 @@ use crate::oracle::{Prediction, Provisioning, StrategyCombo, Trigger};
 use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
 use botwork::BotId;
-use simcore::json::{Value, Writer};
+use simcore::json::{Reader, Writer};
 use simcore::SimTime;
 use std::fmt::Debug;
 
@@ -78,10 +78,11 @@ pub trait InfoBackend: Debug + Send {
         false
     }
 
-    /// Restores state previously produced by
-    /// [`InfoBackend::snapshot_state`]. The default rejects restoration
-    /// (matching the `None` snapshot default).
-    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+    /// Restores [`InfoBackend::snapshot_state`]'s value from `r`,
+    /// consuming exactly that value whatever it returns. The default
+    /// skips it and rejects restoration (matching the opt-out).
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        r.skip_value();
         Err("this InfoBackend does not support snapshot restore".into())
     }
 }
@@ -142,8 +143,9 @@ pub trait OracleStrategy: Debug + Send {
         false
     }
 
-    /// Restores state produced by [`OracleStrategy::snapshot_state`].
-    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+    /// Restores [`OracleStrategy::snapshot_state`]'s value, as [`InfoBackend::restore_state`].
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        r.skip_value();
         Err("this OracleStrategy does not support snapshot restore".into())
     }
 }
@@ -201,8 +203,9 @@ pub trait SchedulingPolicy: Debug + Send {
         false
     }
 
-    /// Restores state produced by [`SchedulingPolicy::snapshot_state`].
-    fn restore_state(&mut self, _state: &Value) -> Result<(), String> {
+    /// Restores [`SchedulingPolicy::snapshot_state`]'s value, as [`InfoBackend::restore_state`].
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        r.skip_value();
         Err("this SchedulingPolicy does not support snapshot restore".into())
     }
 }
@@ -251,8 +254,8 @@ impl InfoBackend for Information {
         true
     }
 
-    fn restore_state(&mut self, state: &Value) -> Result<(), String> {
-        *self = crate::snapshot::info_from_value(state)?;
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        *self = crate::snapshot::read_info(r)?;
         Ok(())
     }
 }

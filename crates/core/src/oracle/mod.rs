@@ -221,8 +221,8 @@ impl crate::modules::OracleStrategy for Oracle {
         true
     }
 
-    fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {
-        *self = crate::snapshot::oracle_from_value(state)?;
+    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
+        *self = crate::snapshot::read_oracle(r)?;
         Ok(())
     }
 }

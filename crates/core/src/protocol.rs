@@ -48,7 +48,7 @@ use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
 use crate::service::{LogEvent, SpeQuloS};
 use botwork::BotId;
-use simcore::json::{self, Reader, Token, Value, Writer};
+use simcore::json::{self, Reader, Token, Writer};
 use simcore::SimTime;
 use std::fmt;
 
@@ -326,9 +326,8 @@ pub fn replay<S: SpqService + ?Sized>(
 // ---------------------------------------------------------------------------
 
 // A strategy and a log event are the protocol types a snapshot stores
-// too: one streaming field list each, written here and embedded by
-// `crate::snapshot`; both are read back from the document tree
-// (`order_qos` is a once-per-BoT request, a restore once per start).
+// too: one field list per direction each, here, which `crate::snapshot`
+// embeds.
 pub(crate) fn write_strategy(w: &mut Writer<'_>, s: &StrategyCombo) {
     let (kind, threshold) = match s.trigger {
         Trigger::CompletionThreshold(t) => ("completion", Some(t)),
@@ -352,13 +351,12 @@ pub(crate) fn write_strategy(w: &mut Writer<'_>, s: &StrategyCombo) {
     w.end_object();
 }
 
-pub(crate) fn strategy_from_value(v: &Value) -> Result<StrategyCombo, String> {
-    let kind = v
-        .get("trigger")
-        .and_then(Value::as_str)
-        .ok_or("strategy needs a `trigger`")?;
-    let threshold = v.get("threshold").and_then(Value::as_f64);
-    let trigger = match (kind, threshold) {
+/// Decodes what [`write_strategy`] wrote.
+pub(crate) fn read_strategy(r: &mut Reader<'_>) -> Result<StrategyCombo, String> {
+    let keys = ["trigger", "threshold", "provisioning", "deployment"];
+    let m = read_members(r, keys, no_extra);
+    let kind = m.str("trigger").map_err(|_| "strategy needs a `trigger`")?;
+    let trigger = match (kind, m.f64("threshold").ok()) {
         ("completion", Some(t)) => Trigger::CompletionThreshold(t),
         ("assignment", Some(t)) => Trigger::AssignmentThreshold(t),
         ("variance", _) => Trigger::ExecutionVariance,
@@ -366,12 +364,12 @@ pub(crate) fn strategy_from_value(v: &Value) -> Result<StrategyCombo, String> {
         (k, None) => return Err(format!("trigger `{k}` needs a `threshold`")),
         (k, _) => return Err(format!("unknown trigger `{k}`")),
     };
-    let provisioning = match v.get("provisioning").and_then(Value::as_str) {
+    let provisioning = match m.str("provisioning").ok() {
         Some("greedy") => Provisioning::Greedy,
         Some("conservative") => Provisioning::Conservative,
         other => return Err(format!("unknown provisioning {other:?}")),
     };
-    let deployment = match v.get("deployment").and_then(Value::as_str) {
+    let deployment = match m.str("deployment").ok() {
         Some("flat") => DeployMode::Flat,
         Some("reschedule") => DeployMode::Reschedule,
         Some("cloud_duplication") => DeployMode::CloudDuplication,
@@ -388,31 +386,6 @@ fn missing(key: &str) -> String {
     format!("missing or invalid `{key}`")
 }
 
-pub(crate) fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| missing(key))
-}
-
-pub(crate) fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| missing(key))
-}
-
-pub(crate) fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| missing(key))
-}
-
-pub(crate) fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| missing(key))
-}
-
 // Decode errors name the enclosing message, so a bad frame in a stored
 // transcript (or off the wire) pinpoints its field path instead of
 // reporting a bare "missing `bot`" with no context.
@@ -424,38 +397,45 @@ fn in_response(tag: &str, e: String) -> String {
     format!("response `{tag}`: {e}")
 }
 
-/// What [`read_object`] found under the scalar keys it was given: the
-/// streaming decoders' stand-in for `Value::get`, with the same lookups
-/// and the same messages as the `*_field` helpers above.
-struct Scalars<'a, const N: usize> {
+/// What [`read_object`] found under the scalar keys it was given — the
+/// first member of each name — with one message for a member that is
+/// missing or not of the kind asked for.
+pub(crate) struct Scalars<'a, const N: usize> {
     keys: [&'static str; N],
     found: [Option<Token<'a>>; N],
 }
 
 impl<const N: usize> Scalars<'_, N> {
-    fn get(&self, key: &str) -> Option<&Token<'_>> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Token<'_>> {
         let slot = self.keys.iter().position(|k| *k == key)?;
         self.found.get(slot)?.as_ref()
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
+    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
         let n = self.get(key).and_then(Token::as_u64);
         n.ok_or_else(|| missing(key))
     }
 
-    fn u32(&self, key: &str) -> Result<u32, String> {
+    pub(crate) fn u32(&self, key: &str) -> Result<u32, String> {
         let n = self.u64(key).ok().and_then(|n| u32::try_from(n).ok());
         n.ok_or_else(|| missing(key))
     }
 
-    fn f64(&self, key: &str) -> Result<f64, String> {
+    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
         let n = self.get(key).and_then(Token::as_f64);
         n.ok_or_else(|| missing(key))
     }
 
-    fn str(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn str(&self, key: &str) -> Result<&str, String> {
         let s = self.get(key).and_then(Token::as_str);
         s.ok_or_else(|| missing(key))
+    }
+
+    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
+        match self.get(key) {
+            Some(Token::Bool(b)) => Ok(*b),
+            _ => Err(missing(key)),
+        }
     }
 }
 
@@ -468,7 +448,7 @@ impl<const N: usize> Scalars<'_, N> {
 /// with the reader and [`json::read`] reports them first — so the
 /// decoders built on this return field errors only, and a malformed
 /// document is reported as the document parser would have.
-fn read_object<'a, const N: usize>(
+pub(crate) fn read_object<'a, const N: usize>(
     r: &mut Reader<'a>,
     head: Token<'a>,
     keys: [&'static str; N],
@@ -490,8 +470,18 @@ fn read_object<'a, const N: usize>(
     Scalars { keys, found }
 }
 
+/// [`read_object`] of the value `r` stands at.
+pub(crate) fn read_members<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    keys: [&'static str; N],
+    nested: impl FnMut(&str, &mut Reader<'a>) -> bool,
+) -> Scalars<'a, N> {
+    let head = r.token();
+    read_object(r, head, keys, nested)
+}
+
 /// Fills `slot` from `read` if this is the first member of its name.
-fn first<T>(slot: &mut Option<T>, read: impl FnOnce() -> T) -> bool {
+pub(crate) fn first<T>(slot: &mut Option<T>, read: impl FnOnce() -> T) -> bool {
     let first = slot.is_none();
     if first {
         *slot = Some(read());
@@ -504,7 +494,7 @@ fn first<T>(slot: &mut Option<T>, read: impl FnOnce() -> T) -> bool {
 /// `false`.
 pub type Extra<'x, 'a> = &'x mut dyn FnMut(&str, &mut Reader<'a>) -> bool;
 
-fn no_extra(_: &str, _: &mut Reader<'_>) -> bool {
+pub(crate) fn no_extra(_: &str, _: &mut Reader<'_>) -> bool {
     false
 }
 
@@ -524,7 +514,7 @@ type Items<T> = Result<Vec<T>, (usize, String)>;
 
 /// Every element of the array `r` stands at through `item`, walked to
 /// its end whatever fails. `None` when the value is not an array.
-fn read_array<'a, T>(
+pub(crate) fn read_array<'a, T>(
     r: &mut Reader<'a>,
     mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
 ) -> Option<Items<T>> {
@@ -577,8 +567,7 @@ const PROGRESS_KEYS: [&str; 7] = [
 ];
 
 fn read_progress(r: &mut Reader<'_>) -> Result<BotProgress, String> {
-    let head = r.token();
-    let m = read_object(r, head, PROGRESS_KEYS, no_extra);
+    let m = read_members(r, PROGRESS_KEYS, no_extra);
     Ok(BotProgress {
         now: SimTime::from_millis(m.u64("now")?),
         size: m.u32("size")?,
@@ -709,9 +698,8 @@ impl Request {
     pub fn read<'a>(r: &mut Reader<'a>, extra: Extra<'_, 'a>) -> Result<Request, String> {
         let (mut strategy, mut progress, mut items) = (None, None, None);
         let keys = ["req", "user", "credits", "env", "size", "bot"];
-        let head = r.token();
-        let m = read_object(r, head, keys, |key, r| match key {
-            "strategy" => first(&mut strategy, || strategy_from_value(&r.value())),
+        let m = read_members(r, keys, |key, r| match key {
+            "strategy" => first(&mut strategy, || read_strategy(r)),
             "progress" => first(&mut progress, || read_progress(r)),
             "items" => first(&mut items, || {
                 read_array(r, |r| Request::read(r, &mut no_extra))
@@ -847,8 +835,7 @@ impl Response {
         let keys = [
             "resp", "user", "balance", "bot", "spent", "refund", "error", "message",
         ];
-        let head = r.token();
-        let m = read_object(r, head, keys, |key, r| match key {
+        let m = read_members(r, keys, |key, r| match key {
             "prediction" => first(&mut prediction, || read_prediction(r)),
             "action" => first(&mut action, || read_action(r)),
             "items" => first(&mut items, || {
@@ -907,10 +894,6 @@ impl Response {
     pub fn from_json(text: &str) -> Result<Response, String> {
         json::read(text, |r| Response::read(r, &mut no_extra))?
     }
-}
-
-pub(crate) fn entry_time(v: &Value) -> Result<SimTime, String> {
-    Ok(SimTime::from_millis(u64_field(v, "t")?))
 }
 
 fn encode_entries(lines: impl Iterator<Item = String>) -> String {
@@ -1038,39 +1021,57 @@ pub(crate) fn write_log_entry(w: &mut Writer<'_>, t: SimTime, e: &LogEvent) {
     w.end_object();
 }
 
-pub(crate) fn log_event_from_value(v: &Value) -> Result<LogEvent, String> {
-    let bot = || Ok::<BotId, String>(BotId(u64_field(v, "bot")?));
-    match str_field(v, "event")? {
-        "register_qos" => Ok(LogEvent::RegisterQos {
+const LOG_KEYS: [&str; 11] = [
+    "t",
+    "event",
+    "bot",
+    "env",
+    "credits",
+    "completion_secs",
+    "success_rate",
+    "count",
+    "refund",
+    "requested",
+    "granted",
+];
+
+/// Decodes one entry written by [`write_log_entry`].
+pub(crate) fn read_log_entry(r: &mut Reader<'_>) -> Result<(SimTime, LogEvent), String> {
+    let m = read_members(r, LOG_KEYS, no_extra);
+    let t = SimTime::from_millis(m.u64("t")?);
+    let bot = || m.u64("bot").map(BotId);
+    let event = match m.str("event")? {
+        "register_qos" => LogEvent::RegisterQos {
             bot: bot()?,
-            env: str_field(v, "env")?.to_string(),
-        }),
-        "order_qos" => Ok(LogEvent::OrderQos {
+            env: m.str("env")?.to_string(),
+        },
+        "order_qos" => LogEvent::OrderQos {
             bot: bot()?,
-            credits: f64_field(v, "credits")?,
-        }),
-        "predicted" => Ok(LogEvent::Predicted {
+            credits: m.f64("credits")?,
+        },
+        "predicted" => LogEvent::Predicted {
             bot: bot()?,
-            completion_secs: f64_field(v, "completion_secs")?,
-            success_rate: v.get("success_rate").and_then(Value::as_f64),
-        }),
-        "start_cloud_workers" => Ok(LogEvent::StartCloudWorkers {
+            completion_secs: m.f64("completion_secs")?,
+            success_rate: m.f64("success_rate").ok(),
+        },
+        "start_cloud_workers" => LogEvent::StartCloudWorkers {
             bot: bot()?,
-            count: u32_field(v, "count")?,
-        }),
-        "stop_cloud_workers" => Ok(LogEvent::StopCloudWorkers { bot: bot()? }),
-        "completed" => Ok(LogEvent::Completed { bot: bot()? }),
-        "paid" => Ok(LogEvent::Paid {
+            count: m.u32("count")?,
+        },
+        "stop_cloud_workers" => LogEvent::StopCloudWorkers { bot: bot()? },
+        "completed" => LogEvent::Completed { bot: bot()? },
+        "paid" => LogEvent::Paid {
             bot: bot()?,
-            refund: f64_field(v, "refund")?,
-        }),
-        "throttled" => Ok(LogEvent::Throttled {
+            refund: m.f64("refund")?,
+        },
+        "throttled" => LogEvent::Throttled {
             bot: bot()?,
-            requested: u32_field(v, "requested")?,
-            granted: u32_field(v, "granted")?,
-        }),
-        other => Err(format!("unknown log event `{other}`")),
-    }
+            requested: m.u32("requested")?,
+            granted: m.u32("granted")?,
+        },
+        other => return Err(format!("unknown log event `{other}`")),
+    };
+    Ok((t, event))
 }
 
 /// Encodes a protocol log (e.g. [`SpeQuloS::log`]) as a JSON array, one
@@ -1085,12 +1086,7 @@ pub fn encode_log(log: &[(SimTime, LogEvent)]) -> String {
 
 /// Decodes a protocol log produced by [`encode_log`].
 pub fn decode_log(text: &str) -> Result<Vec<(SimTime, LogEvent)>, String> {
-    let value = json::parse(text)?;
-    let items = value.as_array().ok_or("log must be a JSON array")?;
-    items
-        .iter()
-        .map(|v| Ok((entry_time(v)?, log_event_from_value(v)?)))
-        .collect()
+    decode_entries(text, "log", read_log_entry)
 }
 
 #[cfg(test)]

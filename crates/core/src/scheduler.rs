@@ -177,8 +177,8 @@ impl SchedulingPolicy for Scheduler {
         true
     }
 
-    fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {
-        *self = crate::snapshot::scheduler_from_value(state)?;
+    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
+        *self = crate::snapshot::read_scheduler(r)?;
         Ok(())
     }
 }
@@ -308,8 +308,8 @@ impl SchedulingPolicy for GreedyUntilTc {
         true
     }
 
-    fn restore_state(&mut self, state: &simcore::json::Value) -> Result<(), String> {
-        *self = crate::snapshot::greedy_from_value(state)?;
+    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
+        *self = crate::snapshot::read_greedy(r)?;
         Ok(())
     }
 }

@@ -59,10 +59,12 @@
 //! template — replaying a log against a differently-configured service
 //! *would* diverge, so that is refused.
 
-use crate::protocol::{decode_session_entry, write_session_entry, Request, SpqService};
+use crate::protocol::{
+    decode_session_entry, first, read_members, write_session_entry, Request, SpqService,
+};
 use crate::service::SpeQuloS;
-use crate::snapshot::{restore_state, write_state, SnapshotError, SNAPSHOT_FORMAT};
-use simcore::json::{self, Value, Writer};
+use crate::snapshot::{restore_state_json, write_state, SnapshotError, SNAPSHOT_FORMAT};
+use simcore::json::{self, Writer};
 use simcore::SimTime;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
@@ -138,12 +140,12 @@ impl From<SnapshotError> for WalError {
 }
 
 /// What [`WalStore::open`] found on disk: the decoded record stream plus
-/// the newest usable snapshot. Feed it to [`Recovery::recover`] to
-/// rebuild the service.
+/// the newest usable snapshot, as the text of its state. Feed it to
+/// [`Recovery::recover`] to rebuild the service.
 #[derive(Debug)]
 pub struct Recovery {
     records: Vec<(SimTime, Request)>,
-    snapshot: Option<(u64, Value)>,
+    snapshot: Option<(u64, String)>,
     truncated_bytes: u64,
     snapshots_discarded: u32,
 }
@@ -175,10 +177,10 @@ impl Recovery {
     /// replaying against the wrong configuration would silently diverge.
     pub fn recover(&self, template: SpeQuloS) -> Result<(SpeQuloS, RecoveryReport), WalError> {
         let mut snapshots_discarded = self.snapshots_discarded;
-        if let Some((applied, state)) = &self.snapshot {
-            match restore_state(template.clone(), state) {
+        if let Some((applied, text)) = &self.snapshot {
+            match restore_state_json(template.clone(), text) {
                 Ok(mut service) => {
-                    let tail = &self.records[*applied as usize..];
+                    let tail = self.records.get(*applied as usize..).unwrap_or_default();
                     for (t, request) in tail {
                         service.handle(request.clone(), *t);
                     }
@@ -481,15 +483,14 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
     let mut records = Vec::new();
     let mut ends = Vec::new();
     let mut offset: u64 = 0;
-    loop {
+    while offset < file_len {
         let mut header = [0u8; 8];
-        match read_exact_or_eof(&mut reader, &mut header)? {
-            Fill::Empty => break, // clean end of log
-            Fill::Partial => return Ok(scanned(records, ends, file_len)),
-            Fill::Full => {}
+        if !fill(&mut reader, &mut header)? {
+            return Ok(scanned(records, ends, file_len));
         }
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         let extent = 8 + len as u64;
         if len > MAX_RECORD_BYTES {
             // A crash leaves a *prefix* of true bytes, which can only
@@ -500,9 +501,8 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
             });
         }
         let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload)? {
-            Fill::Full => {}
-            Fill::Empty | Fill::Partial => return Ok(scanned(records, ends, file_len)),
+        if !fill(&mut reader, &mut payload)? {
+            return Ok(scanned(records, ends, file_len));
         }
         if crc32(&payload) != crc {
             if offset + extent >= file_len {
@@ -541,29 +541,13 @@ fn scanned(records: Vec<(SimTime, Request)>, ends: Vec<u64>, file_len: u64) -> L
     }
 }
 
-enum Fill {
-    Full,
-    Partial,
-    Empty,
-}
-
-fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> Result<Fill, WalError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    Fill::Empty
-                } else {
-                    Fill::Partial
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+/// Fills `buf`, or says the log ended first — a torn tail.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, WalError> {
+    match reader.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e.into()),
     }
-    Ok(Fill::Full)
 }
 
 /// All `snap-<N>.json` applied-counts present in `dir`.
@@ -596,7 +580,7 @@ fn snapshot_path(dir: &Path, applied: u64) -> PathBuf {
 /// [`FsyncPolicy::Never`], or replaced by an older copy), and once the
 /// log regrows past `applied` with *other* records the file would pass
 /// for a snapshot of them.
-fn select_snapshot(dir: &Path, records: u64) -> Result<(Option<(u64, Value)>, u32), WalError> {
+fn select_snapshot(dir: &Path, records: u64) -> Result<(Option<(u64, String)>, u32), WalError> {
     let mut counts = snapshot_counts(dir)?;
     counts.sort_unstable_by(|a, b| b.cmp(a));
     let mut discarded = 0u32;
@@ -604,25 +588,36 @@ fn select_snapshot(dir: &Path, records: u64) -> Result<(Option<(u64, Value)>, u3
         let path = snapshot_path(dir, applied);
         if applied > records {
             fs::remove_file(&path)?;
-        } else if let Some(state) = load_snapshot(&path, applied) {
-            return Ok((Some((applied, state)), discarded));
+        } else if let Some(text) = load_snapshot(&path, applied) {
+            return Ok((Some((applied, text)), discarded));
         }
         discarded += 1;
     }
     Ok((None, discarded))
 }
 
-fn load_snapshot(path: &Path, applied: u64) -> Option<Value> {
-    let text = fs::read_to_string(path).ok()?;
-    let doc = json::parse(&text).ok()?;
-    if doc.get("format")?.as_u64()? != SNAPSHOT_FORMAT {
-        return None;
-    }
-    if doc.get("applied")?.as_u64()? != applied {
-        return None;
-    }
-    // `Value::get` borrows; clone just the state subtree.
-    Some(doc.get("state")?.clone())
+/// The text of the `state` in the snapshot file at `path`, checked in one
+/// pass that skips `state` unread, and cut down to it in place.
+fn load_snapshot(path: &Path, applied: u64) -> Option<String> {
+    let mut text = fs::read_to_string(path).ok()?;
+    let state = json::read(&text, |r| {
+        let mut state = None;
+        let head = read_members(r, ["format", "applied"], |key, r| {
+            let start = r.offset();
+            key == "state"
+                && first(&mut state, || {
+                    r.skip_value();
+                    start..r.offset()
+                })
+        });
+        let format = head.u64("format") == Ok(SNAPSHOT_FORMAT);
+        state.filter(|_| format && head.u64("applied") == Ok(applied))
+    });
+    let state = state.ok()??;
+    text.get(state.clone())?; // both ends are character boundaries
+    text.truncate(state.end);
+    text.drain(..state.start);
+    Some(text)
 }
 
 fn sync_dir(dir: &Path) -> Result<(), WalError> {
@@ -640,16 +635,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let entry = TABLE.get(usize::from(crc as u8 ^ b)).copied();
+        crc = (crc >> 8) ^ entry.unwrap_or_default();
     }
     !crc
 }
 
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
+    let mut rest: &mut [u32] = &mut table;
+    let mut i = 0u32;
+    while let [slot, tail @ ..] = rest {
+        let mut c = i;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
@@ -659,7 +656,8 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        *slot = c;
+        rest = tail;
         i += 1;
     }
     table

@@ -97,7 +97,7 @@ pub struct Role {
     /// `spq-server` connection/dispatch path: a panic costs the whole
     /// reactor, so `unwrap`/`expect`/panicking macros are forbidden.
     pub hot: bool,
-    /// Parses untrusted wire bytes: slice indexing is forbidden on top
+    /// Parses untrusted wire or disk bytes: slice indexing is forbidden on top
     /// of the `hot` set.
     pub decode: bool,
     /// A crate root that must carry `#![forbid(unsafe_code)]`.
@@ -121,14 +121,19 @@ fn is_hot(rel: &str) -> bool {
         .is_some_and(|file| file.ends_with(".rs") && !file.contains('/') && file != "lib.rs")
 }
 
-/// The hot files that decode untrusted wire bytes: the frame, envelope
-/// and binary parsers, the two cores that slice their buffers for
-/// them — the connection core facing clients, the client core facing a
-/// server that may be hostile or merely buggy — and the JSON reader
-/// every JSON frame payload is walked by, on the reactor thread, though
-/// it lives in `simcore`.
+/// The files that decode untrusted wire or disk bytes: the frame,
+/// envelope and binary parsers, the two cores that slice their buffers
+/// for them — the connection core facing clients, the client core facing
+/// a server that may be hostile or merely buggy — the JSON reader every
+/// JSON frame payload is walked by, and the service core's decoders: the
+/// message codecs the reactor thread runs on every JSON envelope, and
+/// the write-ahead log and snapshot readers that recovery runs on disk
+/// bytes. None of the last four is a server module.
 pub const DECODE_FILES: &[&str] = &[
     "crates/simcore/src/json.rs",
+    "crates/core/src/protocol.rs",
+    "crates/core/src/snapshot.rs",
+    "crates/core/src/wal.rs",
     "crates/server/src/frame.rs",
     "crates/server/src/binary.rs",
     "crates/server/src/wire.rs",

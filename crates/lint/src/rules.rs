@@ -642,15 +642,19 @@ mod tests {
         let src =
             "pub fn f(buf: &[u8]) -> u8 {\n    let x = buf.first().unwrap();\n    buf[0]\n}\n";
         // A module nobody listed is hot from birth; both cores — the
-        // connection's and the client's — are decode too, and so is the
-        // JSON reader the envelope decoders walk frame payloads with,
-        // which makes it hot although it is no server module.
+        // connection's and the client's — are decode too, and so are the
+        // JSON reader the envelope decoders walk frame payloads with and
+        // the service core's decoders of wire and disk bytes, which makes
+        // them hot although none is a server module.
         let born = fire("crates/server/src/brand_new_module.rs", src);
         assert_eq!(born, vec![("panic-unwrap", 2)], "{born:?}");
         for core in [
             "crates/server/src/conn.rs",
             "crates/server/src/client.rs",
             "crates/simcore/src/json.rs",
+            "crates/core/src/protocol.rs",
+            "crates/core/src/snapshot.rs",
+            "crates/core/src/wal.rs",
         ] {
             let hits = fire(core, src);
             assert!(hits.contains(&("panic-unwrap", 2)), "{core}: {hits:?}");

@@ -336,9 +336,10 @@ fn arb_edits() -> impl Strategy<Value = Vec<(u8, u16, u8)>> {
 }
 
 /// What every streaming decoder owes the document parser, which stays the
-/// reference (`json::parse` still reads snapshots): the same texts are
-/// refused as malformed, with the same message, and a well-formed text is
-/// then judged on its fields alone.
+/// reference for what is well-formed JSON (`json::parse` builds the tree
+/// telemetry and tests read): the same texts are refused as malformed,
+/// with the same message, and a well-formed text is then judged on its
+/// fields alone.
 fn check_against_the_document_parser(text: &str) -> Result<(), proptest::TestCaseError> {
     let tree = simcore::json::parse(text);
     let request = RequestEnvelope::from_json(text);

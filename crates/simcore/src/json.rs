@@ -7,14 +7,14 @@
 //! * [`Reader`] and [`Writer`] are the primitives: one pass over a
 //!   `&str`, one append into a `String`, no intermediate tree and no
 //!   allocation beyond strings that carry escapes. The SpeQuloS wire
-//!   protocol (`spequlos::protocol`, the envelopes of `spq-server`) and
-//!   the write-ahead log's records are decoded and encoded directly on
-//!   them — the request path never builds a [`Value`] — and snapshots
-//!   (`spequlos::snapshot`) are written on the writer.
+//!   protocol (`spequlos::protocol`, the envelopes of `spq-server`), the
+//!   write-ahead log's records and snapshots (`spequlos::snapshot`) are
+//!   decoded and encoded directly on them — the service never builds a
+//!   [`Value`] of what it reads.
 //! * [`parse`] and [`Value`] are the general document tree, built by the
-//!   same reader and written by the same writer: restoring a snapshot
-//!   and the bench telemetry records (`BENCH_<name>.json`, see
-//!   `spq-bench::telemetry`) live here.
+//!   same reader and written by the same writer: the bench telemetry
+//!   records (`BENCH_<name>.json`, see `spq-bench::telemetry`) and tests
+//!   live here.
 //!
 //! Both read untrusted bytes on a reactor thread, so the work done is
 //! linear in the length of the text — strings are scanned in runs, never
@@ -669,6 +669,12 @@ impl<'a> Reader<'a> {
             }
             _ => {}
         }
+    }
+
+    /// How many bytes of the text have been read: after a value, where
+    /// it ends.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
     /// Consumes the next value, whatever it is, checking its syntax.

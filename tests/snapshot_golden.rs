@@ -3,10 +3,11 @@
 //! deterministic mutations of two services' snapshot state came to —
 //! `Ok(crc32 of the re-encoded state)`, `ConfigMismatch` or
 //! `Decode(message)` — recorded from the document-tree decoder that
-//! restored snapshots before the streaming one. Each row is restored
-//! twice: from its text, and from a write-ahead log directory whose
-//! newest snapshot it is, where an undecodable state falls back to
-//! replaying the log and a configuration mismatch is refused.
+//! restored snapshots before the streaming one, which must agree with it
+//! row for row. Each row is restored twice: from its text, and from a
+//! write-ahead log directory whose newest snapshot it is, where an
+//! undecodable state falls back to replaying the log and a configuration
+//! mismatch is refused.
 //!
 //! The mutations, at every object of the state: members reversed, the
 //! first member duplicated (the copy, with another value, in front),
@@ -23,7 +24,7 @@ use botwork::BotId;
 use simcore::json::{self, Value};
 use simcore::{SimDuration, SimTime};
 use spequlos::protocol::{Request, SpqService};
-use spequlos::snapshot::{encode_state_json, restore_state, SnapshotError};
+use spequlos::snapshot::{encode_state_json, restore_state_json, SnapshotError};
 use spequlos::wal::{crc32, FsyncPolicy, WalError, WalStore};
 use spequlos::{
     BotProgress, DeployMode, GreedyUntilTc, Provisioning, SpeQuloS, StrategyCombo, Trigger, UserId,
@@ -244,12 +245,15 @@ fn other(v: &Value) -> Value {
     }
 }
 
-const REPLACEMENTS: [(&str, fn() -> Value); 4] = [
-    ("str", || Value::Str("s".into())),
-    ("null", || Value::Null),
-    ("-1", || Value::Num(-1.0)),
-    ("1.5", || Value::Num(1.5)),
-];
+/// What each scalar member is replaced by, and the row's name for it.
+fn replacements() -> [(&'static str, Value); 4] {
+    [
+        ("str", Value::Str("s".into())),
+        ("null", Value::Null),
+        ("-1", Value::Num(-1.0)),
+        ("1.5", Value::Num(1.5)),
+    ]
+}
 
 /// Every mutation of `state`, labelled `<path> <mutation>`.
 fn mutants(state: &Value) -> Vec<(String, Value)> {
@@ -287,10 +291,10 @@ fn mutants(state: &Value) -> Vec<(String, Value)> {
                     if matches!(value, Value::Obj(_) | Value::Arr(_)) {
                         continue;
                     }
-                    for (name, replacement) in REPLACEMENTS {
+                    for (name, replacement) in replacements() {
                         edit(format!("set:{key}={name}"), &|v| {
                             if let Value::Obj(m) = v {
-                                m[i].1 = replacement();
+                                m[i].1 = replacement.clone();
                             }
                         });
                     }
@@ -394,9 +398,10 @@ fn every_mutation_restores_to_its_recorded_verdict() {
             mutants.len()
         );
         for (label, doc) in mutants {
-            let direct = verdict(restore_state((subject.template)(), &doc));
+            let text = doc.to_json();
+            let direct = verdict(restore_state_json((subject.template)(), &text));
             let kind = direct.split('(').next().unwrap_or_default();
-            let on_disk = recovered_verdict(&dir, subject, records, &doc.to_json());
+            let on_disk = recovered_verdict(&dir, subject, records, &text);
             let expected_on_disk = if kind == "Decode" { kind } else { &direct };
             assert_eq!(on_disk, expected_on_disk, "{} {label}", subject.name);
             rows.push_str(&format!("{} {label} {direct}\n", subject.name));
