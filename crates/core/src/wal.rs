@@ -614,7 +614,7 @@ fn load_snapshot(path: &Path, applied: u64) -> Option<String> {
         state.filter(|_| format && head.u64("applied") == Ok(applied))
     });
     let state = state.ok()??;
-    text.get(state.clone())?; // both ends are character boundaries
+    text.get(state.clone())?; // so that neither cut below can split a character
     text.truncate(state.end);
     text.drain(..state.start);
     Some(text)
