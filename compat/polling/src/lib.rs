@@ -6,28 +6,57 @@
 //! `polling`, notifications are **oneshot**: delivering an event for a
 //! source clears its interest, and the caller re-arms it with
 //! [`Poller::modify`] before the next wait — the discipline that ports
-//! unchanged to epoll/kqueue-backed upstream.
+//! unchanged to upstream.
 //!
-//! The implementation is the portable lowest common denominator,
-//! `poll(2)`: the registry is rebuilt into a `pollfd` array on every
-//! wait, which is O(fds) per call but needs no OS-specific registration
-//! state and comfortably services the thousands of connections the
-//! `spq-server` reactor targets. Cross-thread wakeups use a self-pipe
-//! (a non-blocking `UnixStream` pair) rather than `eventfd`, again for
-//! portability.
+//! # Backends
+//!
+//! The backend is chosen at build time by the target platform; there is
+//! no option. Both keep the same contract, pinned by one shared test
+//! suite run against each.
+//!
+//! * **Linux: `epoll(7)`**, so a wait costs O(ready sources), not
+//!   O(registered). Sources sit in the epoll set level-triggered and the
+//!   oneshot disarm happens in user space. Each registration keeps
+//!   `want`, the armed interest, and `kernel`, the mask the epoll set
+//!   holds, with `want ⊆ kernel`: `modify` calls `epoll_ctl` only when
+//!   `want` gains a bit `kernel` lacks, and a reported bit nobody armed
+//!   narrows `kernel` to `want` (one `epoll_ctl`) without being
+//!   delivered. A deliver → re-arm-the-same-interest cycle therefore
+//!   costs one `epoll_wait` and no `epoll_ctl`, and a source left
+//!   disarmed while ready costs at most one extra kernel report.
+//! * **Elsewhere: `poll(2)`**, the portable lowest common denominator:
+//!   the registry is rebuilt into a `pollfd` array on every wait, which
+//!   is O(registered) per call but needs no OS-specific registration
+//!   state. On Linux it is compiled only for the contract tests.
+//!
+//! [`Poller::wait`] returns `Ok(0)` only when the timeout elapses or
+//! [`Poller::notify`] was called — never because every kernel report was
+//! for interest nobody armed: the epoll backend then waits again for
+//! what remains of the timeout. Cross-thread wakeups use a self-pipe (a
+//! non-blocking `UnixStream` pair) in both backends.
 //!
 //! This is the **only** crate in the workspace allowed to use `unsafe`:
-//! one `#[repr(C)]` struct and one documented `extern "C"` call to
-//! `poll(2)` (std already links libc, so no external crate is needed).
+//! `#[repr(C)]` kernel records and documented `extern "C"` calls to
+//! `poll(2)` and the `epoll` family (std already links libc, so no
+//! external crate is needed). Every `unsafe` block carries a
+//! `// SAFETY:` comment (`spq-lint`'s `unsafe-without-safety-comment`).
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::Mutex;
 use std::time::Duration;
+
+#[cfg(target_os = "linux")]
+mod epoll;
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll;
+
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
+#[cfg(not(target_os = "linux"))]
+pub use poll::Poller;
 
 /// A readiness interest or a delivered readiness notification for the
 /// source registered under `key`.
@@ -101,238 +130,63 @@ impl<T: AsRawFd> Source for &T {
     }
 }
 
-// ---------------------------------------------------------------------------
-// poll(2) FFI
-// ---------------------------------------------------------------------------
-
-/// `struct pollfd` from `<poll.h>`, as the kernel ABI defines it.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+fn already_registered(fd: RawFd) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!("fd {fd} is already registered"),
+    )
 }
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-const POLLNVAL: i16 = 0x020;
-
-extern "C" {
-    // std links the platform libc, so the symbol is always present;
-    // declaring it here avoids depending on the `libc` crate (the build
-    // environment has no registry access — see compat/README.md).
-    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int)
-        -> std::ffi::c_int;
+fn not_registered(fd: RawFd) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("fd {fd} is not registered"),
+    )
 }
 
-/// Calls `poll(2)`, retrying on `EINTR`.
-fn sys_poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // `#[repr(C)]` pollfd records for the duration of the call, the
-        // length is passed alongside the pointer, and poll(2) writes only
-        // the `revents` fields within that slice.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
+/// A wait timeout in the milliseconds both syscalls take: `-1` blocks.
+/// Sub-millisecond remainders round up, so a tiny timeout never becomes
+/// a hot 0 ms spin; far-future timeouts saturate.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(t) => {
+            let ms = t
+                .as_millis()
+                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0));
+            i32::try_from(ms).unwrap_or(i32::MAX)
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Poller
-// ---------------------------------------------------------------------------
-
-/// Per-source registration state.
-#[derive(Clone, Copy)]
-struct Registration {
-    key: usize,
-    readable: bool,
-    writable: bool,
+/// The self-pipe: `notify` writes one byte, the waiter watches the read
+/// end and drains it. Both ends non-blocking.
+struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
 }
 
-/// A readiness poller over registered file descriptors. See the
-/// [module docs](self) for semantics (oneshot delivery, self-pipe
-/// wakeups).
-pub struct Poller {
-    registry: Mutex<HashMap<RawFd, Registration>>,
-    /// Self-pipe: `notify` writes one byte to `wake_tx`; `wait` includes
-    /// `wake_rx` in the poll set and drains it. Both ends non-blocking.
-    wake_rx: UnixStream,
-    wake_tx: UnixStream,
-}
-
-impl Poller {
-    /// Creates a poller with an empty registry.
-    pub fn new() -> io::Result<Poller> {
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        Ok(Poller {
-            registry: Mutex::new(HashMap::new()),
-            wake_rx,
-            wake_tx,
-        })
+impl Waker {
+    fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
     }
 
-    /// Registers `source` with an initial interest. Re-adding an already
-    /// registered descriptor is an error (upstream parity).
-    pub fn add(&self, source: impl Source, interest: Event) -> io::Result<()> {
-        let fd = source.raw();
-        let mut registry = self.registry.lock().expect("poller registry");
-        if registry.contains_key(&fd) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("fd {fd} is already registered"),
-            ));
-        }
-        registry.insert(
-            fd,
-            Registration {
-                key: interest.key,
-                readable: interest.readable,
-                writable: interest.writable,
-            },
-        );
-        Ok(())
+    /// The descriptor a wait watches for readability.
+    fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
     }
 
-    /// Replaces the interest (and key) of a registered `source` — the
-    /// re-arm half of the oneshot contract.
-    pub fn modify(&self, source: impl Source, interest: Event) -> io::Result<()> {
-        let fd = source.raw();
-        let mut registry = self.registry.lock().expect("poller registry");
-        match registry.get_mut(&fd) {
-            Some(reg) => {
-                *reg = Registration {
-                    key: interest.key,
-                    readable: interest.readable,
-                    writable: interest.writable,
-                };
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("fd {fd} is not registered"),
-            )),
-        }
+    /// Coalesces any number of pending notifications.
+    fn drain(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 
-    /// Deregisters `source`; its pending events are discarded.
-    pub fn delete(&self, source: impl Source) -> io::Result<()> {
-        let fd = source.raw();
-        self.registry
-            .lock()
-            .expect("poller registry")
-            .remove(&fd)
-            .map(|_| ())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("fd {fd} is not registered"),
-                )
-            })
-    }
-
-    /// Blocks until at least one registered source is ready, the timeout
-    /// elapses, or [`Poller::notify`] is called; appends the delivered
-    /// events to `events` and returns how many were appended.
-    ///
-    /// A return of `Ok(0)` is a timeout or a bare notification — both
-    /// legitimate, callers just loop. Delivered sources have their
-    /// interest cleared (oneshot) and must be re-armed with
-    /// [`Poller::modify`]. Error conditions on a source (`POLLERR`,
-    /// `POLLHUP`, `POLLNVAL`) are delivered as ready-for-everything the
-    /// caller asked about, so the next read/write observes the failure.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        let mut fds: Vec<PollFd> = Vec::new();
-        fds.push(PollFd {
-            fd: self.wake_rx.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        });
-        {
-            let registry = self.registry.lock().expect("poller registry");
-            fds.reserve(registry.len());
-            for (&fd, reg) in registry.iter() {
-                let mut mask = 0i16;
-                if reg.readable {
-                    mask |= POLLIN;
-                }
-                if reg.writable {
-                    mask |= POLLOUT;
-                }
-                if mask != 0 {
-                    fds.push(PollFd {
-                        fd,
-                        events: mask,
-                        revents: 0,
-                    });
-                }
-            }
-        }
-
-        let timeout_ms = match timeout {
-            None => -1,
-            // Round sub-millisecond remainders up so a tiny timeout never
-            // becomes a hot 0 ms spin; saturate far-future timeouts.
-            Some(t) => {
-                let ms = t
-                    .as_millis()
-                    .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0));
-                i32::try_from(ms).unwrap_or(i32::MAX)
-            }
-        };
-        let ready = sys_poll(&mut fds, timeout_ms)?;
-        if ready == 0 {
-            return Ok(0);
-        }
-
-        // Drain the self-pipe (coalesces any number of notify() calls).
-        if fds[0].revents != 0 {
-            let mut sink = [0u8; 64];
-            while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
-
-        let mut delivered = 0;
-        let mut registry = self.registry.lock().expect("poller registry");
-        for pfd in &fds[1..] {
-            if pfd.revents == 0 {
-                continue;
-            }
-            // The source may have been deleted while poll(2) ran.
-            let Some(reg) = registry.get_mut(&pfd.fd) else {
-                continue;
-            };
-            let failed = pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
-            let event = Event {
-                key: reg.key,
-                readable: reg.readable && (pfd.revents & POLLIN != 0 || failed),
-                writable: reg.writable && (pfd.revents & POLLOUT != 0 || failed),
-            };
-            if !event.readable && !event.writable {
-                continue;
-            }
-            // Oneshot: disarm until the caller re-arms via modify().
-            reg.readable = false;
-            reg.writable = false;
-            events.push(event);
-            delivered += 1;
-        }
-        Ok(delivered)
-    }
-
-    /// Wakes a concurrent [`Poller::wait`] call (it returns with no
-    /// events). Callable from any thread; coalesces.
-    pub fn notify(&self) -> io::Result<()> {
-        match (&self.wake_tx).write(&[1u8]) {
+    fn notify(&self) -> io::Result<()> {
+        match (&self.tx).write(&[1u8]) {
             Ok(_) => Ok(()),
             // A full pipe means a wakeup is already pending — good enough.
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
@@ -341,108 +195,246 @@ impl Poller {
     }
 }
 
-impl std::fmt::Debug for Poller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let fds = self.registry.lock().map(|r| r.len()).unwrap_or(0);
-        f.debug_struct("Poller").field("sources", &fds).finish()
-    }
+/// The contract both backends keep, as one test suite instantiated per
+/// backend.
+#[cfg(test)]
+macro_rules! contract_tests {
+    ($poller:ty) => {
+        use std::io::Write;
+        use std::os::unix::net::UnixStream;
+        use std::time::{Duration, Instant};
+        use $crate::Event;
+
+        fn poller() -> $poller {
+            <$poller>::new().expect("poller")
+        }
+
+        #[test]
+        fn readable_event_is_delivered_once_then_rearmed() {
+            let poller = poller();
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            b.set_nonblocking(true).expect("nonblocking");
+            poller.add(&b, Event::readable(7)).expect("add");
+
+            a.write_all(b"x").expect("write");
+            let mut events = Vec::new();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1);
+            assert_eq!(events[0], Event::readable(7));
+
+            // Oneshot: without re-arming, the still-readable socket
+            // produces nothing more.
+            events.clear();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .expect("wait");
+            assert_eq!(n, 0, "disarmed source must stay silent");
+
+            // Re-armed, it fires again.
+            poller.modify(&b, Event::readable(7)).expect("modify");
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1);
+        }
+
+        #[test]
+        fn a_disarmed_ready_source_stays_silent_for_the_whole_timeout() {
+            let poller = poller();
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            poller.add(&b, Event::readable(4)).expect("add");
+            a.write_all(b"x").expect("write");
+            let mut events = Vec::new();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1);
+
+            // Still readable, not re-armed: the wait must neither deliver
+            // nor return early because the only report was filtered out.
+            events.clear();
+            let start = Instant::now();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .expect("wait");
+            let waited = start.elapsed();
+            assert_eq!(n, 0);
+            assert!(events.is_empty());
+            assert!(
+                waited >= Duration::from_millis(45),
+                "returned Ok(0) after {waited:?}, before the timeout"
+            );
+        }
+
+        #[test]
+        fn rearming_a_still_readable_source_fires_on_the_next_wait() {
+            let poller = poller();
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            poller.add(&b, Event::readable(5)).expect("add");
+            a.write_all(b"x").expect("write");
+            let mut events = Vec::new();
+            for round in 0..3 {
+                events.clear();
+                let n = poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .expect("wait");
+                assert_eq!(n, 1, "round {round}: level semantics");
+                assert_eq!(events, [Event::readable(5)]);
+                poller.modify(&b, Event::readable(5)).expect("modify");
+            }
+        }
+
+        #[test]
+        fn widening_to_all_delivers_writable_and_narrowing_back_stops_it() {
+            let poller = poller();
+            let (_a, b) = UnixStream::pair().expect("pair");
+            poller.add(&b, Event::readable(6)).expect("add");
+            let mut events = Vec::new();
+            let quiet = Some(Duration::from_millis(50));
+            assert_eq!(poller.wait(&mut events, quiet).expect("wait"), 0);
+
+            poller.modify(&b, Event::all(6)).expect("widen");
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1);
+            assert_eq!(events, [Event::writable(6)]);
+
+            events.clear();
+            poller.modify(&b, Event::readable(6)).expect("narrow");
+            assert_eq!(poller.wait(&mut events, quiet).expect("wait"), 0);
+            assert!(
+                events.is_empty(),
+                "narrowed interest still fired: {events:?}"
+            );
+        }
+
+        #[test]
+        fn a_disarmed_hung_up_source_stays_silent() {
+            let poller = poller();
+            let (a, b) = UnixStream::pair().expect("pair");
+            poller.add(&b, Event::readable(8)).expect("add");
+            drop(a);
+            let mut events = Vec::new();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(
+                (n, events[0]),
+                (1, Event::readable(8)),
+                "EOF reads as readable"
+            );
+
+            // The hang-up persists; with nothing armed it is not reported,
+            // and the wait does not spin on it either.
+            events.clear();
+            let start = Instant::now();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .expect("wait");
+            assert_eq!(n, 0);
+            assert!(start.elapsed() >= Duration::from_millis(45));
+            poller.modify(&b, Event::readable(8)).expect("re-arm");
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1, "re-armed, the hang-up is delivered again");
+        }
+
+        #[test]
+        fn notify_wakes_a_blocked_wait_with_zero_events() {
+            let poller = std::sync::Arc::new(poller());
+            let waker = std::sync::Arc::clone(&poller);
+            let waiter = std::thread::spawn(move || {
+                let mut events = Vec::new();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(30)))
+                    .expect("wait")
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            let start = Instant::now();
+            waker.notify().expect("notify");
+            let delivered = waiter.join().expect("join");
+            assert_eq!(delivered, 0, "a bare notification carries no events");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "wakeup was prompt"
+            );
+        }
+
+        #[test]
+        fn writable_interest_and_delete_work() {
+            let poller = poller();
+            let (a, _b) = UnixStream::pair().expect("pair");
+            a.set_nonblocking(true).expect("nonblocking");
+            poller.add(&a, Event::writable(3)).expect("add");
+            let mut events = Vec::new();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert_eq!(n, 1, "an idle socket is writable");
+            assert_eq!(events[0], Event::writable(3));
+
+            poller.delete(&a).expect("delete");
+            assert!(poller.delete(&a).is_err(), "double delete is reported");
+            assert!(
+                poller.modify(&a, Event::all(3)).is_err(),
+                "modifying a deleted source is reported"
+            );
+        }
+
+        #[test]
+        fn double_add_is_rejected() {
+            let poller = poller();
+            let (a, _b) = UnixStream::pair().expect("pair");
+            poller.add(&a, Event::none(1)).expect("add");
+            assert!(poller.add(&a, Event::none(2)).is_err());
+        }
+
+        #[test]
+        fn a_zero_timeout_polls_without_blocking() {
+            let poller = poller();
+            let (mut a, b) = UnixStream::pair().expect("pair");
+            poller.add(&b, Event::readable(9)).expect("add");
+            let mut events = Vec::new();
+            assert_eq!(
+                poller
+                    .wait(&mut events, Some(Duration::ZERO))
+                    .expect("wait"),
+                0
+            );
+            a.write_all(b"x").expect("write");
+            let n = poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("wait");
+            assert_eq!((n, events.as_slice()), (1, &[Event::readable(9)][..]));
+        }
+
+        #[test]
+        fn timeout_expires_without_events() {
+            let poller = poller();
+            let mut events = Vec::new();
+            let start = Instant::now();
+            let n = poller
+                .wait(&mut events, Some(Duration::from_millis(30)))
+                .expect("wait");
+            assert_eq!(n, 0);
+            assert!(start.elapsed() >= Duration::from_millis(25));
+        }
+    };
 }
 
+/// The contract against the platform's [`Poller`].
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::time::Instant;
+    contract_tests!(crate::Poller);
 
-    #[test]
-    fn readable_event_is_delivered_once_then_rearmed() {
-        let poller = Poller::new().expect("poller");
-        let (mut a, b) = UnixStream::pair().expect("pair");
-        b.set_nonblocking(true).expect("nonblocking");
-        poller.add(&b, Event::readable(7)).expect("add");
-
-        a.write_all(b"x").expect("write");
-        let mut events = Vec::new();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
-        assert_eq!(n, 1);
-        assert_eq!(events[0], Event::readable(7));
-
-        // Oneshot: without re-arming, the still-readable socket produces
-        // nothing more.
-        events.clear();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .expect("wait");
-        assert_eq!(n, 0, "disarmed source must stay silent");
-
-        // Re-armed, it fires again.
-        poller.modify(&b, Event::readable(7)).expect("modify");
-        let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
-        assert_eq!(n, 1);
-    }
-
-    #[test]
-    fn notify_wakes_a_blocked_wait_with_zero_events() {
-        let poller = std::sync::Arc::new(Poller::new().expect("poller"));
-        let waker = std::sync::Arc::clone(&poller);
-        let waiter = std::thread::spawn(move || {
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(30)))
-                .expect("wait")
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        let start = Instant::now();
-        waker.notify().expect("notify");
-        let delivered = waiter.join().expect("join");
-        assert_eq!(delivered, 0, "a bare notification carries no events");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "wakeup was prompt"
-        );
-    }
-
-    #[test]
-    fn writable_interest_and_delete_work() {
-        let poller = Poller::new().expect("poller");
-        let (a, _b) = UnixStream::pair().expect("pair");
-        a.set_nonblocking(true).expect("nonblocking");
-        poller.add(&a, Event::writable(3)).expect("add");
-        let mut events = Vec::new();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
-        assert_eq!(n, 1, "an idle socket is writable");
-        assert_eq!(events[0], Event::writable(3));
-
-        poller.delete(&a).expect("delete");
-        assert!(poller.delete(&a).is_err(), "double delete is reported");
-        assert!(
-            poller.modify(&a, Event::all(3)).is_err(),
-            "modifying a deleted source is reported"
-        );
-    }
-
-    #[test]
-    fn double_add_is_rejected() {
-        let poller = Poller::new().expect("poller");
-        let (a, _b) = UnixStream::pair().expect("pair");
-        poller.add(&a, Event::none(1)).expect("add");
-        assert!(poller.add(&a, Event::none(2)).is_err());
-    }
-
-    #[test]
-    fn timeout_expires_without_events() {
-        let poller = Poller::new().expect("poller");
-        let mut events = Vec::new();
-        let start = Instant::now();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(30)))
-            .expect("wait");
-        assert_eq!(n, 0);
-        assert!(start.elapsed() >= Duration::from_millis(25));
+    /// The same contract against the poll(2) backend, which on Linux
+    /// serves nothing else.
+    #[cfg(target_os = "linux")]
+    mod poll_backend {
+        contract_tests!(crate::poll::Poller);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The repository's load-bearing guarantees — bit-identical replay, a
 //! reactor that must never die on a bad connection, `unsafe` confined to
-//! the one `poll(2)` shim, and normative specs (PROTOCOL.md, the
+//! the one readiness shim and justified block by block, and normative specs (PROTOCOL.md, the
 //! telemetry schema) that must match the source — are enforced here by
 //! machine check instead of convention. Two layers:
 //!

@@ -18,6 +18,7 @@ pub const RULE_IDS: &[&str] = &[
     "panic-macro",
     "panic-index",
     "unsafe-outside-polling",
+    "unsafe-without-safety-comment",
     "forbid-unsafe-missing",
     "spec-protocol-tags",
     "spec-telemetry-schema",
@@ -81,7 +82,9 @@ pub fn check_file(rel: &str, src: &str) -> FileReport {
     if role.decode {
         raw.extend(panic_index(rel, src, &code, &in_test));
     }
-    if !role.unsafe_ok {
+    if role.unsafe_ok {
+        raw.extend(unsafe_without_safety(rel, src, &toks, &code));
+    } else {
         raw.extend(unsafe_outside(rel, src, &code));
     }
     if role.crate_root {
@@ -488,7 +491,42 @@ fn unsafe_outside(rel: &str, src: &str, code: &[Token]) -> Vec<Finding> {
             file: rel.to_string(),
             line: t.line,
             rule: "unsafe-outside-polling",
-            message: "`unsafe` outside `compat/polling` — the poll(2) shim is the only crate allowed to talk to the OS unsafely".to_string(),
+            message: "`unsafe` outside `compat/polling` — the readiness shim (epoll on Linux, poll(2) elsewhere) is the only crate allowed to talk to the OS unsafely".to_string(),
+        })
+        .collect()
+}
+
+/// An `unsafe` block or impl whose line is not directly below a run of
+/// `//` comment lines containing `SAFETY:`. (`unsafe fn` declares a
+/// contract rather than discharging one, so it is not checked.)
+fn unsafe_without_safety(rel: &str, src: &str, toks: &[Token], code: &[Token]) -> Vec<Finding> {
+    // Lines holding only a `//` comment, and whether it is a SAFETY one.
+    let mut comments = std::collections::BTreeMap::new();
+    for t in toks.iter().filter(|t| t.kind == Kind::LineComment) {
+        let line_start = src[..t.start].rfind('\n').map_or(0, |i| i + 1);
+        if src[line_start..t.start].trim().is_empty() {
+            comments.insert(t.line, txt(src, t).contains("SAFETY:"));
+        }
+    }
+    let justified = |line: u32| {
+        (1..line)
+            .rev()
+            .map_while(|l| comments.get(&l))
+            .any(|&safety| safety)
+    };
+    code.iter()
+        .enumerate()
+        .filter(|&(i, t)| {
+            t.kind == Kind::Ident
+                && txt(src, t) == "unsafe"
+                && (is(src, code, i + 1, "{") || is(src, code, i + 1, "impl"))
+                && !justified(t.line)
+        })
+        .map(|(_, t)| Finding {
+            file: rel.to_string(),
+            line: t.line,
+            rule: "unsafe-without-safety-comment",
+            message: "`unsafe` block without a `// SAFETY:` comment directly above it — say why the call is sound".to_string(),
         })
         .collect()
 }
@@ -721,5 +759,28 @@ mod tests {
         assert_eq!(hits, vec![("unsafe-outside-polling", 3)]);
         // compat/polling is the sanctioned home for unsafe.
         assert!(fire("compat/polling/src/lib.rs", uses_unsafe).is_empty());
+    }
+
+    #[test]
+    fn unsafe_blocks_in_polling_need_a_safety_comment_directly_above() {
+        const POLLING: &str = "compat/polling/src/epoll.rs";
+        let justified = "fn f() -> i32 {\n    // SAFETY: takes no pointers; the\n    // kernel touches none of our memory.\n    let fd = unsafe { g() };\n    fd\n}\n";
+        assert!(fire(POLLING, justified).is_empty());
+
+        // A SAFETY comment separated by code, prose that is not one, a
+        // trailing comment and none at all each fire.
+        let unjustified = "fn f() {\n    // SAFETY: stale, above other code\n    let a = 1;\n    let b = unsafe { g() };\n    // no safety argument here\n    unsafe { h() };\n    let c = 2; // SAFETY: trailing, not above\n    unsafe impl Send for S {}\n}\n";
+        let hits = fire(POLLING, unjustified);
+        assert_eq!(
+            hits,
+            vec![
+                ("unsafe-without-safety-comment", 4),
+                ("unsafe-without-safety-comment", 6),
+                ("unsafe-without-safety-comment", 8),
+            ]
+        );
+        // Outside compat/polling the confinement rule fires instead.
+        let elsewhere = fire("crates/other/src/x.rs", justified);
+        assert_eq!(elsewhere, vec![("unsafe-outside-polling", 4)]);
     }
 }

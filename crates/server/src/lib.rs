@@ -4,8 +4,8 @@
 //! XtremWeb-HEP middleware call over the network (§3, Fig. 3). This crate
 //! is that deployment seam for the reproduction: it serves the existing
 //! typed protocol ([`spequlos::protocol`]) over loopback or LAN TCP using
-//! nothing but `std::net`, a `poll(2)` readiness loop (the vendored
-//! [`polling`] shim), and one I/O thread — and provides the client half,
+//! nothing but `std::net`, a readiness loop (the vendored [`polling`]
+//! shim: epoll on Linux, `poll(2)` elsewhere), and one I/O thread — and provides the client half,
 //! [`RemoteService`], which implements [`spequlos::protocol::SpqService`]
 //! so every caller written against the trait (the harness hooks, the
 //! `Experiment` builder, `protocol::replay`) can swap the in-process

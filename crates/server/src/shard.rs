@@ -3,7 +3,7 @@
 //!
 //! A *shard* is one thread that owns one [`SpeQuloS`] (plus its
 //! write-ahead log, when durable) and a set of connections. It parks in
-//! `poll(2)` (the vendored [`polling`] shim) until a socket is ready,
+//! the vendored [`polling`] shim (epoll on Linux) until a socket is ready,
 //! lets the connection's [`Conn`] core move bytes and decode frames, and
 //! executes each request *inline* — decode → (durable stage) →
 //! `service.handle` → encode, then one group commit before the turn's
@@ -405,7 +405,7 @@ pub(crate) fn spawn_parts(
         }));
         let router = Router {
             poller: accept_poller,
-            listener,
+            acceptor: Acceptor::new(listener),
             links,
             pending: Slots::default(),
             config,
@@ -420,7 +420,7 @@ pub(crate) fn spawn_parts(
         .map(|(store, poller)| {
             let shard = Shard {
                 poller: Arc::clone(poller),
-                listener: shard_listener.take(),
+                acceptor: shard_listener.take().map(Acceptor::new),
                 mesh: meshes.next(),
                 conns: Slots::default(),
                 next_gen: 0,
@@ -573,45 +573,89 @@ impl<T> Slots<T> {
     }
 }
 
-/// Accepts until the listener runs dry — each socket non-blocking, Nagle
-/// off (replies are single small frames; it only adds latency), wrapped
-/// by `adopt` and registered under a fresh slot — then re-arms the
-/// listener.
-fn accept_burst<T>(
-    listener: &TcpListener,
-    poller: &Poller,
-    config: &ServerConfig,
-    slots: &mut Slots<T>,
-    mut adopt: impl FnMut(Sock, usize) -> T,
-) {
-    while let Ok((stream, _)) = listener.accept() {
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        let slot = slots.reserve();
-        if poller.add(&stream, Event::readable(slot + 1)).is_err() {
-            // Out of poller budget: refuse by dropping the socket.
-            slots.release(slot);
-            continue;
-        }
-        let core = Conn::new(config);
-        slots.put(slot, adopt(Sock { stream, core }, slot));
-    }
-    let _ = poller.modify(listener, Event::readable(LISTENER_KEY));
+/// The listening socket of an event loop, and whether accepting is
+/// paused.
+struct Acceptor {
+    listener: TcpListener,
+    /// Set when an accept burst stopped on an error other than
+    /// `WouldBlock` — `EMFILE` at the descriptor limit, say. The pending
+    /// connection keeps the listener readable, so re-arming it at once
+    /// would spin the loop; it stays disarmed until a connection closes
+    /// or a [`LOOP_TICK`] has passed.
+    parked: Option<Instant>,
 }
 
+impl Acceptor {
+    fn new(listener: TcpListener) -> Acceptor {
+        Acceptor {
+            listener,
+            parked: None,
+        }
+    }
+
+    /// Accepts until the listener runs dry — each socket non-blocking,
+    /// Nagle off (replies are single small frames; it only adds latency),
+    /// wrapped by `adopt` and registered under a fresh slot — then
+    /// re-arms the listener, or parks it when accepting failed.
+    fn burst<T>(
+        &mut self,
+        poller: &Poller,
+        config: &ServerConfig,
+        slots: &mut Slots<T>,
+        mut adopt: impl FnMut(Sock, usize) -> T,
+    ) {
+        let stopped = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                // That client is gone; the next one may be waiting.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                Err(e) => break e,
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let slot = slots.reserve();
+            if poller.add(&stream, Event::readable(slot + 1)).is_err() {
+                // Out of poller budget: refuse by dropping the socket.
+                slots.release(slot);
+                continue;
+            }
+            let core = Conn::new(config);
+            slots.put(slot, adopt(Sock { stream, core }, slot));
+        };
+        if stopped.kind() == io::ErrorKind::WouldBlock {
+            let _ = poller.modify(&self.listener, Event::readable(LISTENER_KEY));
+        } else {
+            self.parked = Some(Instant::now());
+        }
+    }
+
+    /// Re-arms a parked listener once a connection has `closed` or a
+    /// loop tick has passed since it parked.
+    fn resume(&mut self, poller: &Poller, closed: bool) {
+        if self
+            .parked
+            .is_some_and(|at| closed || at.elapsed() >= LOOP_TICK)
+        {
+            self.parked = None;
+            let _ = poller.modify(&self.listener, Event::readable(LISTENER_KEY));
+        }
+    }
+}
+
+/// The event loops' wait timeout.
+const LOOP_TICK: Duration = Duration::from_millis(500);
+
 /// Parks in `poller` until `shutdown`, handing each wakeup's events to
-/// `turn`. The timeout is a belt-and-braces re-check of the flag;
-/// `Poller::notify` is the real wakeup.
+/// `turn`. The timeout is a belt-and-braces re-check of the flag (and
+/// the tick a parked listener waits out); `Poller::notify` is the real
+/// wakeup.
 fn event_loop(poller: &Poller, shutdown: &AtomicBool, mut turn: impl FnMut(&mut Vec<Event>)) {
     let mut events: Vec<Event> = Vec::new();
     while !shutdown.load(Ordering::Acquire) {
         events.clear();
-        if poller
-            .wait(&mut events, Some(Duration::from_millis(500)))
-            .is_err()
-        {
+        if poller.wait(&mut events, Some(LOOP_TICK)).is_err() {
             break;
         }
         turn(&mut events);
@@ -632,7 +676,7 @@ struct Handoff {
 
 struct Router {
     poller: Arc<Poller>,
-    listener: TcpListener,
+    acceptor: Acceptor,
     links: Arc<Vec<ShardLink>>,
     /// Connections still being classified: hello, then the first
     /// complete request frame decides the owning shard.
@@ -644,12 +688,12 @@ impl Router {
     fn run(mut self, shutdown: &AtomicBool) {
         let poller = Arc::clone(&self.poller);
         event_loop(&poller, shutdown, |events| {
+            self.acceptor.resume(&self.poller, false);
             for event in events.drain(..) {
                 if event.key == LISTENER_KEY {
-                    let (listener, pending) = (&self.listener, &mut self.pending);
-                    accept_burst(listener, &self.poller, &self.config, pending, |sock, _| {
-                        sock
-                    });
+                    let pending = &mut self.pending;
+                    self.acceptor
+                        .burst(&self.poller, &self.config, pending, |sock, _| sock);
                 } else {
                     self.drive(event.key - 1);
                 }
@@ -704,6 +748,7 @@ impl Router {
             // before the first frame: nothing owed.
             _ => {
                 let _ = self.poller.delete(&sock.stream);
+                self.acceptor.resume(&self.poller, true);
             }
         }
         self.pending.release(slot);
@@ -806,7 +851,7 @@ impl ShardConn {
 struct Shard {
     poller: Arc<Poller>,
     /// The single shard accepts for itself; behind a router, `None`.
-    listener: Option<TcpListener>,
+    acceptor: Option<Acceptor>,
     mesh: Option<Mesh>,
     /// Boxed, so taking a connection out of its slot and putting it back
     /// moves a pointer, and an idle slot costs one.
@@ -821,13 +866,15 @@ impl Shard {
     fn run(mut self, shutdown: &AtomicBool) -> SpeQuloS {
         let poller = Arc::clone(&self.poller);
         event_loop(&poller, shutdown, |events| {
+            if let Some(acceptor) = self.acceptor.as_mut() {
+                acceptor.resume(&self.poller, false);
+            }
             self.drain_mesh();
             for event in events.drain(..) {
-                match (event.key, self.listener.as_ref()) {
-                    (LISTENER_KEY, Some(listener)) => {
+                match (event.key, self.acceptor.as_mut()) {
+                    (LISTENER_KEY, Some(acceptor)) => {
                         let next_gen = &mut self.next_gen;
-                        accept_burst(
-                            listener,
+                        acceptor.burst(
                             &self.poller,
                             &self.config,
                             &mut self.conns,
@@ -913,6 +960,9 @@ impl Shard {
         } else {
             let _ = self.poller.delete(&conn.sock.stream);
             self.conns.release(conn.slot);
+            if let Some(acceptor) = self.acceptor.as_mut() {
+                acceptor.resume(&self.poller, true);
+            }
         }
     }
 
