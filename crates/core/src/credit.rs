@@ -184,10 +184,7 @@ impl CreditSystem {
     }
 
     /// Open (not yet paid) orders as `(bot, user, remaining)`, sorted by
-    /// BoT id. The sorted order matters: the multi-tenant arbiter sums
-    /// remaining credits over this list, and floating-point summation is
-    /// order-dependent — iterating a `HashMap` here would make otherwise
-    /// identical runs diverge bit-wise.
+    /// BoT id.
     pub fn open_orders(&self) -> Vec<(BotId, UserId, f64)> {
         let mut v: Vec<(BotId, UserId, f64)> = self
             .orders
@@ -197,6 +194,18 @@ impl CreditSystem {
             .collect();
         v.sort_by_key(|(b, _, _)| b.0);
         v
+    }
+
+    /// Credits remaining over every open order — the multi-tenant
+    /// arbiter's denominator. Summed in BoT-id order, the `BTreeMap`'s
+    /// walk: floating-point addition is order-dependent, and any other
+    /// order would make otherwise identical runs diverge bit-wise.
+    pub(crate) fn open_remaining(&self) -> f64 {
+        self.orders
+            .values()
+            .filter(|o| !o.closed)
+            .map(|o| (o.provisioned - o.spent).max(0.0))
+            .sum()
     }
 
     /// Number of open orders (active QoS-supported BoTs).

@@ -9,7 +9,7 @@
 
 use crate::progress::BotProgress;
 use botwork::BotId;
-use simcore::{SimTime, TimeSeries};
+use simcore::{IdMap, SimTime, TimeSeries};
 use std::collections::HashMap;
 
 /// Live monitoring record of one BoT execution.
@@ -75,7 +75,7 @@ impl ArchivedExecution {
 /// The Information module: live records plus the execution archive.
 #[derive(Clone, Debug, Default)]
 pub struct Information {
-    pub(crate) live: HashMap<u64, BotRecord>,
+    pub(crate) live: IdMap<BotRecord>,
     pub(crate) archive: HashMap<String, Vec<ArchivedExecution>>,
 }
 

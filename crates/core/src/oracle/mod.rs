@@ -11,8 +11,7 @@ pub mod strategy;
 
 use crate::info::BotRecord;
 use botwork::BotId;
-use simcore::SimTime;
-use std::collections::HashMap;
+use simcore::{IdMap, SimTime};
 
 pub use predict::{
     historical_success_rate, learn_alpha, predict, prediction_successful, raw_estimate, Prediction,
@@ -31,7 +30,7 @@ pub(crate) struct VarianceState {
 /// state the Execution-Variance trigger requires.
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
-    pub(crate) variance: HashMap<u64, VarianceState>,
+    pub(crate) variance: IdMap<VarianceState>,
 }
 
 impl Oracle {

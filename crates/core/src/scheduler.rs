@@ -11,8 +11,7 @@ use crate::modules::{InfoBackend, OracleStrategy, SchedulingPolicy};
 use crate::oracle::{Provisioning, StrategyCombo};
 use crate::progress::BotProgress;
 use botwork::BotId;
-use simcore::SimDuration;
-use std::collections::{HashMap, HashSet};
+use simcore::{IdMap, IdSet, SimDuration};
 
 /// Action the Scheduler orders after a monitoring tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub(crate) struct BotSchedState {
 /// The Scheduler module.
 #[derive(Clone, Debug, Default)]
 pub struct Scheduler {
-    pub(crate) state: HashMap<u64, BotSchedState>,
+    pub(crate) state: IdMap<BotSchedState>,
     /// Allow re-provisioning on later ticks if workers stopped while
     /// credits remain (off by default: the paper sizes the fleet once;
     /// used by ablation experiments).
@@ -105,10 +104,7 @@ impl Scheduler {
         if delta == 0 {
             return CloudAction::None;
         }
-        self.state
-            .get_mut(&bot.0)
-            .expect("just inserted")
-            .cloud_started = true;
+        state.cloud_started = true;
         CloudAction::Start(delta)
     }
 
@@ -212,7 +208,7 @@ pub struct GreedyUntilTc {
     /// Target completion time, measured from each BoT's submission.
     pub target: SimDuration,
     /// BoTs for which at least one `Start` was issued.
-    pub(crate) started: HashSet<u64>,
+    pub(crate) started: IdSet,
 }
 
 impl GreedyUntilTc {
@@ -221,7 +217,7 @@ impl GreedyUntilTc {
     pub fn new(target: SimDuration) -> Self {
         GreedyUntilTc {
             target,
-            started: HashSet::new(),
+            started: IdSet::default(),
         }
     }
 }

@@ -22,8 +22,7 @@ use crate::progress::BotProgress;
 use crate::scheduler::{CloudAction, Scheduler};
 use crate::tenancy::{CloudPool, PoolLease, PoolLedger, TenantMetrics};
 use botwork::BotId;
-use simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{IdMap, SimDuration, SimTime};
 
 /// One entry of the protocol log (the arrows of Fig. 3).
 #[derive(Clone, Debug, PartialEq)]
@@ -160,8 +159,8 @@ pub struct SpeQuloS {
     /// Clock granularity: the monitoring/billing period assumed by the
     /// wire protocol's `ReportProgress` requests.
     pub(crate) tick: SimDuration,
-    pub(crate) strategies: HashMap<u64, StrategyCombo>,
-    pub(crate) users: HashMap<u64, UserId>,
+    pub(crate) strategies: IdMap<StrategyCombo>,
+    pub(crate) users: IdMap<UserId>,
     pub(crate) next_bot: u64,
     /// Stride between successive BoT ids. `1` (the default) allocates
     /// densely; a shard `i` of `n` allocates `i, i+n, i+2n, …` so that
@@ -172,7 +171,7 @@ pub struct SpeQuloS {
     /// Shared cloud-worker pool; `None` (the default) disables arbitration
     /// entirely and preserves single-tenant behaviour bit-for-bit.
     pub(crate) pool: Option<CloudPool>,
-    pub(crate) tenants: HashMap<u64, TenantMetrics>,
+    pub(crate) tenants: IdMap<TenantMetrics>,
 }
 
 impl Default for SpeQuloS {
@@ -294,13 +293,13 @@ impl SpeQuloSBuilder {
             favors: FavorLedger::new(),
             default_strategy: self.default_strategy,
             tick: self.tick,
-            strategies: HashMap::new(),
-            users: HashMap::new(),
+            strategies: IdMap::default(),
+            users: IdMap::default(),
             next_bot: first_bot,
             bot_stride: stride,
             log: Vec::new(),
             pool: self.pool.map(CloudPool::new),
-            tenants: HashMap::new(),
+            tenants: IdMap::default(),
         }
     }
 }
@@ -589,8 +588,7 @@ impl SpeQuloS {
         let Some(pool) = self.pool.as_mut() else {
             return want;
         };
-        let open = self.credits.open_orders();
-        let total: f64 = open.iter().map(|&(_, _, r)| r).sum();
+        let total = self.credits.open_remaining();
         let remaining = self.credits.remaining(bot);
         let capacity = pool.capacity();
         // The Scheduler emits Start only while `has_credits` holds, so the

@@ -14,8 +14,8 @@
 //!
 //! Determinism rules:
 //!
-//! * every `HashMap` is emitted sorted by key — map iteration order must
-//!   never leak into the bytes;
+//! * every hash map — SipHash or [`simcore::IdMap`] — is emitted sorted
+//!   by key: map iteration order must never leak into the bytes;
 //! * floats go through the shortest-round-trip formatter (`fmt_f64`),
 //!   so `encode → decode → encode` is bit-identical;
 //! * non-finite floats are a typed [`SnapshotError::NonFinite`] at
@@ -111,8 +111,8 @@ fn fin(w: &mut Writer<'_>, field: &'static str, v: f64) -> Result<(), SnapshotEr
     Ok(())
 }
 
-/// A hash map's entries in key order.
-fn sorted<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
+/// A hash map's entries in key order, whatever it hashes with.
+fn sorted<K: Ord, V, S>(map: &HashMap<K, V, S>) -> Vec<(&K, &V)> {
     // spq-lint: allow(det-unordered-iter) — entries are sorted on the next line
     let mut entries: Vec<(&K, &V)> = map.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -490,10 +490,10 @@ fn read_order(r: &mut Reader<'_>) -> Result<(u64, Order), String> {
     Ok((bot, order))
 }
 
-fn write_favor_map(
+fn write_favor_map<S>(
     w: &mut Writer<'_>,
     field_name: &'static str,
-    map: &HashMap<u64, f64>,
+    map: &HashMap<u64, f64, S>,
 ) -> Result<(), SnapshotError> {
     w.begin_array();
     for (&user, &hours) in sorted(map) {

@@ -29,8 +29,7 @@ use crate::credit::UserId;
 use crate::protocol::{Request, RequestError, Response, SpqService};
 use crate::service::SpeQuloS;
 use botwork::BotId;
-use simcore::SimTime;
-use std::collections::HashMap;
+use simcore::{IdMap, SimTime};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -406,7 +405,7 @@ impl ShardQuota {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CloudPool {
     pub(crate) capacity: u32,
-    pub(crate) leases: HashMap<u64, u32>,
+    pub(crate) leases: IdMap<u32>,
     pub(crate) peak_in_use: u32,
 }
 
@@ -415,7 +414,7 @@ impl CloudPool {
     pub fn new(capacity: u32) -> Self {
         CloudPool {
             capacity,
-            leases: HashMap::new(),
+            leases: IdMap::default(),
             peak_in_use: 0,
         }
     }

@@ -14,7 +14,8 @@ use super::{Assignment, CompleteOutcome, LostOutcome, ServerProgress};
 use crate::config::BoincConfig;
 use crate::ids::{AssignmentId, WorkerId};
 use botwork::TaskId;
-use std::collections::{HashMap, VecDeque};
+use simcore::IdMap;
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct Wu {
@@ -56,7 +57,7 @@ pub struct BoincServer {
     wus: Vec<Wu>,
     /// One entry per ready replica.
     ready_q: VecDeque<TaskId>,
-    assignments: HashMap<u64, BAssign>,
+    assignments: IdMap<BAssign>,
     next_aid: u64,
     dup_scan: Vec<TaskId>,
     /// Replicas lost with their node, indexed by worker: when the host
@@ -64,7 +65,7 @@ pub struct BoincServer {
     /// (`resend_lost_results`, enabled on production BOINC projects —
     /// without it every lost replica stalls its workunit for the full
     /// `delay_bound`).
-    lost_by_worker: HashMap<u32, Vec<AssignmentId>>,
+    lost_by_worker: IdMap<Vec<AssignmentId>>,
     submitted: u32,
     completed: u32,
     dispatched: u32,
@@ -103,10 +104,10 @@ impl BoincServer {
             reschedule,
             wus,
             ready_q: VecDeque::new(),
-            assignments: HashMap::new(),
+            assignments: IdMap::default(),
             next_aid: 0,
             dup_scan: Vec::new(),
-            lost_by_worker: HashMap::new(),
+            lost_by_worker: IdMap::default(),
             submitted: 0,
             completed: 0,
             dispatched: 0,
@@ -238,7 +239,7 @@ impl BoincServer {
     /// assignment record is reaped and its workunit returned so a fresh
     /// assignment can replace it.
     fn pop_resend(&mut self, worker: WorkerId) -> Option<TaskId> {
-        let mut lost = self.lost_by_worker.remove(&worker.0)?;
+        let mut lost = self.lost_by_worker.remove(&u64::from(worker.0))?;
         while let Some(aid) = lost.pop() {
             let Some(rec) = self.assignments.get(&aid.0) else {
                 continue; // reaped at its deadline meanwhile
@@ -255,7 +256,7 @@ impl BoincServer {
             self.assignments.remove(&aid.0);
             self.mutate_wu(task, |wu| wu.live.retain(|a| *a != aid));
             if !lost.is_empty() {
-                self.lost_by_worker.insert(worker.0, lost);
+                self.lost_by_worker.insert(u64::from(worker.0), lost);
             }
             return Some(task);
         }
@@ -370,7 +371,7 @@ impl BoincServer {
         if let Some(rec) = self.assignments.get_mut(&aid.0) {
             rec.dead = true;
             self.lost_by_worker
-                .entry(rec.worker.0)
+                .entry(u64::from(rec.worker.0))
                 .or_default()
                 .push(aid);
         }

@@ -19,7 +19,8 @@ use super::{Assignment, CompleteOutcome, LostOutcome, ServerProgress};
 use crate::config::CondorConfig;
 use crate::ids::{AssignmentId, WorkerId};
 use botwork::TaskId;
-use std::collections::{HashMap, VecDeque};
+use simcore::IdMap;
+use std::collections::VecDeque;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
@@ -57,7 +58,7 @@ pub struct CondorServer {
     reschedule: bool,
     tasks: Vec<TaskRec>,
     ready_q: VecDeque<TaskId>,
-    assignments: HashMap<u64, AssignRec>,
+    assignments: IdMap<AssignRec>,
     next_aid: u64,
     dup_scan: Vec<TaskId>,
     submitted: u32,
@@ -85,7 +86,7 @@ impl CondorServer {
             reschedule,
             tasks,
             ready_q: VecDeque::new(),
-            assignments: HashMap::new(),
+            assignments: IdMap::default(),
             next_aid: 0,
             dup_scan: Vec::new(),
             submitted: 0,
@@ -212,9 +213,9 @@ impl CondorServer {
         rec.state = TaskState::Done;
         rec.remaining_nops = 0.0;
         self.running_count -= 1;
-        let rec = self.rec_mut(task);
-        let others: Vec<AssignmentId> = rec.live.iter().copied().filter(|a| *a != aid).collect();
-        rec.live.clear();
+        // Supersede every other live assignment of this task; `aid`'s own
+        // record was removed above, so the lookup passes it over.
+        let others = std::mem::take(&mut self.rec_mut(task).live);
         for other in others {
             if let Some(o) = self.assignments.get_mut(&other.0) {
                 o.superseded = true;

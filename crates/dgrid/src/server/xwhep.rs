@@ -11,7 +11,8 @@ use super::{Assignment, CompleteOutcome, LostOutcome, ServerProgress};
 use crate::config::XwhepConfig;
 use crate::ids::{AssignmentId, WorkerId};
 use botwork::TaskId;
-use std::collections::{HashMap, VecDeque};
+use simcore::IdMap;
+use std::collections::VecDeque;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
@@ -50,7 +51,7 @@ pub struct XwhepServer {
     reschedule: bool,
     tasks: Vec<TaskRec>,
     ready_q: VecDeque<TaskId>,
-    assignments: HashMap<u64, AssignRec>,
+    assignments: IdMap<AssignRec>,
     next_aid: u64,
     /// Tasks in first-dispatch order; scanned to pick the longest-running
     /// task when building a cloud duplicate.
@@ -82,7 +83,7 @@ impl XwhepServer {
             reschedule,
             tasks,
             ready_q: VecDeque::new(),
-            assignments: HashMap::new(),
+            assignments: IdMap::default(),
             next_aid: 0,
             dup_scan: Vec::new(),
             submitted: 0,
@@ -213,10 +214,9 @@ impl XwhepServer {
         }
         rec.state = TaskState::Done;
         self.running_count -= 1;
-        let rec = self.rec_mut(task);
-        // Supersede every other live assignment of this task.
-        let others: Vec<AssignmentId> = rec.live.iter().copied().filter(|a| *a != aid).collect();
-        rec.live.clear();
+        // Supersede every other live assignment of this task; `aid`'s own
+        // record was removed above, so the lookup passes it over.
+        let others = std::mem::take(&mut self.rec_mut(task).live);
         for other in others {
             if let Some(o) = self.assignments.get_mut(&other.0) {
                 o.superseded = true;

@@ -548,12 +548,18 @@ fn read_response(rd: &mut Rd<'_>, depth: usize) -> Result<Response, BinError> {
 // Envelopes (§5.2, §5.4)
 // ---------------------------------------------------------------------------
 
-/// Encodes one request envelope: `id:u64 · t:u64 (ms) · request` (§5.2).
+/// Appends one request envelope to `out`: `id:u64 · t:u64 (ms) ·
+/// request` (§5.2).
+pub fn encode_request_into(out: &mut Vec<u8>, envelope: &RequestEnvelope) {
+    put_u64(out, envelope.id);
+    put_u64(out, envelope.at.as_millis());
+    put_request(out, &envelope.request);
+}
+
+/// [`encode_request_into`] a fresh buffer.
 pub fn encode_request(envelope: &RequestEnvelope) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    put_u64(&mut out, envelope.id);
-    put_u64(&mut out, envelope.at.as_millis());
-    put_request(&mut out, &envelope.request);
+    encode_request_into(&mut out, envelope);
     out
 }
 
@@ -569,11 +575,18 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestEnvelope, BinError> {
     Ok(envelope)
 }
 
-/// Encodes one response envelope: `id:u64 · response` (§5.4).
+/// Appends one response envelope to `out`: `id:u64 · response` (§5.4).
+/// The server encodes replies through this straight into a connection's
+/// write buffer ([`crate::frame::write_binary_frame_with`]).
+pub fn encode_response_into(out: &mut Vec<u8>, envelope: &ResponseEnvelope) {
+    put_u64(out, envelope.id);
+    put_response(out, &envelope.response);
+}
+
+/// [`encode_response_into`] a fresh buffer.
 pub fn encode_response(envelope: &ResponseEnvelope) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    put_u64(&mut out, envelope.id);
-    put_response(&mut out, &envelope.response);
+    encode_response_into(&mut out, envelope);
     out
 }
 

@@ -6,7 +6,7 @@
 //!   hello line, request frames) into a buffer the caller writes out, and
 //!   *reads replies* from any `Read` through the same incremental
 //!   decoders the server uses ([`frame::decode_hello_ack`],
-//!   [`frame::decode_json_frame`], [`frame::decode_binary_frame`]). It
+//!   [`frame::split_json_frame`], [`frame::split_binary_frame`]). It
 //!   never touches a socket, so tests feed it hostile byte streams split
 //!   at arbitrary boundaries (`tests/client_core.rs`).
 //! * [`RemoteService`] — a socket plus a core: a connection to a protocol
@@ -43,6 +43,8 @@ pub struct ClientCore {
     /// front has been consumed. Compacted before every read.
     rbuf: Vec<u8>,
     rpos: usize,
+    /// A JSON request's text, kept between requests (see `Conn`'s twin).
+    text: String,
 }
 
 impl ClientCore {
@@ -56,6 +58,7 @@ impl ClientCore {
             ack_owed: false,
             rbuf: Vec::new(),
             rpos: 0,
+            text: String::new(),
         }
     }
 
@@ -74,10 +77,14 @@ impl ClientCore {
         self.next_id += 1;
         let envelope = RequestEnvelope { id, at, request };
         match self.codec {
-            Codec::Json => frame::write_frame(out, Codec::Json, envelope.to_json().as_bytes()),
-            Codec::Binary => {
-                frame::write_frame(out, Codec::Binary, &binary::encode_request(&envelope))
+            Codec::Json => {
+                self.text.clear();
+                envelope.write_json(&mut self.text);
+                frame::write_frame(out, Codec::Json, self.text.as_bytes());
             }
+            Codec::Binary => frame::write_binary_frame_with(out, |buf| {
+                binary::encode_request_into(buf, &envelope)
+            }),
         }
         id
     }
@@ -159,10 +166,10 @@ impl ClientCore {
         loop {
             let buf = self.buffered();
             let decoded = match self.codec {
-                Codec::Json => frame::decode_json_frame(buf, MAX_FRAME_BYTES)?
-                    .map(|(p, n)| (ResponseEnvelope::from_json(&p), n)),
-                Codec::Binary => frame::decode_binary_frame(buf, MAX_FRAME_BYTES)?
-                    .map(|(p, n)| (binary::decode_response(&p).map_err(|e| e.to_string()), n)),
+                Codec::Json => frame::split_json_frame(buf, MAX_FRAME_BYTES)?
+                    .map(|(p, n)| (ResponseEnvelope::from_json(p), n)),
+                Codec::Binary => frame::split_binary_frame(buf, MAX_FRAME_BYTES)?
+                    .map(|(p, n)| (binary::decode_response(p).map_err(|e| e.to_string()), n)),
             };
             if let Some((reply, consumed)) = decoded {
                 self.rpos += consumed;

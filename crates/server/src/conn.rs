@@ -70,6 +70,10 @@ pub struct Conn {
     /// Encoded replies not yet accepted by the peer, `wpos` sent.
     wbuf: Vec<u8>,
     wpos: usize,
+    /// A JSON reply's text, kept between replies: its length heads the
+    /// frame (§3), so it is written here first and then framed into
+    /// `wbuf`. Binary replies need no such stop.
+    text: String,
     /// Drain `wbuf`, then close (a hello refusal, §2.2).
     close_after_flush: bool,
     /// The peer half-closed its write side (§1): serve what is buffered,
@@ -89,6 +93,7 @@ impl Conn {
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
+            text: String::new(),
             close_after_flush: false,
             read_closed: false,
             max_frame: config.max_frame_bytes,
@@ -176,32 +181,34 @@ impl Conn {
                 }
                 continue;
             };
-            let decoded = match codec {
+            // The payload is decoded where it lies in `rbuf`.
+            let (decoded, consumed) = match codec {
                 Codec::Json => {
                     let Some((payload, consumed)) =
-                        frame::decode_json_frame(buf, self.max_frame).map_err(|_| Dead)?
+                        frame::split_json_frame(buf, self.max_frame).map_err(|_| Dead)?
                     else {
                         break;
                     };
-                    self.rpos += consumed;
-                    match RequestEnvelope::from_json(&payload) {
+                    let decoded = match RequestEnvelope::from_json(payload) {
                         Ok(envelope) => Decoded::Request(envelope),
-                        Err(e) => bad_envelope(peek_id(&payload), e),
-                    }
+                        Err(e) => bad_envelope(peek_id(payload), e),
+                    };
+                    (decoded, consumed)
                 }
                 Codec::Binary => {
                     let Some((payload, consumed)) =
-                        frame::decode_binary_frame(buf, self.max_frame).map_err(|_| Dead)?
+                        frame::split_binary_frame(buf, self.max_frame).map_err(|_| Dead)?
                     else {
                         break;
                     };
-                    self.rpos += consumed;
-                    match binary::decode_request(&payload) {
+                    let decoded = match binary::decode_request(payload) {
                         Ok(envelope) => Decoded::Request(envelope),
-                        Err(e) => bad_envelope(binary::peek_id(&payload), e),
-                    }
+                        Err(e) => bad_envelope(binary::peek_id(payload), e),
+                    };
+                    (decoded, consumed)
                 }
             };
+            self.rpos += consumed;
             return Ok(Some(decoded));
         }
         if self.rpos > 0 {
@@ -213,16 +220,18 @@ impl Conn {
 
     /// Queues `reply` for the peer, encoded in the negotiated codec. A
     /// reply can only answer a decoded request, so the codec is known.
+    /// Once the buffers have grown to the connection's traffic, this
+    /// allocates nothing (`tests/zero_alloc.rs`).
     pub fn push_reply(&mut self, reply: &ResponseEnvelope) {
         match self.codec {
             Some(Codec::Json) => {
-                frame::write_frame(&mut self.wbuf, Codec::Json, reply.to_json().as_bytes())
+                self.text.clear();
+                reply.write_json(&mut self.text);
+                frame::write_frame(&mut self.wbuf, Codec::Json, self.text.as_bytes());
             }
-            Some(Codec::Binary) => frame::write_frame(
-                &mut self.wbuf,
-                Codec::Binary,
-                &binary::encode_response(reply),
-            ),
+            Some(Codec::Binary) => frame::write_binary_frame_with(&mut self.wbuf, |buf| {
+                binary::encode_response_into(buf, reply)
+            }),
             None => {}
         }
     }

@@ -21,20 +21,29 @@
 //! [`crate::binary`]) — no terminator, no text anywhere.
 //!
 //! There is one decoder per format, and both halves of the transport
-//! read through it: the non-consuming `decode_*` functions take whatever
+//! read through it: the non-consuming `split_*` functions take whatever
 //! bytes are buffered so far and answer "is a complete frame here yet?"
-//! (`Ok(None)` = not yet; `Ok(Some((frame, consumed)))` = yes, drop
-//! `consumed` bytes). The server's connection core ([`crate::conn`])
-//! feeds them from non-blocking sockets, the client core
-//! ([`crate::client`]) from a blocking one — where "not yet" at end of
-//! stream is what [`FrameError::Truncated`] means.
+//! (`Ok(None)` = not yet; `Ok(Some((payload, consumed)))` = yes, drop
+//! `consumed` bytes). The payload is borrowed from the buffer, so a frame
+//! is decoded where it was read, never copied out first. The server's
+//! connection core ([`crate::conn`]) feeds them from non-blocking
+//! sockets, the client core ([`crate::client`]) from a blocking one —
+//! where "not yet" at end of stream is what [`FrameError::Truncated`]
+//! means. The owned `decode_*` forms copy the payload out; they are kept
+//! for callers outside the crate that want one (benchmark/README.md
+//! § Frozen API), and nothing in the serving or client path calls them.
+//!
+//! Writing is symmetric: [`write_frame`] appends a frame around a
+//! finished payload, and [`write_binary_frame_with`] lets an encoder
+//! write the payload straight into the buffer behind a length patched in
+//! afterwards.
 //!
 //! Every malformed input is a typed [`FrameError`] — oversized lengths,
 //! non-numeric headers, unparseable hellos — never a panic: these
 //! parsers sit on both sides of the wire, where arbitrary bytes arrive.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 
 /// Default ceiling on a frame's payload size. A monitoring tick for
 /// thousands of tenants batches to well under a megabyte; anything near
@@ -115,7 +124,7 @@ pub enum FrameError {
     /// writer disagree about the payload length.
     MissingTerminator,
     /// The payload is not valid UTF-8.
-    NotUtf8(std::string::FromUtf8Error),
+    NotUtf8(std::str::Utf8Error),
     /// The hello exchange failed: the line is malformed, names an
     /// unknown protocol version or codec, or the server refused it.
     BadHello(String),
@@ -169,16 +178,27 @@ impl From<io::Error> for FrameError {
 pub fn write_frame(buf: &mut Vec<u8>, codec: Codec, payload: &[u8]) {
     match codec {
         Codec::Json => {
-            buf.extend_from_slice(payload.len().to_string().as_bytes());
-            buf.push(b'\n');
+            // Digits straight into the buffer: writing to a `Vec` cannot
+            // fail, and formatting a `usize` allocates nothing.
+            let _ = writeln!(buf, "{}", payload.len());
             buf.extend_from_slice(payload);
             buf.push(b'\n');
         }
-        Codec::Binary => {
-            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-            buf.extend_from_slice(&len.to_le_bytes());
-            buf.extend_from_slice(payload);
-        }
+        Codec::Binary => write_binary_frame_with(buf, |buf| buf.extend_from_slice(payload)),
+    }
+}
+
+/// Appends one binary frame (§4) whose payload `encode` appends to `buf`
+/// itself: a 4-byte placeholder goes first and the length is patched in
+/// once the payload is written, so the payload is never built apart and
+/// copied. The length saturates as in [`write_frame`].
+pub fn write_binary_frame_with(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = u32::try_from(buf.len() - header - 4).unwrap_or(u32::MAX);
+    if let Some(slot) = buf.get_mut(header..header + 4) {
+        slot.copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -312,10 +332,11 @@ pub fn decode_hello_ack(buf: &[u8]) -> Result<Option<(Codec, usize)>, FrameError
 // Incremental frame decoding (both halves' read path)
 // ---------------------------------------------------------------------------
 
-/// Tries to decode one JSON frame (§3) from the front of `buf` without
+/// Tries to split one JSON frame (§3) off the front of `buf` without
 /// consuming it. `Ok(None)` = the frame is incomplete, keep reading;
-/// `Ok(Some((payload, consumed)))` = one frame, drop `consumed` bytes.
-pub fn decode_json_frame(buf: &[u8], max: usize) -> Result<Option<(String, usize)>, FrameError> {
+/// `Ok(Some((payload, consumed)))` = one frame, its UTF-8-checked payload
+/// borrowed from `buf`; drop `consumed` bytes once done with it.
+pub fn split_json_frame(buf: &[u8], max: usize) -> Result<Option<(&str, usize)>, FrameError> {
     let Some(newline) = buf
         .iter()
         .take(MAX_HEADER_DIGITS + 1)
@@ -348,13 +369,18 @@ pub fn decode_json_frame(buf: &[u8], max: usize) -> Result<Option<(String, usize
         return Err(FrameError::MissingTerminator);
     }
     let body = frame.get(newline + 1..total - 1).unwrap_or_default();
-    let payload = String::from_utf8(body.to_vec()).map_err(FrameError::NotUtf8)?;
+    let payload = std::str::from_utf8(body).map_err(FrameError::NotUtf8)?;
     Ok(Some((payload, total)))
 }
 
-/// Tries to decode one binary frame (§4) from the front of `buf` without
-/// consuming it; same contract as [`decode_json_frame`].
-pub fn decode_binary_frame(buf: &[u8], max: usize) -> Result<Option<(Vec<u8>, usize)>, FrameError> {
+/// [`split_json_frame`] with the payload copied out.
+pub fn decode_json_frame(buf: &[u8], max: usize) -> Result<Option<(String, usize)>, FrameError> {
+    Ok(split_json_frame(buf, max)?.map(|(payload, consumed)| (payload.to_owned(), consumed)))
+}
+
+/// Tries to split one binary frame (§4) off the front of `buf` without
+/// consuming it; same contract as [`split_json_frame`].
+pub fn split_binary_frame(buf: &[u8], max: usize) -> Result<Option<(&[u8], usize)>, FrameError> {
     let Some(header) = buf.first_chunk::<4>() else {
         return Ok(None);
     };
@@ -363,10 +389,12 @@ pub fn decode_binary_frame(buf: &[u8], max: usize) -> Result<Option<(Vec<u8>, us
         return Err(FrameError::TooLarge { declared, max });
     }
     let total = 4 + declared;
-    match buf.get(4..total) {
-        Some(payload) => Ok(Some((payload.to_vec(), total))),
-        None => Ok(None),
-    }
+    Ok(buf.get(4..total).map(|payload| (payload, total)))
+}
+
+/// [`split_binary_frame`] with the payload copied out.
+pub fn decode_binary_frame(buf: &[u8], max: usize) -> Result<Option<(Vec<u8>, usize)>, FrameError> {
+    Ok(split_binary_frame(buf, max)?.map(|(payload, consumed)| (payload.to_vec(), consumed)))
 }
 
 #[cfg(test)]
@@ -376,11 +404,11 @@ mod tests {
     fn roundtrip(payload: &str) -> String {
         let mut buf = Vec::new();
         write_frame(&mut buf, Codec::Json, payload.as_bytes());
-        let (frame, consumed) = decode_json_frame(&buf, MAX_FRAME_BYTES)
+        let (frame, consumed) = split_json_frame(&buf, MAX_FRAME_BYTES)
             .expect("decode")
             .expect("one frame");
         assert_eq!(consumed, buf.len());
-        frame
+        frame.to_owned()
     }
 
     #[test]
@@ -406,32 +434,32 @@ mod tests {
         // error, never a frame. (What an end of stream there means is the
         // reader's call — `tests/client_core.rs`.)
         for cut in 0..12 {
-            assert_eq!(decode_json_frame(&wire[..cut], 64).unwrap(), None, "{cut}");
+            assert_eq!(split_json_frame(&wire[..cut], 64).unwrap(), None, "{cut}");
         }
-        let (payload, consumed) = decode_json_frame(&wire, 64).unwrap().unwrap();
+        let (payload, consumed) = split_json_frame(&wire, 64).unwrap().unwrap();
         assert_eq!(payload, "{\"x\":1.0}");
-        let (payload2, consumed2) = decode_json_frame(&wire[consumed..], 64).unwrap().unwrap();
+        let (payload2, consumed2) = split_json_frame(&wire[consumed..], 64).unwrap().unwrap();
         assert_eq!(payload2, "two");
         assert_eq!(consumed + consumed2, wire.len());
-        assert_eq!(decode_json_frame(&[], 64).unwrap(), None, "clean end");
+        assert_eq!(split_json_frame(&[], 64).unwrap(), None, "clean end");
     }
 
     #[test]
     fn oversized_and_garbage_headers_are_rejected() {
         assert!(matches!(
-            decode_json_frame(b"999999999999999999999\npayload", 64),
+            split_json_frame(b"999999999999999999999\npayload", 64),
             Err(FrameError::BadHeader(_))
         ));
         assert!(matches!(
-            decode_json_frame(b"12a\npayload", 64),
+            split_json_frame(b"12a\npayload", 64),
             Err(FrameError::BadHeader(_))
         ));
         assert!(matches!(
-            decode_json_frame(b"\npayload", 64),
+            split_json_frame(b"\npayload", 64),
             Err(FrameError::BadHeader(_))
         ));
         assert!(matches!(
-            decode_json_frame(b"100\nxxx", 64),
+            split_json_frame(b"100\nxxx", 64),
             Err(FrameError::TooLarge {
                 declared: 100,
                 max: 64
@@ -444,7 +472,7 @@ mod tests {
         // Header says 2 bytes but the payload is 3: the terminator check
         // catches the disagreement.
         assert!(matches!(
-            decode_json_frame(b"2\nabc\n", 64),
+            split_json_frame(b"2\nabc\n", 64),
             Err(FrameError::MissingTerminator)
         ));
     }
@@ -452,7 +480,7 @@ mod tests {
     #[test]
     fn non_utf8_payloads_error() {
         assert!(matches!(
-            decode_json_frame(b"2\n\xff\xfe\n", 64),
+            split_json_frame(b"2\n\xff\xfe\n", 64),
             Err(FrameError::NotUtf8(_))
         ));
     }
@@ -466,12 +494,12 @@ mod tests {
         write_frame(&mut wire, Codec::Binary, &[0xff, 0x00, 0x7f]);
         assert_eq!(&wire[..4], &[0, 0, 0, 0], "little-endian length prefix");
         assert_eq!(&wire[4..8], &[3, 0, 0, 0]);
-        let (payload, consumed) = decode_binary_frame(&wire, 64).unwrap().unwrap();
+        let (payload, consumed) = split_binary_frame(&wire, 64).unwrap().unwrap();
         assert_eq!(payload, b"");
-        let (payload2, consumed2) = decode_binary_frame(&wire[consumed..], 64).unwrap().unwrap();
+        let (payload2, consumed2) = split_binary_frame(&wire[consumed..], 64).unwrap().unwrap();
         assert_eq!(payload2, vec![0xff, 0x00, 0x7f]);
         assert_eq!(consumed + consumed2, wire.len());
-        assert_eq!(decode_binary_frame(&[], 64).unwrap(), None, "clean end");
+        assert_eq!(split_binary_frame(&[], 64).unwrap(), None, "clean end");
     }
 
     #[test]
@@ -480,18 +508,43 @@ mod tests {
         write_frame(&mut full, Codec::Binary, b"payload");
         for cut in 0..full.len() {
             assert_eq!(
-                decode_binary_frame(&full[..cut], 64).unwrap(),
+                split_binary_frame(&full[..cut], 64).unwrap(),
                 None,
                 "a prefix of {cut} bytes is incomplete, never a frame"
             );
         }
         assert!(matches!(
-            decode_binary_frame(&100u32.to_le_bytes(), 64),
+            split_binary_frame(&100u32.to_le_bytes(), 64),
             Err(FrameError::TooLarge {
                 declared: 100,
                 max: 64
             })
         ));
+    }
+
+    #[test]
+    fn owned_decoders_copy_what_the_splitters_borrow() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, Codec::Json, "päylöad".as_bytes());
+        let (text, consumed) = split_json_frame(&wire, 64).unwrap().unwrap();
+        assert_eq!(
+            decode_json_frame(&wire, 64).unwrap(),
+            Some((text.to_owned(), consumed))
+        );
+        wire.clear();
+        write_binary_frame_with(&mut wire, |buf| buf.extend_from_slice(&[1, 2, 3]));
+        assert_eq!(wire, [3, 0, 0, 0, 1, 2, 3], "the length is patched in");
+        let (bytes, consumed) = split_binary_frame(&wire, 64).unwrap().unwrap();
+        assert_eq!(
+            decode_binary_frame(&wire, 64).unwrap(),
+            Some((bytes.to_vec(), consumed))
+        );
+        // Errors are the splitters' own, message for message.
+        let bad = b"2\n\xff\xfe\n";
+        assert_eq!(
+            decode_json_frame(bad, 64).unwrap_err().to_string(),
+            split_json_frame(bad, 64).unwrap_err().to_string()
+        );
     }
 
     // --- hello negotiation (PROTOCOL.md §2) ---

@@ -10,7 +10,7 @@
 //! tag, so envelope payloads stay line-diffable against stored session
 //! transcripts.
 
-use simcore::json::{self, Reader, Token};
+use simcore::json::{self, Reader, Token, Writer};
 use simcore::SimTime;
 use spequlos::protocol::{claim_whole, claimed_whole, Request, Response};
 
@@ -37,13 +37,21 @@ pub struct ResponseEnvelope {
 }
 
 impl RequestEnvelope {
-    /// Serializes the envelope as one JSON object (one frame payload).
+    fn write_members(&self, w: &mut Writer<'_>) {
+        w.key("id").num(self.id as f64);
+        w.key("t").num(self.at.as_millis() as f64);
+        self.request.write_members(w);
+    }
+
+    /// Appends the envelope to `out` as one JSON object (one frame
+    /// payload).
+    pub fn write_json(&self, out: &mut String) {
+        json::write_object(out, |w| self.write_members(w));
+    }
+
+    /// [`RequestEnvelope::write_json`] into a fresh `String`.
     pub fn to_json(&self) -> String {
-        json::object(|w| {
-            w.key("id").num(self.id as f64);
-            w.key("t").num(self.at.as_millis() as f64);
-            self.request.write_members(w);
-        })
+        json::object(|w| self.write_members(w))
     }
 
     /// Parses a frame payload produced by [`RequestEnvelope::to_json`].
@@ -64,12 +72,21 @@ impl RequestEnvelope {
 }
 
 impl ResponseEnvelope {
-    /// Serializes the envelope as one JSON object (one frame payload).
+    fn write_members(&self, w: &mut Writer<'_>) {
+        w.key("id").num(self.id as f64);
+        self.response.write_members(w);
+    }
+
+    /// Appends the envelope to `out` as one JSON object (one frame
+    /// payload). The server writes replies through this into a string it
+    /// keeps per connection.
+    pub fn write_json(&self, out: &mut String) {
+        json::write_object(out, |w| self.write_members(w));
+    }
+
+    /// [`ResponseEnvelope::write_json`] into a fresh `String`.
     pub fn to_json(&self) -> String {
-        json::object(|w| {
-            w.key("id").num(self.id as f64);
-            self.response.write_members(w);
-        })
+        json::object(|w| self.write_members(w))
     }
 
     /// Parses a frame payload produced by [`ResponseEnvelope::to_json`].

@@ -250,11 +250,17 @@ pub fn object(members: impl FnOnce(&mut Writer<'_>)) -> String {
     // Room for a typical message, so that writing one does not regrow
     // its buffer half a dozen times on the way to 200 bytes.
     let mut out = String::with_capacity(256);
-    let mut w = Writer::new(&mut out);
+    write_object(&mut out, members);
+    out
+}
+
+/// [`object`] appended to a caller's `out` — a buffer kept across
+/// documents stops allocating once it has grown to fit them.
+pub fn write_object(out: &mut String, members: impl FnOnce(&mut Writer<'_>)) {
+    let mut w = Writer::new(out);
     w.begin_object();
     members(&mut w);
     w.end_object();
-    out
 }
 
 fn push_f64(out: &mut String, v: f64) {

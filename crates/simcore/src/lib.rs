@@ -46,6 +46,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod idmap;
 pub mod json;
 pub mod rng;
 pub mod series;
@@ -57,6 +58,7 @@ pub use engine::{
     InterleaveScratch, RunOutcome, RunStats, World,
 };
 pub use event::EventQueue;
+pub use idmap::{IdMap, IdSet};
 pub use rng::Prng;
 pub use series::TimeSeries;
 pub use stats::{mean, quantile_sorted, Cdf, Histogram, OnlineStats, Quartiles};
