@@ -1,7 +1,7 @@
 //! `spq-bench` — telemetry tooling for the reproduction.
 //!
 //! ```text
-//! spq-bench compare <baseline.json> <current.json> [--threshold F] [--latency-threshold F]
+//! spq-bench compare <baseline.json> <current.json> [--threshold F]
 //! spq-bench show <telemetry.json>
 //! ```
 //!
@@ -10,13 +10,11 @@
 //! `metrics` (the ladder's rungs; a missing key regresses) — or, for
 //! records without `metrics`, throughput (events/sec when both records
 //! carry it, wall time otherwise) — is gated by `--threshold` (default
-//! 0.25 = 25 %); when both records carry latency telemetry
-//! (`repro_load` runs), tail latency `p99_ms` is additionally gated by
-//! the tighter `--latency-threshold` (default 0.15) and
-//! `max_sustained_rate` by `--threshold`. `show` pretty-prints one
-//! record. Usage errors and unreadable files exit 2.
+//! 0.25 = 25 %). Records whose `name` or `config` differ are not
+//! comparable and fail. `show` pretty-prints one record. Usage errors
+//! and unreadable files exit 2.
 
-use spq_bench::telemetry::{compare_with, Telemetry, DEFAULT_LATENCY_THRESHOLD};
+use spq_bench::telemetry::{compare, Telemetry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,7 +24,7 @@ fn main() {
         Some("--help") | Some("-h") | None => {
             eprintln!(
                 "usage:\n  spq-bench compare <baseline.json> <current.json> \
-                 [--threshold F] [--latency-threshold F]\n  \
+                 [--threshold F]\n  \
                  spq-bench show <telemetry.json>"
             );
             std::process::exit(if args.is_empty() { 2 } else { 0 });
@@ -46,40 +44,27 @@ fn load(path: &str) -> Telemetry {
     Telemetry::from_json(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")))
 }
 
-fn threshold_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> f64 {
-    let value: f64 = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| fail(&format!("{flag} needs a number")));
-    if !(0.0..10.0).contains(&value) {
-        fail(&format!("{flag} must be in [0, 10)"));
-    }
-    value
-}
-
 fn run_compare(args: &[String]) {
     let mut paths: Vec<&String> = Vec::new();
     let mut threshold = 0.25f64;
-    let mut latency_threshold = DEFAULT_LATENCY_THRESHOLD;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => threshold = threshold_arg(&mut it, "--threshold"),
-            "--latency-threshold" => {
-                latency_threshold = threshold_arg(&mut it, "--latency-threshold");
-            }
-            _ => paths.push(arg),
+        if arg != "--threshold" {
+            paths.push(arg);
+            continue;
+        }
+        threshold = it
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| fail("--threshold needs a number"));
+        if !(0.0..10.0).contains(&threshold) {
+            fail("--threshold must be in [0, 10)");
         }
     }
     let [baseline, current] = paths.as_slice() else {
         fail("compare needs exactly two telemetry files");
     };
-    let outcome = compare_with(
-        &load(baseline),
-        &load(current),
-        threshold,
-        latency_threshold,
-    );
+    let outcome = compare(&load(baseline), &load(current), threshold);
     print!("{}", outcome.report);
     std::process::exit(i32::from(outcome.regressed));
 }

@@ -355,6 +355,8 @@ pub fn storm(tenants: u32, shards: u32) -> (String, u64) {
     ));
     assert_eq!(total.tenants, u64::from(tenants), "every tenant must run");
     assert_eq!(total.errors, 0, "storm sessions must not error");
+    assert_eq!(total.refused, 0, "the pool must admit every storm order");
+    assert_eq!(total.admitted, total.tenants, "every order admitted");
     (out, total.requests)
 }
 

@@ -2,9 +2,9 @@
 //!
 //! `repro_all [name …]` writes the paper's tables, figures and the
 //! ablations into `results/`; [`experiments::REPORTS`] is the name table.
-//! `repro_protocol`, `repro_load` and `repro_multitenant` are the three
-//! measurements `benchmark/` cannot host (BENCHMARKS.md), and `spq-bench`
-//! compares their `BENCH_*.json` records.
+//! `repro_protocol` and `repro_multitenant` are the two measurements
+//! `benchmark/` cannot host (BENCHMARKS.md), and `spq-bench` compares
+//! their `BENCH_*.json` records.
 //!
 //! All binaries accept `--seeds N --scale F --threads N --out DIR --full`.
 
@@ -13,10 +13,9 @@
 
 pub mod experiments;
 pub mod grid;
-pub mod loadgen;
 pub mod opts;
 pub mod telemetry;
 
 pub use grid::{all_envs, baseline_metrics, baseline_scenarios, paired_metrics, strategy_sweep};
 pub use opts::Opts;
-pub use telemetry::{LatencyTelemetry, Telemetry};
+pub use telemetry::Telemetry;

@@ -1,21 +1,20 @@
 //! Perf telemetry for the measuring reproduction binaries.
 //!
-//! `repro_protocol`, `repro_load` and `repro_multitenant` emit a
-//! machine-readable `BENCH_<name>.json` next to where they run: wall
-//! time, requests served, peak RSS, the run configuration and the git
-//! SHA. Two such files — a checked-in baseline and a fresh run — feed the
-//! `spq-bench compare` subcommand, which exits nonzero when a gated
-//! metric regressed past its threshold. These records hold only what the
+//! `repro_protocol` and `repro_multitenant` emit a machine-readable
+//! `BENCH_<name>.json` next to where they run: wall time, requests
+//! served, peak RSS, the run configuration and the git SHA. Two such
+//! files — a checked-in baseline and a fresh run — feed the `spq-bench
+//! compare` subcommand, which exits nonzero when a gated metric
+//! regressed past its threshold. These records hold only what the
 //! repository's benchmark (`benchmark/`, `BENCHMARK.json`) cannot host;
 //! BENCHMARKS.md says which file owns which number.
 //!
 //! The JSON encoding is deliberately minimal and dependency-free (the
 //! build environment has no registry access): records are a flat object
-//! with one nested `config` object and optional nested `metrics` and
-//! `latency` objects. The parser and the string/number formatting are
-//! the shared [`simcore::json`] module — one implementation serves both
-//! this telemetry format and the SpeQuloS wire protocol
-//! (`spequlos::protocol`).
+//! with one nested `config` object and an optional nested `metrics`
+//! object. The parser and the string/number formatting are the shared
+//! [`simcore::json`] module — one implementation serves both this
+//! telemetry format and the SpeQuloS wire protocol (`spequlos::protocol`).
 //!
 //! # The `BENCH_<name>.json` schema
 //!
@@ -27,41 +26,18 @@
 //! | `name` | string | always | record name; the file is `BENCH_<name>.json` |
 //! | `git_sha` | string | always | commit that produced the record, or `unknown` |
 //! | `wall_secs` | number | always | wall-clock seconds of the measured section |
-//! | `events` | integer | when counted | simulation events (or requests sent, for load runs) |
+//! | `events` | integer | when counted | simulation events, or requests served |
 //! | `events_per_sec` | number | when counted | `events / wall_secs` |
 //! | `peak_rss_bytes` | integer | always | peak resident set size (0 if unknown) |
 //! | `metrics` | object | ladder runs only | named rates, string → number, each gated on its own (higher is better) |
-//! | `latency` | object | load runs only | latency-SLO telemetry, below |
 //! | `config` | object | always | run configuration, string → string |
-//!
-//! The nested `latency` object (see [`LATENCY_SCHEMA_KEYS`]) is emitted
-//! by the open-loop load generator (`repro_load`, [`crate::loadgen`]).
-//! All `*_ms` values are milliseconds; percentiles come from the
-//! log2-bucket histogram, so they over-report the true percentile by at
-//! most ≈3.1 % and never under-report it:
-//!
-//! | key | type | meaning |
-//! |-----|------|---------|
-//! | `p50_ms` | number | median response latency |
-//! | `p95_ms` | number | 95th percentile |
-//! | `p99_ms` | number | 99th percentile — the gated SLO metric |
-//! | `p999_ms` | number | 99.9th percentile |
-//! | `max_ms` | number | worst observed latency (exact, not bucketed) |
-//! | `requests` | integer | requests sent at the primary rate (warmup included) |
-//! | `errors` | integer | `Response::Error` replies |
-//! | `timeouts` | integer | requests never answered |
-//! | `offered_rate` | number | scheduled requests/second |
-//! | `achieved_rate` | number | answered requests/second actually sustained |
-//! | `max_sustained_rate` | number, optional | highest swept rate meeting the SLO (absent when no sweep ran or every step missed) |
-//! | `slo_p99_ms` | number | the p99 budget the run was gated against |
 //!
 //! `spq-bench compare` gates, with `--threshold`, every key of the
 //! baseline's `metrics` (higher is better; a key the current record
 //! lacks is a regression) or — for records without `metrics` —
-//! throughput (`events_per_sec`, else `wall_secs`); when both records
-//! carry `latency` it additionally gates `p99_ms` (lower is better) with
-//! the tighter `--latency-threshold` and `max_sustained_rate` (higher is
-//! better) with `--threshold`.
+//! throughput (`events_per_sec`, else `wall_secs`). Two records whose
+//! `name` or `config` differ are not comparable, and the comparison
+//! fails.
 
 use crate::opts::Opts;
 use simcore::json::{self, escape, fmt_f64};
@@ -84,56 +60,8 @@ pub const SCHEMA_KEYS: &[&str] = &[
     "events_per_sec",
     "peak_rss_bytes",
     "metrics",
-    "latency",
     "config",
 ];
-
-/// Every key the nested `latency` object can emit, in emission order.
-pub const LATENCY_SCHEMA_KEYS: &[&str] = &[
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "p999_ms",
-    "max_ms",
-    "requests",
-    "errors",
-    "timeouts",
-    "offered_rate",
-    "achieved_rate",
-    "max_sustained_rate",
-    "slo_p99_ms",
-];
-
-/// Latency-SLO telemetry from an open-loop load run (the `latency`
-/// object of the schema in the [module docs](self)).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyTelemetry {
-    /// Median response latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds — the gated SLO metric.
-    pub p99_ms: f64,
-    /// 99.9th-percentile latency, milliseconds.
-    pub p999_ms: f64,
-    /// Worst observed latency, milliseconds (exact, not bucketed).
-    pub max_ms: f64,
-    /// Requests sent at the primary rate (warmup included).
-    pub requests: u64,
-    /// Error responses received.
-    pub errors: u64,
-    /// Requests never answered.
-    pub timeouts: u64,
-    /// Scheduled requests/second.
-    pub offered_rate: f64,
-    /// Answered requests/second the server actually sustained.
-    pub achieved_rate: f64,
-    /// Highest swept rate whose p99 met the SLO; `None` when no sweep
-    /// ran or every step missed it.
-    pub max_sustained_rate: Option<f64>,
-    /// The p99 budget the run was gated against, milliseconds.
-    pub slo_p99_ms: f64,
-}
 
 /// One measured run of a reproduction binary.
 #[derive(Clone, Debug, PartialEq)]
@@ -153,8 +81,6 @@ pub struct Telemetry {
     /// Named rates (the connection ladder's rungs), each gated on its
     /// own, higher is better; empty for every other run.
     pub metrics: Vec<(String, f64)>,
-    /// Latency-SLO telemetry; only load-generating runs carry it.
-    pub latency: Option<LatencyTelemetry>,
     /// Run configuration, as ordered key → value strings.
     pub config: Vec<(String, String)>,
 }
@@ -213,33 +139,6 @@ impl Telemetry {
                 .collect();
             out.push_str(&format!("  \"metrics\": {{{}\n  }},\n", rows.join(",")));
         }
-        if let Some(lat) = &self.latency {
-            out.push_str("  \"latency\": {\n");
-            out.push_str(&format!("    \"p50_ms\": {},\n", fmt_f64(lat.p50_ms)));
-            out.push_str(&format!("    \"p95_ms\": {},\n", fmt_f64(lat.p95_ms)));
-            out.push_str(&format!("    \"p99_ms\": {},\n", fmt_f64(lat.p99_ms)));
-            out.push_str(&format!("    \"p999_ms\": {},\n", fmt_f64(lat.p999_ms)));
-            out.push_str(&format!("    \"max_ms\": {},\n", fmt_f64(lat.max_ms)));
-            out.push_str(&format!("    \"requests\": {},\n", lat.requests));
-            out.push_str(&format!("    \"errors\": {},\n", lat.errors));
-            out.push_str(&format!("    \"timeouts\": {},\n", lat.timeouts));
-            out.push_str(&format!(
-                "    \"offered_rate\": {},\n",
-                fmt_f64(lat.offered_rate)
-            ));
-            out.push_str(&format!(
-                "    \"achieved_rate\": {},\n",
-                fmt_f64(lat.achieved_rate)
-            ));
-            if let Some(rate) = lat.max_sustained_rate {
-                out.push_str(&format!("    \"max_sustained_rate\": {},\n", fmt_f64(rate)));
-            }
-            out.push_str(&format!(
-                "    \"slo_p99_ms\": {}\n",
-                fmt_f64(lat.slo_p99_ms)
-            ));
-            out.push_str("  },\n");
-        }
         out.push_str("  \"config\": {");
         for (i, (k, v)) in self.config.iter().enumerate() {
             if i > 0 {
@@ -271,32 +170,6 @@ impl Telemetry {
             field(key)
                 .and_then(json::Value::as_f64)
                 .ok_or_else(|| format!("missing numeric field `{key}`"))
-        };
-        let latency = match field("latency") {
-            Some(v) => {
-                let obj = v.as_object().ok_or("`latency` must be an object")?;
-                let lat = |key: &str| -> Result<f64, String> {
-                    obj.iter()
-                        .find(|(k, _)| k == key)
-                        .and_then(|(_, v)| v.as_f64())
-                        .ok_or_else(|| format!("missing numeric latency field `{key}`"))
-                };
-                Some(LatencyTelemetry {
-                    p50_ms: lat("p50_ms")?,
-                    p95_ms: lat("p95_ms")?,
-                    p99_ms: lat("p99_ms")?,
-                    p999_ms: lat("p999_ms")?,
-                    max_ms: lat("max_ms")?,
-                    requests: lat("requests")? as u64,
-                    errors: lat("errors")? as u64,
-                    timeouts: lat("timeouts")? as u64,
-                    offered_rate: lat("offered_rate")?,
-                    achieved_rate: lat("achieved_rate")?,
-                    max_sustained_rate: lat("max_sustained_rate").ok(),
-                    slo_p99_ms: lat("slo_p99_ms")?,
-                })
-            }
-            None => None,
         };
         let metrics = match field("metrics") {
             Some(v) => v
@@ -339,7 +212,6 @@ impl Telemetry {
             events_per_sec: field("events_per_sec").and_then(json::Value::as_f64),
             peak_rss_bytes: num_field("peak_rss_bytes")? as u64,
             metrics,
-            latency,
             config,
         })
     }
@@ -368,7 +240,6 @@ pub fn measure<T>(
         events_per_sec: events.map(|e| e as f64 / wall_secs.max(1e-9)),
         peak_rss_bytes: peak_rss_bytes(),
         metrics: Vec::new(),
-        latency: None,
         config: vec![
             ("seeds".into(), opts.seeds.to_string()),
             ("scale".into(), opts.scale.to_string()),
@@ -431,40 +302,19 @@ pub struct CompareOutcome {
     pub report: String,
 }
 
-/// Tail latency is gated tighter than throughput by default: a p99 that
-/// drifts 15 % is already an SLO story, while throughput legitimately
-/// jitters more between CI runners.
-pub const DEFAULT_LATENCY_THRESHOLD: f64 = 0.15;
-
-/// [`compare_with`] using [`DEFAULT_LATENCY_THRESHOLD`] for the latency
-/// metrics.
-pub fn compare(baseline: &Telemetry, current: &Telemetry, threshold: f64) -> CompareOutcome {
-    compare_with(baseline, current, threshold, DEFAULT_LATENCY_THRESHOLD)
-}
-
 /// Compares `current` against `baseline`. `threshold` is relative (0.25
-/// = fail when 25 % worse) and gates the throughput metrics: every key of
-/// the baseline's `metrics` (higher is better; a key missing from
-/// `current` is a regression) and, unless both records carry `metrics`,
-/// throughput (`events_per_sec`, higher is better) when both records
-/// carry it, otherwise wall time (lower is better); plus
-/// `max_sustained_rate` (higher is better) when both records carry
-/// latency telemetry. The
-/// separate — conventionally tighter — `latency_threshold` gates
-/// `p99_ms` (lower is better). Any gated metric past its threshold
-/// regresses the whole comparison. Configuration mismatches are
-/// reported as warnings — they usually mean the comparison itself is
-/// invalid.
-pub fn compare_with(
-    baseline: &Telemetry,
-    current: &Telemetry,
-    threshold: f64,
-    latency_threshold: f64,
-) -> CompareOutcome {
-    let mut report = String::new();
-    let mut warn = |msg: String| report.push_str(&format!("warning: {msg}\n"));
+/// = fail when 25 % worse) and gates every key of the baseline's
+/// `metrics` (higher is better; a key missing from `current` is a
+/// regression) and, unless both records carry `metrics`, throughput
+/// (`events_per_sec`, higher is better) when both records carry it,
+/// otherwise wall time (lower is better). Any gated metric past the
+/// threshold regresses the whole comparison, and so does a `name` or
+/// `config` mismatch: a 10 000-tenant storm that keeps the rate of the
+/// 100 000-tenant baseline has not matched it.
+pub fn compare(baseline: &Telemetry, current: &Telemetry, threshold: f64) -> CompareOutcome {
+    let mut mismatches = Vec::new();
     if baseline.name != current.name {
-        warn(format!(
+        mismatches.push(format!(
             "record names differ: baseline `{}` vs current `{}`",
             baseline.name, current.name
         ));
@@ -472,30 +322,29 @@ pub fn compare_with(
     for (key, bval) in &baseline.config {
         match current.config.iter().find(|(k, _)| k == key) {
             Some((_, cval)) if cval == bval => {}
-            Some((_, cval)) => warn(format!(
+            Some((_, cval)) => mismatches.push(format!(
                 "config `{key}` differs: baseline {bval} vs current {cval}"
             )),
-            None => warn(format!("config `{key}` missing from current record")),
+            None => mismatches.push(format!("config `{key}` missing from current record")),
         }
     }
-    if baseline.latency.is_some() != current.latency.is_some() {
-        warn(format!(
-            "latency telemetry present in {} only — tail latency not gated",
-            if baseline.latency.is_some() {
-                "baseline"
-            } else {
-                "current"
-            }
-        ));
+    for (key, _) in &current.config {
+        if !baseline.config.iter().any(|(k, _)| k == key) {
+            mismatches.push(format!("config `{key}` missing from baseline record"));
+        }
     }
+    let mut regressed = !mismatches.is_empty();
+    let mut report: String = mismatches
+        .iter()
+        .map(|m| format!("not comparable: {m}, REGRESSED\n"))
+        .collect();
 
-    // Each gated metric: (name, baseline, current, higher_is_better,
-    // threshold). Any one past its threshold regresses the comparison.
-    let mut gates: Vec<(&str, f64, f64, bool, f64)> = Vec::new();
-    let mut regressed = false;
+    // Each gated metric: (name, baseline, current, higher_is_better).
+    // Any one past the threshold regresses the comparison.
+    let mut gates: Vec<(&str, f64, f64, bool)> = Vec::new();
     for (key, base_v) in &baseline.metrics {
         match current.metrics.iter().find(|(k, _)| k == key) {
-            Some((_, cur_v)) => gates.push((key.as_str(), *base_v, *cur_v, true, threshold)),
+            Some((_, cur_v)) => gates.push((key.as_str(), *base_v, *cur_v, true)),
             None => {
                 regressed = true;
                 report.push_str(&format!(
@@ -507,36 +356,11 @@ pub fn compare_with(
     }
     if baseline.metrics.is_empty() || current.metrics.is_empty() {
         match (baseline.events_per_sec, current.events_per_sec) {
-            (Some(b), Some(c)) => gates.push(("events_per_sec", b, c, true, threshold)),
-            _ => gates.push((
-                "wall_secs",
-                baseline.wall_secs,
-                current.wall_secs,
-                false,
-                threshold,
-            )),
+            (Some(b), Some(c)) => gates.push(("events_per_sec", b, c, true)),
+            _ => gates.push(("wall_secs", baseline.wall_secs, current.wall_secs, false)),
         }
     }
-    if let (Some(base_lat), Some(cur_lat)) = (&baseline.latency, &current.latency) {
-        gates.push((
-            "p99_ms",
-            base_lat.p99_ms,
-            cur_lat.p99_ms,
-            false,
-            latency_threshold,
-        ));
-        match (base_lat.max_sustained_rate, cur_lat.max_sustained_rate) {
-            (Some(b), Some(c)) => gates.push(("max_sustained_rate", b, c, true, threshold)),
-            (Some(_), None) => {
-                // The baseline sustained some rate under the SLO and the
-                // current run sustains none: an unconditional regression.
-                gates.push(("max_sustained_rate", 1.0, 0.0, true, threshold));
-            }
-            _ => {}
-        }
-    }
-
-    for (metric, base_v, cur_v, higher_is_better, gate_threshold) in &gates {
+    for (metric, base_v, cur_v, higher_is_better) in &gates {
         // Worsening as a ratio (1.0 = unchanged, 2.0 = twice as bad):
         // unbounded in the regression direction for both metric
         // orientations, so large thresholds stay meaningful (a
@@ -547,7 +371,7 @@ pub fn compare_with(
         } else {
             cur_v.max(1e-12) / base_v.max(1e-12)
         };
-        let metric_regressed = worse_ratio > 1.0 + gate_threshold;
+        let metric_regressed = worse_ratio > 1.0 + threshold;
         regressed |= metric_regressed;
         let (ratio, direction) = if worse_ratio >= 1.0 {
             (worse_ratio, "worse")
@@ -572,10 +396,9 @@ pub fn compare_with(
         current.peak_rss_bytes as f64 / (1024.0 * 1024.0),
     ));
     report.push_str(&format!(
-        "  verdict: {} (threshold {:.0}%, latency threshold {:.0}%)\n",
+        "  verdict: {} (threshold {:.0}%)\n",
         if regressed { "REGRESSED" } else { "ok" },
-        threshold * 100.0,
-        latency_threshold * 100.0
+        threshold * 100.0
     ));
     CompareOutcome { regressed, report }
 }
@@ -593,7 +416,6 @@ mod tests {
             events_per_sec: Some(400_000.0),
             peak_rss_bytes: 64 * 1024 * 1024,
             metrics: Vec::new(),
-            latency: None,
             config: vec![
                 ("seeds".into(), "3".into()),
                 ("scale".into(), "1".into()),
@@ -627,50 +449,12 @@ mod tests {
         assert_eq!(parsed.name, t.name);
     }
 
-    fn sample_latency() -> LatencyTelemetry {
-        LatencyTelemetry {
-            p50_ms: 0.4,
-            p95_ms: 1.2,
-            p99_ms: 3.5,
-            p999_ms: 9.0,
-            max_ms: 14.25,
-            requests: 2_500,
-            errors: 0,
-            timeouts: 0,
-            offered_rate: 1_000.0,
-            achieved_rate: 998.5,
-            max_sustained_rate: Some(1_500.0),
-            slo_p99_ms: 50.0,
-        }
-    }
-
-    #[test]
-    fn latency_roundtrips_through_json() {
-        let t = Telemetry {
-            latency: Some(sample_latency()),
-            ..sample()
-        };
-        let parsed = Telemetry::from_json(&t.to_json()).expect("roundtrip");
-        assert_eq!(parsed, t);
-        // And without a sustained rate (sweep disabled or all-missed).
-        let t = Telemetry {
-            latency: Some(LatencyTelemetry {
-                max_sustained_rate: None,
-                ..sample_latency()
-            }),
-            ..sample()
-        };
-        let parsed = Telemetry::from_json(&t.to_json()).expect("roundtrip");
-        assert_eq!(parsed, t);
-    }
-
     #[test]
     fn emitted_keys_match_the_documented_schema() {
         // A record with every optional part present must emit exactly
         // the documented keys, in the documented order.
         let t = Telemetry {
             metrics: sample_metrics(),
-            latency: Some(sample_latency()),
             ..sample()
         };
         let value = json::parse(&t.to_json()).expect("parses");
@@ -681,89 +465,11 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(top, SCHEMA_KEYS, "top-level keys drifted from the docs");
-        let latency: Vec<&str> = value
-            .get("latency")
-            .and_then(json::Value::as_object)
-            .expect("latency object")
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert_eq!(
-            latency, LATENCY_SCHEMA_KEYS,
-            "latency keys drifted from the docs"
-        );
         // A record with the optional parts absent emits a subset.
         let value = json::parse(&sample().to_json()).expect("parses");
         for (k, _) in value.as_object().expect("object") {
             assert!(SCHEMA_KEYS.contains(&k.as_str()), "undocumented key `{k}`");
         }
-    }
-
-    #[test]
-    fn compare_gates_p99_with_the_tighter_threshold() {
-        let base = Telemetry {
-            latency: Some(sample_latency()),
-            ..sample()
-        };
-        // 20 % slower p99: inside the 25 % throughput threshold but past
-        // the 15 % latency threshold.
-        let cur = Telemetry {
-            latency: Some(LatencyTelemetry {
-                p99_ms: 4.2,
-                ..sample_latency()
-            }),
-            ..sample()
-        };
-        let out = compare(&base, &cur, 0.25);
-        assert!(out.regressed, "{}", out.report);
-        assert!(out.report.contains("p99_ms"), "{}", out.report);
-        // The same drift passes a run compared with a looser gate.
-        let out = compare_with(&base, &cur, 0.25, 0.30);
-        assert!(!out.regressed, "{}", out.report);
-    }
-
-    #[test]
-    fn compare_gates_the_sustained_rate() {
-        let base = Telemetry {
-            latency: Some(sample_latency()),
-            ..sample()
-        };
-        let cur = Telemetry {
-            latency: Some(LatencyTelemetry {
-                max_sustained_rate: Some(750.0), // was 1500: halved
-                ..sample_latency()
-            }),
-            ..sample()
-        };
-        let out = compare(&base, &cur, 0.25);
-        assert!(out.regressed, "{}", out.report);
-        assert!(out.report.contains("max_sustained_rate"), "{}", out.report);
-        // Losing the sustained rate entirely is an unconditional fail.
-        let cur = Telemetry {
-            latency: Some(LatencyTelemetry {
-                max_sustained_rate: None,
-                ..sample_latency()
-            }),
-            ..sample()
-        };
-        let out = compare(&base, &cur, 0.25);
-        assert!(out.regressed, "{}", out.report);
-    }
-
-    #[test]
-    fn compare_warns_when_only_one_side_has_latency() {
-        let base = sample();
-        let cur = Telemetry {
-            latency: Some(sample_latency()),
-            ..sample()
-        };
-        let out = compare(&base, &cur, 0.25);
-        assert!(!out.regressed, "{}", out.report);
-        assert!(
-            out.report.contains("latency telemetry present in current"),
-            "{}",
-            out.report
-        );
     }
 
     #[test]
@@ -871,12 +577,44 @@ mod tests {
     }
 
     #[test]
-    fn compare_warns_on_config_mismatch() {
+    fn compare_fails_on_config_mismatch() {
         let base = sample();
         let mut cur = sample();
         cur.config[1].1 = "0.5".into();
         let out = compare(&base, &cur, 0.25);
-        assert!(out.report.contains("warning: config `scale` differs"));
+        assert!(out.regressed, "{}", out.report);
+        assert!(
+            out.report
+                .contains("not comparable: config `scale` differs"),
+            "{}",
+            out.report
+        );
+        // A key on one side only, or another record name, is as fatal.
+        let mut cur = sample();
+        cur.config.push(("shards".into(), "8".into()));
+        assert!(compare(&base, &cur, 0.25).regressed);
+        let cur = Telemetry {
+            name: "repro_other".into(),
+            ..sample()
+        };
+        let out = compare(&base, &cur, 0.25);
+        assert!(out.regressed, "{}", out.report);
+        assert!(out.report.contains("record names differ"), "{}", out.report);
+    }
+
+    #[test]
+    fn compare_fails_a_smaller_storm_at_the_same_rate() {
+        let storm = |tenants: &str| sample().with_config("tenants", tenants);
+        let out = compare(&storm("100000"), &storm("10000"), 0.35);
+        assert!(out.regressed, "{}", out.report);
+        assert!(
+            out.report
+                .contains("config `tenants` differs: baseline 100000 vs current 10000"),
+            "{}",
+            out.report
+        );
+        // The same storm on both sides still passes.
+        assert!(!compare(&storm("100000"), &storm("100000"), 0.35).regressed);
     }
 
     #[test]

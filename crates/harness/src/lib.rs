@@ -45,7 +45,6 @@ pub mod routed;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;
-pub mod workload;
 
 pub use edgi::{run_edgi, EdgiReport};
 pub use experiment::{Experiment, Outcome, Transport};
@@ -58,4 +57,3 @@ pub use runner::{
 };
 pub use scenario::{deployment_of, MultiTenantScenario, MwKind, Scenario, TenantArrivals};
 pub use sweep::parallel_map;
-pub use workload::{RequestKind, RequestMix};

@@ -186,9 +186,7 @@ pub type SessionSink = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, Request)>>>
 
 /// An endpoint wrapper that records every request it forwards — the seam
 /// the durability tests use to capture a full experiment transcript and
-/// feed it through the write-ahead log ([`spequlos::wal`]), and the load
-/// generator uses to extract a request mix
-/// ([`RequestMix::from_session`](crate::RequestMix::from_session)).
+/// feed it through the write-ahead log ([`spequlos::wal`]).
 ///
 /// All endpoints of one run share a single [`SessionSink`]; because the
 /// simulator drives tenants on one thread (and remote endpoints answer
@@ -200,16 +198,13 @@ pub type SessionSink = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, Request)>>>
 /// use simcore::SimTime;
 /// use spequlos::protocol::{Request, SpqService};
 /// use spequlos::{SpeQuloS, UserId};
-/// use spq_harness::{RequestKind, RequestMix, SessionRecorder, SessionSink};
+/// use spq_harness::{SessionRecorder, SessionSink};
 ///
 /// let sink = SessionSink::default();
 /// let mut endpoint = SessionRecorder::new(SpeQuloS::new(), sink.clone());
-/// endpoint.handle(
-///     Request::Deposit { user: UserId(1), credits: 10.0 },
-///     SimTime::ZERO,
-/// );
-/// let mix = RequestMix::from_session(&sink.lock().unwrap());
-/// assert_eq!(mix.count(RequestKind::Deposit), 1);
+/// let deposit = Request::Deposit { user: UserId(1), credits: 10.0 };
+/// endpoint.handle(deposit.clone(), SimTime::ZERO);
+/// assert_eq!(*sink.lock().unwrap(), [(SimTime::ZERO, deposit)]);
 /// ```
 #[derive(Debug)]
 pub struct SessionRecorder<S> {

@@ -8,9 +8,9 @@
 //!   in `spq_server::binary` ↔ the PROTOCOL.md tag tables (§5.3, §5.4,
 //!   error codes). Every constant documented, every documented tag
 //!   implemented, values equal.
-//! * `spec-telemetry-schema` — `SCHEMA_KEYS` / `LATENCY_SCHEMA_KEYS` in
-//!   `spq_bench::telemetry` ↔ the BENCHMARKS.md schema tables *and* the
-//!   module's own rustdoc tables.
+//! * `spec-telemetry-schema` — `SCHEMA_KEYS` in `spq_bench::telemetry`
+//!   ↔ the BENCHMARKS.md schema table *and* the module's own rustdoc
+//!   table.
 //! * `spec-crate-map` — the `crates/*` workspace members on disk (and
 //!   their package names) ↔ the README and ARCHITECTURE crate maps.
 //! * `spec-ci-jobs` — job ids in `.github/workflows/ci.yml` ↔ the CI
@@ -275,9 +275,8 @@ fn const_str_array(src: &str, name: &str) -> Option<(Vec<String>, u32)> {
 
 /// All backticked, comma-separated keys in the first cell of every data
 /// row of the markdown table whose header's first cell is `key`,
-/// starting the scan at `from`. Returns (keys with line numbers, line
-/// after the table).
-fn doc_key_table(lines: &[&str], from: usize) -> (Vec<(String, u32)>, usize) {
+/// starting the scan at `from`, with their line numbers.
+fn doc_key_table(lines: &[&str], from: usize) -> Vec<(String, u32)> {
     let mut keys = Vec::new();
     let mut i = from;
     // Find the header row.
@@ -309,7 +308,7 @@ fn doc_key_table(lines: &[&str], from: usize) -> (Vec<(String, u32)>, usize) {
         }
         i += 1;
     }
-    (keys, i)
+    keys
 }
 
 /// Set comparison with findings anchored at whichever side is wrong.
@@ -358,24 +357,13 @@ fn telemetry_schema(root: &Path) -> std::io::Result<Vec<Finding>> {
         ));
         return Ok(out);
     };
-    let Some((latency, latency_line)) = const_str_array(&telemetry, "LATENCY_SCHEMA_KEYS") else {
-        out.push(finding(
-            TELEMETRY_RS,
-            1,
-            "spec-telemetry-schema",
-            "LATENCY_SCHEMA_KEYS const not found — the telemetry schema must stay pinned"
-                .to_string(),
-        ));
-        return Ok(out);
-    };
 
-    // The module's own rustdoc tables (`//! | `key` | …`).
+    // The module's own rustdoc table (`//! | `key` | …`).
     let doc_lines: Vec<&str> = telemetry
         .lines()
         .map(|l| l.trim_start().strip_prefix("//!").unwrap_or(""))
         .collect();
-    let (rustdoc_top, after) = doc_key_table(&doc_lines, 0);
-    let (rustdoc_latency, _) = doc_key_table(&doc_lines, after);
+    let rustdoc_top = doc_key_table(&doc_lines, 0);
     compare_key_sets(
         &mut out,
         TELEMETRY_RS,
@@ -385,25 +373,15 @@ fn telemetry_schema(root: &Path) -> std::io::Result<Vec<Finding>> {
         &rustdoc_top,
         "rustdoc top-level",
     );
-    compare_key_sets(
-        &mut out,
-        TELEMETRY_RS,
-        &latency,
-        latency_line,
-        TELEMETRY_RS,
-        &rustdoc_latency,
-        "rustdoc latency",
-    );
 
-    // BENCHMARKS.md schema tables, after the telemetry-record heading.
+    // BENCHMARKS.md schema table, after the telemetry-record heading.
     if let Some(bench) = read_if_exists(root, BENCHMARKS_MD)? {
         let lines: Vec<&str> = bench.lines().collect();
         let start = lines
             .iter()
             .position(|l| l.starts_with("## ") && l.contains("telemetry record"))
             .unwrap_or(0);
-        let (bench_top, after) = doc_key_table(&lines, start);
-        let (bench_latency, _) = doc_key_table(&lines, after);
+        let bench_top = doc_key_table(&lines, start);
         compare_key_sets(
             &mut out,
             TELEMETRY_RS,
@@ -412,15 +390,6 @@ fn telemetry_schema(root: &Path) -> std::io::Result<Vec<Finding>> {
             BENCHMARKS_MD,
             &bench_top,
             "telemetry top-level",
-        );
-        compare_key_sets(
-            &mut out,
-            TELEMETRY_RS,
-            &latency,
-            latency_line,
-            BENCHMARKS_MD,
-            &bench_latency,
-            "telemetry latency",
         );
     }
     Ok(out)

@@ -9,8 +9,7 @@
 //! * [`spq_server`] — the wire deployment: framed TCP transport serving
 //!   the protocol, plus the `RemoteService` client;
 //! * [`spq_bench`] — `repro_all`'s report table
-//!   (`spq_bench::experiments::REPORTS`), perf telemetry and the
-//!   `spq-load` open-loop load generator (`spq_bench::loadgen`);
+//!   (`spq_bench::experiments::REPORTS`) and perf telemetry;
 //! * [`dgrid`] — BOINC / XtremWeb-HEP middleware simulators;
 //! * [`betrace`] — BE-DCI availability trace generators (Table 2);
 //! * [`botwork`] — Bag-of-Tasks workloads (Table 3);
