@@ -9,9 +9,17 @@
 //! dependency-free JSON (via the shared [`simcore::json`] module, the
 //! same implementation the bench telemetry uses), stored, diffed, and
 //! [`replay`]ed against any service assembly built by
-//! [`crate::SpeQuloS::builder`]. A future network frontend plugs in at
-//! exactly this seam: deserialize a request, call `handle`, serialize the
-//! response.
+//! [`crate::SpeQuloS::builder`]. The wire server (`spq-server`) plugs in
+//! at exactly this seam: it decodes a request, calls `handle` and encodes
+//! the response.
+//!
+//! Each message is declared once, as a row of the message table below
+//! (`messages!`): variant, JSON tag, binary tag, ordered fields. The
+//! enums, [`Request::kind`], the JSON codec and the binary body codec
+//! (PROTOCOL.md §5, [`Binary`]) are all derived from it,
+//! and `spq-lint`'s `spec-protocol-tags` checks its tags against
+//! PROTOCOL.md. Adding a message is one row plus its arm in
+//! [`SpqService::handle`].
 //!
 //! | request | response on success | protocol arrow |
 //! |---------|--------------------|----------------|
@@ -30,7 +38,8 @@
 //! [`Response::Batch`] carrying one response per sub-request, in order,
 //! so a batched session replays to exactly the transcript of its
 //! unbatched form. Batches do not nest — a nested batch answers with
-//! [`RequestError::Invalid`] in its slot.
+//! [`RequestError::Invalid`] in its slot — and both decoders refuse
+//! messages more than [`MAX_BATCH_DEPTH`] batches deep.
 //!
 //! Encoding guarantees: [`encode_session`] / [`decode_session`] round-trip
 //! bit-identically (encode → decode → re-encode yields the same bytes),
@@ -42,123 +51,134 @@
 //! id mapping. Non-finite floats encode as `null` and come back as a
 //! decode error, never an unreadable document.
 
+pub(crate) mod codec;
+
 use crate::credit::{CreditError, UserId};
-use crate::oracle::{DeployMode, Prediction, Provisioning, StrategyCombo, Trigger};
+use crate::oracle::{Prediction, StrategyCombo};
 use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
 use crate::service::{LogEvent, SpeQuloS};
 use botwork::BotId;
+use codec::{coded, messages};
+pub(crate) use codec::{read_nested, Nested};
+pub use codec::{BinError, Binary, Message, Rd, MAX_BATCH_DEPTH};
 use simcore::json::{self, Reader, Token, Writer};
 use simcore::SimTime;
 use std::fmt;
 
-/// A user-facing request of the SpeQuloS protocol (Fig. 3).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Administrator operation: deposit credits into a user account.
-    Deposit {
-        /// The account.
-        user: UserId,
-        /// Credits to add (must be finite and non-negative).
-        credits: f64,
-    },
-    /// `registerQoS(BoT)`: register a BoT execution for monitoring.
-    RegisterQos {
-        /// The registering user.
-        user: UserId,
-        /// Environment label (`trace/middleware/class`).
-        env: String,
-        /// BoT size in tasks.
-        size: u32,
-    },
-    /// `orderQoS(BoTId, credit)`: provision credits for a BoT.
-    OrderQos {
-        /// The BoT (from [`Response::Registered`]).
-        bot: BotId,
-        /// Credits to provision (must be finite and non-negative).
-        credits: f64,
-        /// Strategy combination; `None` uses the service's
-        /// [`crate::SpeQuloS::default_strategy`].
-        strategy: Option<StrategyCombo>,
-    },
-    /// `getQoSInformation(BoTId)`: ask for a completion-time prediction.
-    Predict {
-        /// The BoT.
-        bot: BotId,
-    },
-    /// One monitoring period: report a progress snapshot; the response
-    /// carries the scheduler's cloud action.
-    ReportProgress {
-        /// The BoT.
-        bot: BotId,
-        /// The snapshot (its `now` field is the authoritative sample
-        /// time).
-        progress: BotProgress,
-    },
-    /// BoT completion: archive, stop billing, `pay` the order.
-    Complete {
-        /// The BoT.
-        bot: BotId,
-    },
-    /// A pipelined bundle: the sub-requests are served in order at the
-    /// batch's service time and answered by one [`Response::Batch`] with
-    /// one response per sub-request. Lets a client ship a whole
-    /// monitoring tick (N tenants' `ReportProgress`) in one frame
-    /// instead of N round trips. Batches do not nest.
-    Batch(Vec<Request>),
+messages! {
+    /// A user-facing request of the SpeQuloS protocol (Fig. 3).
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request: "req", "request" {
+        /// Administrator operation: deposit credits into a user account.
+        Deposit = "deposit", 0x01 {
+            /// The account.
+            user: UserId,
+            /// Credits to add (must be finite and non-negative).
+            credits: f64,
+        }
+        /// `registerQoS(BoT)`: register a BoT execution for monitoring.
+        RegisterQos = "register_qos", 0x02 {
+            /// The registering user.
+            user: UserId,
+            /// Environment label (`trace/middleware/class`).
+            env: String,
+            /// BoT size in tasks.
+            size: u32,
+        }
+        /// `orderQoS(BoTId, credit)`: provision credits for a BoT.
+        OrderQos = "order_qos", 0x03 {
+            /// The BoT (from [`Response::Registered`]).
+            bot: BotId,
+            /// Credits to provision (must be finite and non-negative).
+            credits: f64,
+            /// Strategy combination; `None` uses the service's
+            /// [`crate::SpeQuloS::default_strategy`].
+            strategy: Option<StrategyCombo>,
+        }
+        /// `getQoSInformation(BoTId)`: ask for a completion-time prediction.
+        Predict = "predict", 0x04 {
+            /// The BoT.
+            bot: BotId,
+        }
+        /// One monitoring period: report a progress snapshot; the response
+        /// carries the scheduler's cloud action.
+        ReportProgress = "report_progress", 0x05 {
+            /// The BoT.
+            bot: BotId,
+            /// The snapshot (its `now` field is the authoritative sample
+            /// time).
+            progress: BotProgress,
+        }
+        /// BoT completion: archive, stop billing, `pay` the order.
+        Complete = "complete", 0x06 {
+            /// The BoT.
+            bot: BotId,
+        }
+    } with {
+        /// A pipelined bundle: the sub-requests are served in order at the
+        /// batch's service time and answered by one [`Response::Batch`] with
+        /// one response per sub-request. Lets a client ship a whole
+        /// monitoring tick (N tenants' `ReportProgress`) in one frame
+        /// instead of N round trips. Batches do not nest.
+        Batch(items: Vec<Request>) = "batch", 0x07;
+    }
 }
 
-/// The service's answer to a [`Request`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Credits deposited; reports the new balance.
-    Deposited {
-        /// The account.
-        user: UserId,
-        /// Balance after the deposit.
-        balance: f64,
-    },
-    /// BoT registered; submissions must be tagged with this id.
-    Registered {
-        /// The assigned BoT id.
-        bot: BotId,
-    },
-    /// QoS order accepted.
-    Ordered {
-        /// The BoT.
-        bot: BotId,
-    },
-    /// Prediction result (`None` when too little progress exists to
-    /// extrapolate from).
-    Predicted {
-        /// The BoT.
-        bot: BotId,
-        /// The prediction, if one could be made.
-        prediction: Option<Prediction>,
-    },
-    /// Cloud action ordered by the Scheduler for this monitoring period.
-    Action {
-        /// The BoT.
-        bot: BotId,
-        /// The action the infrastructure must apply.
-        action: CloudAction,
-    },
-    /// Completion acknowledged; the order was paid. Carries the billing
-    /// summary of the `pay` arrow so a remote caller can settle accounts
-    /// without reaching into the service.
-    Completed {
-        /// The BoT.
-        bot: BotId,
-        /// Credits billed against the order over the whole execution.
-        spent: f64,
-        /// Unspent credits returned to the user by `pay` (0 when the
-        /// order was already closed or never existed).
-        refund: f64,
-    },
-    /// One response per sub-request of a [`Request::Batch`], in order.
-    Batch(Vec<Response>),
-    /// The request failed; no state was changed.
-    Error(RequestError),
+messages! {
+    /// The service's answer to a [`Request`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response: "resp", "response" {
+        /// Credits deposited; reports the new balance.
+        Deposited = "deposited", 0x81 {
+            /// The account.
+            user: UserId,
+            /// Balance after the deposit.
+            balance: f64,
+        }
+        /// BoT registered; submissions must be tagged with this id.
+        Registered = "registered", 0x82 {
+            /// The assigned BoT id.
+            bot: BotId,
+        }
+        /// QoS order accepted.
+        Ordered = "ordered", 0x83 {
+            /// The BoT.
+            bot: BotId,
+        }
+        /// Prediction result (`None` when too little progress exists to
+        /// extrapolate from).
+        Predicted = "predicted", 0x84 {
+            /// The BoT.
+            bot: BotId,
+            /// The prediction, if one could be made.
+            prediction: Option<Prediction>,
+        }
+        /// Cloud action ordered by the Scheduler for this monitoring period.
+        Action = "action", 0x85 {
+            /// The BoT.
+            bot: BotId,
+            /// The action the infrastructure must apply.
+            action: CloudAction,
+        }
+        /// Completion acknowledged; the order was paid. Carries the billing
+        /// summary of the `pay` arrow so a remote caller can settle accounts
+        /// without reaching into the service.
+        Completed = "completed", 0x86 {
+            /// The BoT.
+            bot: BotId,
+            /// Credits billed against the order over the whole execution.
+            spent: f64,
+            /// Unspent credits returned to the user by `pay` (0 when the
+            /// order was already closed or never existed).
+            refund: f64,
+        }
+    } with {
+        /// One response per sub-request of a [`Request::Batch`], in order.
+        Batch(items: Vec<Response>) = "batch", 0x87;
+        /// The request failed; no state was changed.
+        Error(error: RequestError) = "error", 0x88;
+    }
 }
 
 /// Typed failure of a protocol request.
@@ -178,6 +198,15 @@ pub enum RequestError {
     /// in-process service never returns it.
     Transport(String),
 }
+
+// Error codes under `Response::Error` (PROTOCOL.md §5.5). In JSON a
+// credit error is spelled by its own name in place of `credit`.
+coded!(RequestError {
+    Credit {0: credit "credit error"} = "credit", 0x00;
+    UnknownBot {0: bot "unknown_bot.bot"} = "unknown_bot", 0x01;
+    Invalid {0: message "invalid.message"} = "invalid", 0x02;
+    Transport {0: message "transport.message"} = "transport", 0x03;
+});
 
 impl fmt::Display for RequestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -325,76 +354,8 @@ pub fn replay<S: SpqService + ?Sized>(
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-// A strategy and a log event are the protocol types a snapshot stores
-// too: one field list per direction each, here, which `crate::snapshot`
-// embeds.
-pub(crate) fn write_strategy(w: &mut Writer<'_>, s: &StrategyCombo) {
-    let (kind, threshold) = match s.trigger {
-        Trigger::CompletionThreshold(t) => ("completion", Some(t)),
-        Trigger::AssignmentThreshold(t) => ("assignment", Some(t)),
-        Trigger::ExecutionVariance => ("variance", None),
-        Trigger::RateDrop { fraction } => ("rate_drop", Some(fraction)),
-    };
-    w.begin_object().key("trigger").str(kind);
-    if let Some(t) = threshold {
-        w.key("threshold").num(t);
-    }
-    w.key("provisioning").str(match s.provisioning {
-        Provisioning::Greedy => "greedy",
-        Provisioning::Conservative => "conservative",
-    });
-    w.key("deployment").str(match s.deployment {
-        DeployMode::Flat => "flat",
-        DeployMode::Reschedule => "reschedule",
-        DeployMode::CloudDuplication => "cloud_duplication",
-    });
-    w.end_object();
-}
-
-/// Decodes what [`write_strategy`] wrote.
-pub(crate) fn read_strategy(r: &mut Reader<'_>) -> Result<StrategyCombo, String> {
-    let keys = ["trigger", "threshold", "provisioning", "deployment"];
-    let m = read_members(r, keys, no_extra);
-    let kind = m.str("trigger").map_err(|_| "strategy needs a `trigger`")?;
-    let trigger = match (kind, m.f64("threshold").ok()) {
-        ("completion", Some(t)) => Trigger::CompletionThreshold(t),
-        ("assignment", Some(t)) => Trigger::AssignmentThreshold(t),
-        ("variance", _) => Trigger::ExecutionVariance,
-        ("rate_drop", Some(t)) => Trigger::RateDrop { fraction: t },
-        (k, None) => return Err(format!("trigger `{k}` needs a `threshold`")),
-        (k, _) => return Err(format!("unknown trigger `{k}`")),
-    };
-    let provisioning = match m.str("provisioning").ok() {
-        Some("greedy") => Provisioning::Greedy,
-        Some("conservative") => Provisioning::Conservative,
-        other => return Err(format!("unknown provisioning {other:?}")),
-    };
-    let deployment = match m.str("deployment").ok() {
-        Some("flat") => DeployMode::Flat,
-        Some("reschedule") => DeployMode::Reschedule,
-        Some("cloud_duplication") => DeployMode::CloudDuplication,
-        other => return Err(format!("unknown deployment {other:?}")),
-    };
-    Ok(StrategyCombo {
-        trigger,
-        provisioning,
-        deployment,
-    })
-}
-
-fn missing(key: &str) -> String {
+pub(crate) fn missing(key: &str) -> String {
     format!("missing or invalid `{key}`")
-}
-
-// Decode errors name the enclosing message, so a bad frame in a stored
-// transcript (or off the wire) pinpoints its field path instead of
-// reporting a bare "missing `bot`" with no context.
-fn in_request(tag: &str, e: String) -> String {
-    format!("request `{tag}`: {e}")
-}
-
-fn in_response(tag: &str, e: String) -> String {
-    format!("response `{tag}`: {e}")
 }
 
 /// What [`read_object`] found under the scalar keys it was given — the
@@ -510,7 +471,7 @@ pub fn claimed_whole(slot: Option<Option<u64>>, key: &str) -> Result<u64, String
 }
 
 /// An array's elements, or the first one that failed, with its index.
-type Items<T> = Result<Vec<T>, (usize, String)>;
+pub(crate) type Items<T> = Result<Vec<T>, (usize, String)>;
 
 /// Every element of the array `r` stands at through `item`, walked to
 /// its end whatever fails. `None` when the value is not an array.
@@ -538,361 +499,14 @@ pub(crate) fn read_array<'a, T>(
     Some(out)
 }
 
-/// Resolves a batch's `"items"` member.
-fn batch_items<T>(items: Option<Option<Items<T>>>) -> Result<Vec<T>, String> {
-    let items = items.flatten().ok_or_else(|| missing("items"))?;
-    items.map_err(|(i, e)| format!("items[{i}]: {e}"))
-}
-
-fn write_progress(w: &mut Writer<'_>, p: &BotProgress) {
-    w.begin_object();
-    w.key("now").num(p.now.as_millis() as f64);
-    w.key("size").num(p.size.into());
-    w.key("completed").num(p.completed.into());
-    w.key("dispatched").num(p.dispatched.into());
-    w.key("queued").num(p.queued.into());
-    w.key("running").num(p.running.into());
-    w.key("cloud_running").num(p.cloud_running.into());
-    w.end_object();
-}
-
-const PROGRESS_KEYS: [&str; 7] = [
-    "now",
-    "size",
-    "completed",
-    "dispatched",
-    "queued",
-    "running",
-    "cloud_running",
-];
-
-fn read_progress(r: &mut Reader<'_>) -> Result<BotProgress, String> {
-    let m = read_members(r, PROGRESS_KEYS, no_extra);
-    Ok(BotProgress {
-        now: SimTime::from_millis(m.u64("now")?),
-        size: m.u32("size")?,
-        completed: m.u32("completed")?,
-        dispatched: m.u32("dispatched")?,
-        queued: m.u32("queued")?,
-        running: m.u32("running")?,
-        cloud_running: m.u32("cloud_running")?,
-    })
-}
-
-fn write_action(w: &mut Writer<'_>, a: CloudAction) {
-    match a {
-        CloudAction::None => w.str("none"),
-        CloudAction::Start(n) => w.begin_object().key("start").num(n.into()).end_object(),
-        CloudAction::StopAll => w.str("stop_all"),
-    };
-}
-
-fn read_action(r: &mut Reader<'_>) -> Result<CloudAction, String> {
-    match r.token() {
-        Token::Str(s) if s == "none" => Ok(CloudAction::None),
-        Token::Str(s) if s == "stop_all" => Ok(CloudAction::StopAll),
-        Token::Obj => {
-            let m = read_object(r, Token::Obj, ["start"], no_extra);
-            Ok(CloudAction::Start(m.u32("start")?))
-        }
-        other => Err(format!("invalid cloud action {:?}", r.value_from(other))),
-    }
-}
-
-fn write_prediction(w: &mut Writer<'_>, p: &Prediction) {
-    w.begin_object();
-    w.key("completion_secs").num(p.completion_secs);
-    w.key("alpha").num(p.alpha);
-    if let Some(rate) = p.success_rate {
-        w.key("success_rate").num(rate);
-    }
-    w.end_object();
-}
-
-/// `null` is "no prediction yet"; anything else must hold one.
-fn read_prediction(r: &mut Reader<'_>) -> Result<Option<Prediction>, String> {
-    let head = r.token();
-    if head == Token::Null {
-        return Ok(None);
-    }
-    let keys = ["completion_secs", "alpha", "success_rate"];
-    let m = read_object(r, head, keys, no_extra);
-    Ok(Some(Prediction {
-        completion_secs: m.f64("completion_secs")?,
-        alpha: m.f64("alpha")?,
-        success_rate: m.f64("success_rate").ok(),
-    }))
-}
-
 impl Request {
     /// The request's wire tag (`"deposit"`, `"report_progress"`, …) —
     /// the same string the JSON encoding carries in its `"req"` field.
-    /// Stable, so per-kind accounting (workload mixes, server-side
-    /// request timing) can key on it without decoding anything.
+    /// Stable, so per-kind accounting (server-side request timing, the
+    /// benchmark's per-kind counts) can key on it without decoding
+    /// anything.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Deposit { .. } => "deposit",
-            Request::RegisterQos { .. } => "register_qos",
-            Request::OrderQos { .. } => "order_qos",
-            Request::Predict { .. } => "predict",
-            Request::ReportProgress { .. } => "report_progress",
-            Request::Complete { .. } => "complete",
-            Request::Batch(_) => "batch",
-        }
-    }
-
-    /// Writes the request's members, `"req"` first, into the object `w`
-    /// has open — so an envelope or a session entry can flatten its own
-    /// head in front of them.
-    pub fn write_members(&self, w: &mut Writer<'_>) {
-        w.key("req").str(self.kind());
-        match self {
-            Request::Deposit { user, credits } => {
-                w.key("user").num(user.0 as f64);
-                w.key("credits").num(*credits);
-            }
-            Request::RegisterQos { user, env, size } => {
-                w.key("user").num(user.0 as f64);
-                w.key("env").str(env);
-                w.key("size").num((*size).into());
-            }
-            Request::OrderQos {
-                bot,
-                credits,
-                strategy,
-            } => {
-                w.key("bot").num(bot.0 as f64);
-                w.key("credits").num(*credits);
-                if let Some(s) = strategy {
-                    write_strategy(w.key("strategy"), s);
-                }
-            }
-            Request::Predict { bot } | Request::Complete { bot } => {
-                w.key("bot").num(bot.0 as f64);
-            }
-            Request::ReportProgress { bot, progress } => {
-                w.key("bot").num(bot.0 as f64);
-                write_progress(w.key("progress"), progress);
-            }
-            Request::Batch(items) => {
-                w.key("items").begin_array();
-                for item in items {
-                    item.write_members(w.begin_object());
-                    w.end_object();
-                }
-                w.end_array();
-            }
-        }
-    }
-
-    /// Serializes the request as one JSON object.
-    pub fn to_json(&self) -> String {
-        json::object(|w| self.write_members(w))
-    }
-
-    /// Decodes the value `r` stands at as a request object; members the
-    /// request does not own are offered to `extra` before they are
-    /// skipped. Error messages carry the offending field path (e.g.
-    /// ``request `order_qos`: missing or invalid `credits` ``); syntax
-    /// errors are [`json::read`]'s to report and come first.
-    pub fn read<'a>(r: &mut Reader<'a>, extra: Extra<'_, 'a>) -> Result<Request, String> {
-        let (mut strategy, mut progress, mut items) = (None, None, None);
-        let keys = ["req", "user", "credits", "env", "size", "bot"];
-        let m = read_members(r, keys, |key, r| match key {
-            "strategy" => first(&mut strategy, || read_strategy(r)),
-            "progress" => first(&mut progress, || read_progress(r)),
-            "items" => first(&mut items, || {
-                read_array(r, |r| Request::read(r, &mut no_extra))
-            }),
-            _ => extra(key, r),
-        });
-        let tag = m.str("req")?;
-        let at = |e| in_request(tag, e);
-        Ok(match tag {
-            "deposit" => Request::Deposit {
-                user: UserId(m.u64("user").map_err(at)?),
-                credits: m.f64("credits").map_err(at)?,
-            },
-            "register_qos" => Request::RegisterQos {
-                user: UserId(m.u64("user").map_err(at)?),
-                env: m.str("env").map_err(at)?.to_string(),
-                size: m.u32("size").map_err(at)?,
-            },
-            "order_qos" => Request::OrderQos {
-                bot: BotId(m.u64("bot").map_err(at)?),
-                credits: m.f64("credits").map_err(at)?,
-                strategy: strategy
-                    .transpose()
-                    .map_err(|e| at(format!("strategy: {e}")))?,
-            },
-            "predict" => Request::Predict {
-                bot: BotId(m.u64("bot").map_err(at)?),
-            },
-            "report_progress" => Request::ReportProgress {
-                bot: BotId(m.u64("bot").map_err(at)?),
-                progress: progress
-                    .unwrap_or_else(|| Err("missing `progress`".into()))
-                    .map_err(|e| at(format!("progress: {e}")))?,
-            },
-            "complete" => Request::Complete {
-                bot: BotId(m.u64("bot").map_err(at)?),
-            },
-            "batch" => Request::Batch(batch_items(items).map_err(at)?),
-            other => return Err(format!("unknown request `{other}`")),
-        })
-    }
-
-    /// Parses one JSON-encoded request.
-    pub fn from_json(text: &str) -> Result<Request, String> {
-        json::read(text, |r| Request::read(r, &mut no_extra))?
-    }
-}
-
-impl Response {
-    fn tag(&self) -> &'static str {
-        match self {
-            Response::Deposited { .. } => "deposited",
-            Response::Registered { .. } => "registered",
-            Response::Ordered { .. } => "ordered",
-            Response::Predicted { .. } => "predicted",
-            Response::Action { .. } => "action",
-            Response::Completed { .. } => "completed",
-            Response::Batch(_) => "batch",
-            Response::Error(_) => "error",
-        }
-    }
-
-    /// Writes the response's members, `"resp"` first, into the object
-    /// `w` has open (see [`Request::write_members`]).
-    pub fn write_members(&self, w: &mut Writer<'_>) {
-        w.key("resp").str(self.tag());
-        match self {
-            Response::Deposited { user, balance } => {
-                w.key("user").num(user.0 as f64);
-                w.key("balance").num(*balance);
-            }
-            Response::Registered { bot } | Response::Ordered { bot } => {
-                w.key("bot").num(bot.0 as f64);
-            }
-            Response::Predicted { bot, prediction } => {
-                w.key("bot").num(bot.0 as f64);
-                match prediction {
-                    Some(p) => write_prediction(w.key("prediction"), p),
-                    None => _ = w.key("prediction").null(),
-                }
-            }
-            Response::Action { bot, action } => {
-                w.key("bot").num(bot.0 as f64);
-                write_action(w.key("action"), *action);
-            }
-            Response::Completed { bot, spent, refund } => {
-                w.key("bot").num(bot.0 as f64);
-                w.key("spent").num(*spent);
-                w.key("refund").num(*refund);
-            }
-            Response::Batch(items) => {
-                w.key("items").begin_array();
-                for item in items {
-                    item.write_members(w.begin_object());
-                    w.end_object();
-                }
-                w.end_array();
-            }
-            Response::Error(RequestError::Credit(e)) => {
-                w.key("error").str(match e {
-                    CreditError::InsufficientCredits => "insufficient_credits",
-                    CreditError::NoOrder => "no_order",
-                    CreditError::DuplicateOrder => "duplicate_order",
-                    CreditError::OrderClosed => "order_closed",
-                    CreditError::PoolSaturated => "pool_saturated",
-                });
-            }
-            Response::Error(RequestError::UnknownBot(bot)) => {
-                w.key("error").str("unknown_bot");
-                w.key("bot").num(bot.0 as f64);
-            }
-            Response::Error(RequestError::Invalid(msg)) => {
-                w.key("error").str("invalid");
-                w.key("message").str(msg);
-            }
-            Response::Error(RequestError::Transport(msg)) => {
-                w.key("error").str("transport");
-                w.key("message").str(msg);
-            }
-        }
-    }
-
-    /// Serializes the response as one JSON object.
-    pub fn to_json(&self) -> String {
-        json::object(|w| self.write_members(w))
-    }
-
-    /// Decodes the value `r` stands at as a response object, under
-    /// [`Request::read`]'s contract. Error messages carry the offending
-    /// field path (e.g. ``response `action`: missing or invalid `bot` ``).
-    pub fn read<'a>(r: &mut Reader<'a>, extra: Extra<'_, 'a>) -> Result<Response, String> {
-        let (mut prediction, mut action, mut items) = (None, None, None);
-        let keys = [
-            "resp", "user", "balance", "bot", "spent", "refund", "error", "message",
-        ];
-        let m = read_members(r, keys, |key, r| match key {
-            "prediction" => first(&mut prediction, || read_prediction(r)),
-            "action" => first(&mut action, || read_action(r)),
-            "items" => first(&mut items, || {
-                read_array(r, |r| Response::read(r, &mut no_extra))
-            }),
-            _ => extra(key, r),
-        });
-        let tag = m.str("resp")?;
-        let at = |e| in_response(tag, e);
-        Ok(match tag {
-            "deposited" => Response::Deposited {
-                user: UserId(m.u64("user").map_err(at)?),
-                balance: m.f64("balance").map_err(at)?,
-            },
-            "registered" => Response::Registered {
-                bot: BotId(m.u64("bot").map_err(at)?),
-            },
-            "ordered" => Response::Ordered {
-                bot: BotId(m.u64("bot").map_err(at)?),
-            },
-            "predicted" => Response::Predicted {
-                bot: BotId(m.u64("bot").map_err(at)?),
-                prediction: prediction
-                    .transpose()
-                    .map_err(|e| at(format!("prediction: {e}")))?
-                    .flatten(),
-            },
-            "action" => Response::Action {
-                bot: BotId(m.u64("bot").map_err(at)?),
-                action: action
-                    .unwrap_or_else(|| Err("missing `action`".into()))
-                    .map_err(|e| at(format!("action: {e}")))?,
-            },
-            "completed" => Response::Completed {
-                bot: BotId(m.u64("bot").map_err(at)?),
-                spent: m.f64("spent").map_err(at)?,
-                refund: m.f64("refund").map_err(at)?,
-            },
-            "batch" => Response::Batch(batch_items(items).map_err(at)?),
-            "error" => Response::Error(match m.str("error").map_err(at)? {
-                "insufficient_credits" => RequestError::Credit(CreditError::InsufficientCredits),
-                "no_order" => RequestError::Credit(CreditError::NoOrder),
-                "duplicate_order" => RequestError::Credit(CreditError::DuplicateOrder),
-                "order_closed" => RequestError::Credit(CreditError::OrderClosed),
-                "pool_saturated" => RequestError::Credit(CreditError::PoolSaturated),
-                "unknown_bot" => RequestError::UnknownBot(BotId(m.u64("bot").map_err(at)?)),
-                "invalid" => RequestError::Invalid(m.str("message").map_err(at)?.to_string()),
-                "transport" => RequestError::Transport(m.str("message").map_err(at)?.to_string()),
-                other => return Err(format!("unknown error code `{other}`")),
-            }),
-            other => return Err(format!("unknown response `{other}`")),
-        })
-    }
-
-    /// Parses one JSON-encoded response.
-    pub fn from_json(text: &str) -> Result<Response, String> {
-        json::read(text, |r| Response::read(r, &mut no_extra))?
+        self.tag()
     }
 }
 
@@ -939,25 +553,32 @@ pub fn encode_session_entry(t: SimTime, request: &Request) -> String {
 /// [`encode_session_entry`] into a writer — the write-ahead log stages
 /// records through a buffer it keeps.
 pub(crate) fn write_session_entry(w: &mut Writer<'_>, t: SimTime, request: &Request) {
+    write_entry(w, t, request);
+}
+
+/// Writes one entry of a session or a log: its time `t`, then the
+/// message's members, as one object.
+pub(crate) fn write_entry(w: &mut Writer<'_>, t: SimTime, message: &impl Message) {
     w.begin_object().key("t").num(t.as_millis() as f64);
-    request.write_members(w);
+    message.write_members(w);
     w.end_object();
 }
 
-fn read_session_entry(r: &mut Reader<'_>) -> Result<(SimTime, Request), String> {
+/// Decodes one entry written by [`write_entry`].
+pub(crate) fn read_entry<M: Message>(r: &mut Reader<'_>) -> Result<(SimTime, M), String> {
     let mut t = None;
-    let request = Request::read(r, &mut |key, r| key == "t" && claim_whole(&mut t, r));
-    Ok((SimTime::from_millis(claimed_whole(t, "t")?), request?))
+    let message = M::read(r, &mut |key, r| key == "t" && claim_whole(&mut t, r));
+    Ok((SimTime::from_millis(claimed_whole(t, "t")?), message?))
 }
 
 /// Decodes a single session entry produced by [`encode_session_entry`].
 pub fn decode_session_entry(text: &str) -> Result<(SimTime, Request), String> {
-    json::read(text, read_session_entry)?
+    json::read(text, read_entry)?
 }
 
 /// Decodes a session produced by [`encode_session`].
 pub fn decode_session(text: &str) -> Result<Vec<(SimTime, Request)>, String> {
-    decode_entries(text, "session", read_session_entry)
+    decode_entries(text, "session", read_entry)
 }
 
 /// Encodes the responses of a replayed session, one per line.
@@ -970,123 +591,19 @@ pub fn decode_responses(text: &str) -> Result<Vec<Response>, String> {
     decode_entries(text, "responses", |r| Response::read(r, &mut no_extra))
 }
 
-/// Writes one log entry — its time, then the event's members — as an
-/// object.
-pub(crate) fn write_log_entry(w: &mut Writer<'_>, t: SimTime, e: &LogEvent) {
-    w.begin_object().key("t").num(t.as_millis() as f64);
-    let mut tagged = |name: &str, bot: &BotId| {
-        w.key("event").str(name);
-        w.key("bot").num(bot.0 as f64);
-    };
-    match e {
-        LogEvent::RegisterQos { bot, env } => {
-            tagged("register_qos", bot);
-            w.key("env").str(env);
-        }
-        LogEvent::OrderQos { bot, credits } => {
-            tagged("order_qos", bot);
-            w.key("credits").num(*credits);
-        }
-        LogEvent::Predicted {
-            bot,
-            completion_secs,
-            success_rate,
-        } => {
-            tagged("predicted", bot);
-            w.key("completion_secs").num(*completion_secs);
-            if let Some(rate) = success_rate {
-                w.key("success_rate").num(*rate);
-            }
-        }
-        LogEvent::StartCloudWorkers { bot, count } => {
-            tagged("start_cloud_workers", bot);
-            w.key("count").num((*count).into());
-        }
-        LogEvent::StopCloudWorkers { bot } => tagged("stop_cloud_workers", bot),
-        LogEvent::Completed { bot } => tagged("completed", bot),
-        LogEvent::Paid { bot, refund } => {
-            tagged("paid", bot);
-            w.key("refund").num(*refund);
-        }
-        LogEvent::Throttled {
-            bot,
-            requested,
-            granted,
-        } => {
-            tagged("throttled", bot);
-            w.key("requested").num((*requested).into());
-            w.key("granted").num((*granted).into());
-        }
-    }
-    w.end_object();
-}
-
-const LOG_KEYS: [&str; 11] = [
-    "t",
-    "event",
-    "bot",
-    "env",
-    "credits",
-    "completion_secs",
-    "success_rate",
-    "count",
-    "refund",
-    "requested",
-    "granted",
-];
-
-/// Decodes one entry written by [`write_log_entry`].
-pub(crate) fn read_log_entry(r: &mut Reader<'_>) -> Result<(SimTime, LogEvent), String> {
-    let m = read_members(r, LOG_KEYS, no_extra);
-    let t = SimTime::from_millis(m.u64("t")?);
-    let bot = || m.u64("bot").map(BotId);
-    let event = match m.str("event")? {
-        "register_qos" => LogEvent::RegisterQos {
-            bot: bot()?,
-            env: m.str("env")?.to_string(),
-        },
-        "order_qos" => LogEvent::OrderQos {
-            bot: bot()?,
-            credits: m.f64("credits")?,
-        },
-        "predicted" => LogEvent::Predicted {
-            bot: bot()?,
-            completion_secs: m.f64("completion_secs")?,
-            success_rate: m.f64("success_rate").ok(),
-        },
-        "start_cloud_workers" => LogEvent::StartCloudWorkers {
-            bot: bot()?,
-            count: m.u32("count")?,
-        },
-        "stop_cloud_workers" => LogEvent::StopCloudWorkers { bot: bot()? },
-        "completed" => LogEvent::Completed { bot: bot()? },
-        "paid" => LogEvent::Paid {
-            bot: bot()?,
-            refund: m.f64("refund")?,
-        },
-        "throttled" => LogEvent::Throttled {
-            bot: bot()?,
-            requested: m.u32("requested")?,
-            granted: m.u32("granted")?,
-        },
-        other => return Err(format!("unknown log event `{other}`")),
-    };
-    Ok((t, event))
-}
-
 /// Encodes a protocol log (e.g. [`SpeQuloS::log`]) as a JSON array, one
 /// event object per line.
 pub fn encode_log(log: &[(SimTime, LogEvent)]) -> String {
     encode_entries(log.iter().map(|(t, e)| {
         let mut line = String::new();
-        write_log_entry(&mut Writer::new(&mut line), *t, e);
+        write_entry(&mut Writer::new(&mut line), *t, e);
         line
     }))
 }
 
 /// Decodes a protocol log produced by [`encode_log`].
 pub fn decode_log(text: &str) -> Result<Vec<(SimTime, LogEvent)>, String> {
-    decode_entries(text, "log", read_log_entry)
+    decode_entries(text, "log", read_entry)
 }
 
 #[cfg(test)]

@@ -24,67 +24,71 @@ use crate::tenancy::{CloudPool, PoolLease, PoolLedger, TenantMetrics};
 use botwork::BotId;
 use simcore::{IdMap, SimDuration, SimTime};
 
-/// One entry of the protocol log (the arrows of Fig. 3).
-#[derive(Clone, Debug, PartialEq)]
-pub enum LogEvent {
-    /// User registered a BoT for QoS; the service returned its id.
-    RegisterQos {
-        /// Assigned BoT id.
-        bot: BotId,
-        /// Environment label.
-        env: String,
-    },
-    /// User provisioned credits for the BoT.
-    OrderQos {
-        /// The BoT.
-        bot: BotId,
-        /// Credits provisioned.
-        credits: f64,
-    },
-    /// User asked for a completion-time prediction.
-    Predicted {
-        /// The BoT.
-        bot: BotId,
-        /// Predicted completion, seconds since submission.
-        completion_secs: f64,
-        /// Historical success rate attached to the prediction.
-        success_rate: Option<f64>,
-    },
-    /// The Scheduler started cloud workers.
-    StartCloudWorkers {
-        /// The BoT.
-        bot: BotId,
-        /// Number of workers started.
-        count: u32,
-    },
-    /// The Scheduler stopped all cloud workers.
-    StopCloudWorkers {
-        /// The BoT.
-        bot: BotId,
-    },
-    /// The BoT completed.
-    Completed {
-        /// The BoT.
-        bot: BotId,
-    },
-    /// The order was paid and remaining credits refunded.
-    Paid {
-        /// The BoT.
-        bot: BotId,
-        /// Refund returned to the user.
-        refund: f64,
-    },
-    /// The shared-pool arbiter granted fewer cloud workers than the
-    /// Scheduler requested (only emitted by pooled services).
-    Throttled {
-        /// The BoT.
-        bot: BotId,
-        /// Workers the Scheduler asked for.
-        requested: u32,
-        /// Workers actually granted (< requested; the Scheduler retries
-        /// the shortfall on later ticks).
-        granted: u32,
-    },
+// The log is a message table of its own: JSON only (a snapshot stores
+// it), its field errors bare.
+crate::protocol::codec::messages! {
+    /// One entry of the protocol log (the arrows of Fig. 3).
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum LogEvent: "event", "log event" bare {
+        /// User registered a BoT for QoS; the service returned its id.
+        RegisterQos = "register_qos" {
+            /// Assigned BoT id.
+            bot: BotId,
+            /// Environment label.
+            env: String,
+        }
+        /// User provisioned credits for the BoT.
+        OrderQos = "order_qos" {
+            /// The BoT.
+            bot: BotId,
+            /// Credits provisioned.
+            credits: f64,
+        }
+        /// User asked for a completion-time prediction.
+        Predicted = "predicted" {
+            /// The BoT.
+            bot: BotId,
+            /// Predicted completion, seconds since submission.
+            completion_secs: f64,
+            /// Historical success rate attached to the prediction.
+            success_rate: Option<f64>,
+        }
+        /// The Scheduler started cloud workers.
+        StartCloudWorkers = "start_cloud_workers" {
+            /// The BoT.
+            bot: BotId,
+            /// Number of workers started.
+            count: u32,
+        }
+        /// The Scheduler stopped all cloud workers.
+        StopCloudWorkers = "stop_cloud_workers" {
+            /// The BoT.
+            bot: BotId,
+        }
+        /// The BoT completed.
+        Completed = "completed" {
+            /// The BoT.
+            bot: BotId,
+        }
+        /// The order was paid and remaining credits refunded.
+        Paid = "paid" {
+            /// The BoT.
+            bot: BotId,
+            /// Refund returned to the user.
+            refund: f64,
+        }
+        /// The shared-pool arbiter granted fewer cloud workers than the
+        /// Scheduler requested (only emitted by pooled services).
+        Throttled = "throttled" {
+            /// The BoT.
+            bot: BotId,
+            /// Workers the Scheduler asked for.
+            requested: u32,
+            /// Workers actually granted (< requested; the Scheduler retries
+            /// the shortfall on later ticks).
+            granted: u32,
+        }
+    } with {}
 }
 
 /// The assembled SpeQuloS service.

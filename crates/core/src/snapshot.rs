@@ -42,10 +42,10 @@
 
 use crate::credit::{CreditSystem, FavorLedger, Order};
 use crate::info::{ArchivedExecution, BotRecord, Information};
-use crate::oracle::{Oracle, VarianceState};
+use crate::oracle::{Oracle, StrategyCombo, VarianceState};
 use crate::protocol::{
-    first, no_extra, read_array, read_log_entry, read_members, read_object, read_strategy,
-    write_log_entry, write_strategy, Scalars,
+    first, no_extra, read_array, read_entry, read_members, read_nested, read_object, write_entry,
+    Nested, Scalars,
 };
 use crate::scheduler::{BotSchedState, GreedyUntilTc, Scheduler};
 use crate::service::SpeQuloS;
@@ -577,7 +577,7 @@ fn read_tenant(r: &mut Reader<'_>) -> Result<(u64, TenantMetrics), String> {
 pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), SnapshotError> {
     w.begin_object().key("config").begin_object();
     w.key("tick").num(service.tick.as_millis() as f64);
-    write_strategy(w.key("default_strategy"), &service.default_strategy);
+    service.default_strategy.json(w.key("default_strategy"));
     match service.pool.as_ref() {
         Some(pool) => w.key("pool_capacity").num(f64::from(pool.capacity)),
         None => w.key("pool_capacity").null(),
@@ -596,7 +596,7 @@ pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), 
     w.key("strategies").begin_array();
     for (&bot, strategy) in sorted(&service.strategies) {
         w.begin_object().key("bot").num(bot as f64);
-        write_strategy(w.key("strategy"), strategy);
+        strategy.json(w.key("strategy"));
         w.end_object();
     }
     w.end_array().key("users").begin_array();
@@ -608,7 +608,7 @@ pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), 
     w.end_array().key("next_bot").num(service.next_bot as f64);
     w.key("log").begin_array();
     for (t, event) in &service.log {
-        write_log_entry(w, *t, event);
+        write_entry(w, *t, event);
     }
     w.end_array();
     match service.pool.as_ref() {
@@ -654,7 +654,8 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
             let mut default_strategy = None;
             let keys = ["tick", "pool_capacity", "bot_stride"];
             let m = read_members(r, keys, |key, r| {
-                key == "default_strategy" && first(&mut default_strategy, || read_strategy(r))
+                key == "default_strategy"
+                    && first(&mut default_strategy, || read_nested::<StrategyCombo>(r))
             });
             (m, default_strategy)
         }),
@@ -664,7 +665,7 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
             let entry = |r: &mut Reader<'_>| {
                 let mut strategy = None;
                 let m = read_members(r, ["bot"], |key, r| {
-                    key == "strategy" && first(&mut strategy, || read_strategy(r))
+                    key == "strategy" && first(&mut strategy, || read_nested(r))
                 });
                 Ok((m.u64("bot")?, present(strategy, "strategy")?))
             };
@@ -675,7 +676,7 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
                 m.u64(k).map(UserId)
             })
         }),
-        "log" => first(&mut log, || entries(r, key, read_log_entry)),
+        "log" => first(&mut log, || entries(r, key, read_entry)),
         "pool" => first(&mut pool, || read_pool(r)),
         "tenants" => first(&mut tenants, || {
             keyed(r, key, read_tenant, dup("tenant metrics for"))

@@ -4,10 +4,11 @@
 //! them against the source of truth in code, so the specs and the code
 //! cannot drift apart silently:
 //!
-//! * `spec-protocol-tags` — the `REQ_*`/`RESP_*`/`ERR_*` tag constants
-//!   in `spq_server::binary` ↔ the PROTOCOL.md tag tables (§5.3, §5.4,
-//!   error codes). Every constant documented, every documented tag
-//!   implemented, values equal.
+//! * `spec-protocol-tags` — the binary tags of the message table in
+//!   `spequlos::protocol` (the `messages!` rows of `Request` and
+//!   `Response`, the `coded!` rows of `RequestError`) ↔ the PROTOCOL.md
+//!   tag tables (§5.3, §5.5, error codes). Every row documented, every
+//!   documented tag implemented, values equal.
 //! * `spec-telemetry-schema` — `SCHEMA_KEYS` in `spq_bench::telemetry`
 //!   ↔ the BENCHMARKS.md schema table *and* the module's own rustdoc
 //!   table.
@@ -57,8 +58,8 @@ fn finding(file: &str, line: u32, rule: &'static str, message: String) -> Findin
     }
 }
 
-/// `REQ_REGISTER_QOS` → `registerqos`, for comparison against the
-/// backticked variant names in PROTOCOL.md (`RegisterQos`).
+/// `RegisterQos` → `registerqos`: variant names compare
+/// case-insensitively, underscores ignored.
 fn normalize(name: &str) -> String {
     name.chars()
         .filter(|c| *c != '_')
@@ -92,55 +93,66 @@ fn row_cells(line: &str) -> Vec<&str> {
 // spec-protocol-tags
 // ---------------------------------------------------------------------------
 
-const BINARY_RS: &str = "crates/server/src/binary.rs";
+const PROTOCOL_RS: &str = "crates/core/src/protocol.rs";
 const PROTOCOL_MD: &str = "PROTOCOL.md";
 
+/// Which tag table a line of the message table opens: `Some(Some(t))`
+/// for a table the spec documents, `Some(None)` for another enum.
+fn table_header(line: &str) -> Option<Option<usize>> {
+    let header = [
+        "pub enum Request:",
+        "pub enum Response:",
+        "coded!(RequestError",
+    ];
+    if let Some(t) = header.iter().position(|h| line.contains(h)) {
+        return Some(Some(t));
+    }
+    (line.contains("pub enum ") || line.contains("coded!(")).then_some(None)
+}
+
+/// `Deposit = "deposit", 0x01 {` → `("Deposit", 0x01)`: a table row,
+/// struct, tuple (`Batch(items: …) = …`) or coded (`Credit {0: …} = …`).
+fn table_row(line: &str) -> Option<(&str, u8)> {
+    let l = line.trim_start();
+    let name_len = l.find(|c: char| !c.is_ascii_alphanumeric() && c != '_')?;
+    let name = &l[..name_len];
+    if !name.starts_with(|c: char| c.is_ascii_uppercase()) {
+        return None;
+    }
+    let (_, tail) = l.split_once("= \"")?;
+    let (_, hex) = tail.split_once("\", 0x")?;
+    let hex = hex.get(..2)?;
+    Some((name, u8::from_str_radix(hex, 16).ok()?))
+}
+
 fn protocol_tags(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let Some(binary) = read_if_exists(root, BINARY_RS)? else {
+    let Some(table) = read_if_exists(root, PROTOCOL_RS)? else {
         return Ok(Vec::new());
     };
     let mut out = Vec::new();
     let Some(protocol) = read_if_exists(root, PROTOCOL_MD)? else {
         out.push(finding(
-            BINARY_RS,
+            PROTOCOL_RS,
             1,
             "spec-protocol-tags",
-            "binary codec exists but PROTOCOL.md is missing — the wire format must stay specified"
+            "the message table exists but PROTOCOL.md is missing — the wire format must stay specified"
                 .to_string(),
         ));
         return Ok(out);
     };
 
-    // Code side: `const REQ_…: u8 = 0xNN;` grouped by prefix.
-    // name → (value, line), per table.
+    // Code side: the rows of each table, name → (value, line).
     let mut code: [BTreeMap<String, (u8, u32)>; 3] =
         [BTreeMap::new(), BTreeMap::new(), BTreeMap::new()];
-    for (idx, line) in binary.lines().enumerate() {
-        let l = line.trim();
-        let Some(rest) = l.strip_prefix("const ") else {
-            continue;
-        };
-        let Some((name, tail)) = rest.split_once(':') else {
-            continue;
-        };
-        let name = name.trim();
-        let table = if name.starts_with("REQ_") {
-            0
-        } else if name.starts_with("RESP_") {
-            1
-        } else if name.starts_with("ERR_") {
-            2
-        } else {
-            continue;
-        };
-        let Some(value) = tail
-            .split_once("0x")
-            .and_then(|(_, hex)| u8::from_str_radix(hex.trim_end_matches(';').trim(), 16).ok())
-        else {
-            continue;
-        };
-        let short = name.split_once('_').map_or(name, |(_, rest)| rest);
-        code[table].insert(normalize(short), (value, idx as u32 + 1));
+    let mut current = None;
+    for (idx, line) in table.lines().enumerate() {
+        if let Some(t) = table_header(line) {
+            current = t;
+        } else if line == "}" || line == "});" {
+            current = None;
+        } else if let (Some(t), Some((name, value))) = (current, table_row(line)) {
+            code[t].insert(normalize(name), (value, idx as u32 + 1));
+        }
     }
 
     // Doc side: the three tag tables, recognized by their header rows.
@@ -196,7 +208,7 @@ fn protocol_tags(root: &Path) -> std::io::Result<Vec<Finding>> {
         for (name, &(value, line)) in &code[t] {
             match doc[t].get(name) {
                 None => out.push(finding(
-                    BINARY_RS,
+                    PROTOCOL_RS,
                     line,
                     "spec-protocol-tags",
                     format!(
@@ -209,7 +221,7 @@ fn protocol_tags(root: &Path) -> std::io::Result<Vec<Finding>> {
                     doc_line,
                     "spec-protocol-tags",
                     format!(
-                        "{} tag `{name}` documented as 0x{doc_value:02x} but implemented as 0x{value:02x} in {BINARY_RS}:{line}",
+                        "{} tag `{name}` documented as 0x{doc_value:02x} but implemented as 0x{value:02x} in {PROTOCOL_RS}:{line}",
                         tables[t]
                     ),
                 )),
@@ -223,7 +235,7 @@ fn protocol_tags(root: &Path) -> std::io::Result<Vec<Finding>> {
                     line,
                     "spec-protocol-tags",
                     format!(
-                        "{} tag `{name}` (0x{value:02x}) is documented but not implemented in {BINARY_RS}",
+                        "{} tag `{name}` (0x{value:02x}) is documented but not implemented in {PROTOCOL_RS}",
                         tables[t]
                     ),
                 ));

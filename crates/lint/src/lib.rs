@@ -126,12 +126,13 @@ fn is_hot(rel: &str) -> bool {
 /// for them — the connection core facing clients, the client core facing
 /// a server that may be hostile or merely buggy — the JSON reader every
 /// JSON frame payload is walked by, and the service core's decoders: the
-/// message codecs the reactor thread runs on every JSON envelope, and
-/// the write-ahead log and snapshot readers that recovery runs on disk
-/// bytes. None of the last four is a server module.
+/// message codecs the reactor thread runs on every envelope, JSON or
+/// binary, and the write-ahead log and snapshot readers that recovery
+/// runs on disk bytes. None of the last five is a server module.
 pub const DECODE_FILES: &[&str] = &[
     "crates/simcore/src/json.rs",
     "crates/core/src/protocol.rs",
+    "crates/core/src/protocol/codec.rs",
     "crates/core/src/snapshot.rs",
     "crates/core/src/wal.rs",
     "crates/server/src/frame.rs",

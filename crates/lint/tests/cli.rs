@@ -98,6 +98,23 @@ fn baselines_fixture_pins_every_way_the_three_sets_can_disagree() {
 }
 
 #[test]
+fn tags_fixture_pins_every_way_the_table_and_the_spec_can_disagree() {
+    let (code, out) = run_lint(&fixture("tags"));
+    assert_eq!(code, 1, "tags tree must exit 1:\n{out}");
+    for expect in [
+        "crates/core/src/protocol.rs:16: spec-protocol-tags: request tag `audit` (0x09) is implemented but missing from the PROTOCOL.md request table",
+        "PROTOCOL.md:9: spec-protocol-tags: request tag `complete` (0x06) is documented but not implemented in crates/core/src/protocol.rs",
+        "PROTOCOL.md:8: spec-protocol-tags: request tag `predict` documented as 0x05 but implemented as 0x04 in crates/core/src/protocol.rs:12",
+    ] {
+        assert!(out.contains(expect), "missing {expect:?} in:\n{out}");
+    }
+    assert!(
+        out.contains("spq-lint: 3 findings, 1 file scanned"),
+        "{out}"
+    );
+}
+
+#[test]
 fn the_repository_itself_lints_clean_at_head() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (code, out) = run_lint(&root);

@@ -12,7 +12,7 @@
 
 use simcore::json::{self, Reader, Token, Writer};
 use simcore::SimTime;
-use spequlos::protocol::{claim_whole, claimed_whole, Request, Response};
+use spequlos::protocol::{claim_whole, claimed_whole, Message, Request, Response};
 
 /// One request on the wire: correlation id, service time, payload.
 #[derive(Clone, Debug, PartialEq)]

@@ -29,7 +29,7 @@ use spequlos::oracle::{DeployMode, Prediction, Provisioning, StrategyCombo, Trig
 use spequlos::protocol::{self, Request, RequestError, Response, SpqService};
 use spequlos::scheduler::CloudAction;
 use spequlos::{BotProgress, SpeQuloS, UserId};
-use spq_server::binary;
+use spq_server::binary::{self, BinError, MAX_BATCH_DEPTH};
 use spq_server::frame::{
     decode_binary_frame, decode_hello, decode_json_frame, hello_line, Codec, HelloOutcome,
     MAX_FRAME_BYTES,
@@ -129,10 +129,21 @@ fn arb_leaf_request() -> impl Strategy<Value = Request> {
     ]
 }
 
+/// `inner` wrapped in `wraps` more one-item batches.
+fn nest<T>(inner: T, wraps: usize, batch: fn(Vec<T>) -> T) -> T {
+    (0..wraps).fold(inner, |inner, _| batch(vec![inner]))
+}
+
+/// A leaf, or a batch of leaves wrapped in up to `MAX_BATCH_DEPTH + 2`
+/// more batches: some nest past the bound both codecs share (§5.3).
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         arb_leaf_request(),
-        proptest::collection::vec(arb_leaf_request(), 0..5).prop_map(Request::Batch),
+        (
+            proptest::collection::vec(arb_leaf_request(), 0..5),
+            0..=MAX_BATCH_DEPTH + 2
+        )
+            .prop_map(|(items, wraps)| nest(Request::Batch(items), wraps, Request::Batch)),
     ]
 }
 
@@ -205,7 +216,15 @@ fn arb_response_envelope() -> impl Strategy<Value = ResponseEnvelope> {
         any::<u64>(),
         prop_oneof![
             arb_leaf_response(),
-            proptest::collection::vec(arb_leaf_response(), 0..5).prop_map(Response::Batch),
+            (
+                proptest::collection::vec(arb_leaf_response(), 0..5),
+                0..=MAX_BATCH_DEPTH + 2
+            )
+                .prop_map(|(items, wraps)| nest(
+                    Response::Batch(items),
+                    wraps,
+                    Response::Batch
+                )),
         ],
     )
         .prop_map(|(id, response)| ResponseEnvelope { id, response })
@@ -220,7 +239,13 @@ proptest! {
     #[test]
     fn prop_request_roundtrip_binary_and_json_identity(env in arb_request_envelope()) {
         let bytes = binary::encode_request(&env);
-        let decoded = binary::decode_request(&bytes).expect("valid encoding decodes");
+        let json = RequestEnvelope::from_json(&env.to_json());
+        let Ok(decoded) = binary::decode_request(&bytes) else {
+            prop_assert_eq!(binary::decode_request(&bytes), Err(BinError::TooDeep));
+            prop_assert!(json.is_err(), "JSON refuses what binary refuses: {:?}", json);
+            return Ok(());
+        };
+        prop_assert!(json.is_ok(), "JSON accepts what binary accepts: {:?}", json);
         prop_assert_eq!(&decoded, &env);
         prop_assert_eq!(binary::encode_request(&decoded), bytes, "re-encode is bit-identical");
         prop_assert_eq!(decoded.to_json(), env.to_json(), "binary carries what JSON carries");
@@ -230,7 +255,13 @@ proptest! {
     #[test]
     fn prop_response_roundtrip_binary_and_json_identity(env in arb_response_envelope()) {
         let bytes = binary::encode_response(&env);
-        let decoded = binary::decode_response(&bytes).expect("valid encoding decodes");
+        let json = ResponseEnvelope::from_json(&env.to_json());
+        let Ok(decoded) = binary::decode_response(&bytes) else {
+            prop_assert_eq!(binary::decode_response(&bytes), Err(BinError::TooDeep));
+            prop_assert!(json.is_err(), "JSON refuses what binary refuses: {:?}", json);
+            return Ok(());
+        };
+        prop_assert!(json.is_ok(), "JSON accepts what binary accepts: {:?}", json);
         prop_assert_eq!(&decoded, &env);
         prop_assert_eq!(binary::encode_response(&decoded), bytes, "re-encode is bit-identical");
         prop_assert_eq!(decoded.to_json(), env.to_json(), "binary carries what JSON carries");
@@ -252,11 +283,13 @@ proptest! {
     #[test]
     fn prop_trailing_bytes_are_rejected(env in arb_response_envelope(), junk in 1usize..9) {
         let mut bytes = binary::encode_response(&env);
+        // Too deep is found before the end of the envelope is reached.
+        let expected = match binary::decode_response(&bytes) {
+            Ok(_) => BinError::Trailing(junk),
+            Err(e) => e,
+        };
         bytes.extend(std::iter::repeat_n(0xAA, junk));
-        prop_assert_eq!(
-            binary::decode_response(&bytes),
-            Err(binary::BinError::Trailing(junk))
-        );
+        prop_assert_eq!(binary::decode_response(&bytes), Err(expected));
     }
 }
 

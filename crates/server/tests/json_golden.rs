@@ -552,6 +552,11 @@ fn request_decoding_follows_the_pinned_rules() {
             r#"{"req":"batch","items":[{"req":"batch","items":[{"req":"complete"}]}]}"#,
             "request `batch`: items[0]: request `batch`: items[0]: request `complete`: missing or invalid `bot`",
         ),
+        // Nine batches deep is one more than either codec takes (§5.3).
+        (
+            r#"{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"batch","items":[{"req":"complete","bot":1}]}]}]}]}]}]}]}]}]}"#,
+            "request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: request `batch`: items[0]: batches nest deeper than 8",
+        ),
         // Malformed documents report the parser's position, and win over
         // any field error before them.
         (r#"{"req":"predict","bot":1"#, "expected `,` or `}` at byte 24"),
@@ -726,12 +731,20 @@ fn response_decoding_follows_the_pinned_rules() {
             "response `batch`: items[1]: response `ordered`: missing or invalid `bot`",
         ),
         (
+            r#"{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"batch","items":[{"resp":"ordered","bot":1}]}]}]}]}]}]}]}]}]}"#,
+            "response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: response `batch`: items[0]: batches nest deeper than 8",
+        ),
+        (
             r#"{"resp":"error"}"#,
             "response `error`: missing or invalid `error`",
         ),
         (
             r#"{"resp":"error","error":"boom"}"#,
             "unknown error code `boom`",
+        ),
+        (
+            r#"{"resp":"error","error":"credit"}"#,
+            "unknown error code `credit`",
         ),
         (
             r#"{"resp":"error","error":"unknown_bot"}"#,

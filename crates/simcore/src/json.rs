@@ -396,10 +396,12 @@ pub enum Token<'a> {
 }
 
 impl Token<'_> {
-    /// The number, if this is one.
+    /// The number, if this is one the [`Writer`] could have written: a
+    /// literal beyond `f64`'s range (`1e999`) parses to an infinity,
+    /// which the writer spells `null`, so it reads as no number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Token::Num(n) => Some(*n),
+            Token::Num(n) if n.is_finite() => Some(*n),
             _ => None,
         }
     }
@@ -426,7 +428,7 @@ impl Token<'_> {
 /// jumps to the end of the text, and from then on every call returns its
 /// neutral answer (`None`, `false`, [`Token::Null`]) — so decoding loops
 /// end by themselves and [`read`] reports the error once they have.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
