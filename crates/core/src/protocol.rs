@@ -540,20 +540,13 @@ pub fn encode_session(session: &[(SimTime, Request)]) -> String {
 }
 
 /// Encodes one `(service time, request)` pair as a single JSON object —
-/// exactly the per-line entry of [`encode_session`]. This is the payload
-/// format of the write-ahead log ([`crate::wal`]): a durable session is
-/// one such entry per record, and concatenating the decoded entries
-/// reproduces the [`encode_session`] transcript bit-identically.
+/// exactly the per-line entry of [`encode_session`]. It was the payload
+/// of the write-ahead log's earlier record format, which [`crate::wal`]
+/// still reads.
 pub fn encode_session_entry(t: SimTime, request: &Request) -> String {
     let mut entry = String::with_capacity(256);
-    write_session_entry(&mut Writer::new(&mut entry), t, request);
+    write_entry(&mut Writer::new(&mut entry), t, request);
     entry
-}
-
-/// [`encode_session_entry`] into a writer — the write-ahead log stages
-/// records through a buffer it keeps.
-pub(crate) fn write_session_entry(w: &mut Writer<'_>, t: SimTime, request: &Request) {
-    write_entry(w, t, request);
 }
 
 /// Writes one entry of a session or a log: its time `t`, then the

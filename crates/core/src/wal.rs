@@ -27,9 +27,27 @@
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
 //!
-//! where the payload is the single-line JSON session entry of
-//! [`crate::protocol::encode_session_entry`] — the same bytes the
-//! transcript tooling already reads and writes. A snapshot file is
+//! The payload's first byte is its format. Every record written today is
+//! format `0x01`:
+//!
+//! ```text
+//! 0x01 · t: u64 LE (service time, ms) · request body
+//! ```
+//!
+//! where the request body is the binary body of PROTOCOL.md §5.3 —
+//! [`Binary::encode_binary`], the codec the wire already speaks, so a
+//! float keeps its exact bits, NaN included. A payload that starts with
+//! `{` is a record of the earlier format, the single-line JSON session
+//! entry of [`crate::protocol::encode_session_entry`]; such records are
+//! still read, never written, so a log from before the change recovers
+//! and grows in the new format. Any other first byte is corruption. The
+//! format byte is the header later record fields will extend.
+//!
+//! A readable transcript of a log is `encode_session(recovery.records())`
+//! ([`crate::protocol::encode_session`]) — the JSON session the
+//! transcript tooling reads, one request per line.
+//!
+//! A snapshot file is
 //! `{"format":1,"applied":N,"state":{...}}` with `state` the text of
 //! [`crate::snapshot::encode_state_json`]; it is written to a temp file
 //! and renamed into place — file and directory fsynced under
@@ -60,7 +78,7 @@
 //! *would* diverge, so that is refused.
 
 use crate::protocol::{
-    decode_session_entry, first, read_members, write_session_entry, Request, SpqService,
+    decode_session_entry, first, read_members, Binary, Rd, Request, SpqService, MAX_BATCH_DEPTH,
 };
 use crate::service::SpeQuloS;
 use crate::snapshot::{restore_state_json, write_state, SnapshotError, SNAPSHOT_FORMAT};
@@ -76,6 +94,12 @@ pub const WAL_FILE: &str = "wal.log";
 /// Upper bound on a single record's payload; a length prefix beyond this
 /// is corruption, not a real record.
 pub const MAX_RECORD_BYTES: u32 = 16 * 1024 * 1024;
+
+/// First payload byte of a binary record: `t` and a binary request body.
+const RECORD_BINARY: u8 = 0x01;
+/// First payload byte of a record of the earlier format, a JSON session
+/// entry (an object, so always `{`). Read, never written.
+const RECORD_JSON: u8 = b'{';
 
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".json";
@@ -250,8 +274,8 @@ pub struct WalStore {
     /// Framed records staged since the last commit, and how many.
     staged: Vec<u8>,
     staged_records: u64,
-    /// Where a record's payload and a snapshot's text are written; kept,
-    /// so that neither allocates.
+    /// Where a snapshot's text is written; kept, so that it does not
+    /// allocate.
     text: String,
     /// A commit failed: the log's tail is unknown and nothing is written
     /// behind it any more (see [`WalStore::commit`]).
@@ -328,21 +352,16 @@ impl WalStore {
     /// Encodes one request behind the records already staged — memory
     /// only, no system call. Nothing staged is on disk, or counted by
     /// [`WalStore::record_count`], before [`WalStore::commit`] returns.
+    /// A request that cannot be a record — batches nested deeper than
+    /// [`MAX_BATCH_DEPTH`], or a payload over [`MAX_RECORD_BYTES`] — is
+    /// refused, and leaves nothing staged.
     pub fn stage(&mut self, at: SimTime, request: &Request) -> Result<(), WalError> {
         self.check_live()?;
-        self.text.clear();
-        write_session_entry(&mut Writer::new(&mut self.text), at, request);
-        let bytes = self.text.as_bytes();
-        let len = u32::try_from(bytes.len())
-            .ok()
-            .filter(|&l| l <= MAX_RECORD_BYTES)
-            .ok_or_else(|| WalError::Corrupt {
-                offset: 0,
-                reason: format!("record payload of {} bytes exceeds maximum", bytes.len()),
-            })?;
-        self.staged.extend_from_slice(&len.to_le_bytes());
-        self.staged.extend_from_slice(&crc32(bytes).to_le_bytes());
-        self.staged.extend_from_slice(bytes);
+        let start = self.staged.len();
+        if let Err(e) = write_record(&mut self.staged, at, request) {
+            self.staged.truncate(start);
+            return Err(e);
+        }
         self.staged_records += 1;
         Ok(())
     }
@@ -465,6 +484,73 @@ impl WalStore {
     }
 }
 
+/// Appends one framed record to `out`: the header, then the payload
+/// encoded in place behind it, then the header filled in. On an error
+/// `out` may hold part of the record; the caller cuts it off.
+fn write_record(out: &mut Vec<u8>, at: SimTime, request: &Request) -> Result<(), WalError> {
+    let refused = |reason: String| WalError::Corrupt { offset: 0, reason };
+    if batch_depth(request) > MAX_BATCH_DEPTH {
+        return Err(refused(format!(
+            "batches nest deeper than {MAX_BATCH_DEPTH}: no reader would take the record"
+        )));
+    }
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.push(RECORD_BINARY);
+    out.extend_from_slice(&at.as_millis().to_le_bytes());
+    request.encode_binary(out);
+    let payload = out.get(start + 8..).unwrap_or_default();
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l <= MAX_RECORD_BYTES)
+        .ok_or_else(|| {
+            refused(format!(
+                "record payload of {} bytes exceeds maximum",
+                payload.len()
+            ))
+        })?;
+    // `len` then `crc`, both little-endian: one little-endian `u64`.
+    let header = u64::from(len) | u64::from(crc32(payload)) << 32;
+    if let Some(slot) = out.get_mut(start..start + 8) {
+        slot.copy_from_slice(&header.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// How many batches deep `request`'s innermost message lies (0 for a
+/// request that is not a batch) — what the binary decoder bounds.
+fn batch_depth(request: &Request) -> usize {
+    match request {
+        Request::Batch(items) => items
+            .iter()
+            .map(|item| 1 + batch_depth(item))
+            .max()
+            .unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Decodes one checksum-valid payload, by its format byte.
+fn read_record(payload: &[u8]) -> Result<(SimTime, Request), String> {
+    match payload.first() {
+        Some(&RECORD_BINARY) => {
+            let mut rd = Rd::new(payload.get(1..).unwrap_or_default());
+            let decoded = rd.u64("record.t").and_then(|t| {
+                let request = Request::decode_binary(&mut rd)?;
+                rd.finish()?;
+                Ok((SimTime::from_millis(t), request))
+            });
+            decoded.map_err(|e| e.to_string())
+        }
+        Some(&RECORD_JSON) => {
+            let text = std::str::from_utf8(payload).map_err(|_| "JSON record is not UTF-8")?;
+            decode_session_entry(text)
+        }
+        Some(byte) => Err(format!("unknown record format 0x{byte:02x}")),
+        None => Err("empty payload".into()),
+    }
+}
+
 struct LogScan {
     records: Vec<(SimTime, Request)>,
     /// Where each record ends.
@@ -482,6 +568,7 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
     reader.seek(SeekFrom::Start(0))?;
     let mut records = Vec::new();
     let mut ends = Vec::new();
+    let mut payload = Vec::new();
     let mut offset: u64 = 0;
     while offset < file_len {
         let mut header = [0u8; 8];
@@ -500,7 +587,8 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
                 reason: format!("record length {len} exceeds maximum {MAX_RECORD_BYTES}"),
             });
         }
-        let mut payload = vec![0u8; len as usize];
+        payload.clear();
+        payload.resize(len as usize, 0);
         if !fill(&mut reader, &mut payload)? {
             return Ok(scanned(records, ends, file_len));
         }
@@ -514,13 +602,9 @@ fn scan_log(file: &File) -> Result<LogScan, WalError> {
                 reason: "checksum mismatch with records following".into(),
             });
         }
-        let text = std::str::from_utf8(&payload).map_err(|_| WalError::Corrupt {
+        let (t, request) = read_record(&payload).map_err(|reason| WalError::Corrupt {
             offset,
-            reason: "checksum-valid payload is not UTF-8".into(),
-        })?;
-        let (t, request) = decode_session_entry(text).map_err(|e| WalError::Corrupt {
-            offset,
-            reason: format!("checksum-valid payload does not decode: {e}"),
+            reason: format!("checksum-valid payload does not decode: {reason}"),
         })?;
         records.push((t, request));
         offset += extent;
@@ -630,37 +714,75 @@ fn sync_dir(dir: &Path) -> Result<(), WalError> {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) — the same checksum gzip
-/// and PNG use, implemented table-driven to avoid a dependency.
+/// and PNG use, implemented table-driven to avoid a dependency. It is
+/// slice-by-8: eight bytes per step through eight tables, each step's
+/// lookups independent of one another, then the last `len % 8` bytes
+/// one at a time through the first table.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const TABLES: [[u32; 256]; 8] = crc32_tables();
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
+    // `i & 0xff` is below 256, so the lookup cannot miss.
+    let at = |table: &[u32; 256], i: u32| table.get((i & 0xff) as usize).copied().unwrap_or(0);
+    let mut words = bytes.chunks_exact(8);
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let entry = TABLE.get(usize::from(crc as u8 ^ b)).copied();
-        crc = (crc >> 8) ^ entry.unwrap_or_default();
+    // Each chunk is eight bytes long, so `first_chunk` always matches.
+    while let Some(&[b0, b1, b2, b3, b4, b5, b6, b7]) = words.next().and_then(<[u8]>::first_chunk) {
+        let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        crc = at(t7, lo)
+            ^ at(t6, lo >> 8)
+            ^ at(t5, lo >> 16)
+            ^ at(t4, lo >> 24)
+            ^ at(t3, hi)
+            ^ at(t2, hi >> 8)
+            ^ at(t1, hi >> 16)
+            ^ at(t0, hi >> 24);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ at(t0, crc ^ u32::from(b));
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut rest: &mut [u32] = &mut table;
-    let mut i = 0u32;
-    while let [slot, tail @ ..] = rest {
-        let mut c = i;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+/// The slice-by-8 tables: `tables[k][i]` is the CRC register after byte
+/// `i` and then `k` zero bytes, so `tables[0]` is the byte-at-a-time
+/// table.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut rest: &mut [[u32; 256]] = &mut tables;
+    let mut zeros = 0;
+    while let [table, tail @ ..] = rest {
+        let mut slots: &mut [u32] = table;
+        let mut i = 0u32;
+        while let [slot, more @ ..] = slots {
+            let mut c = crc32_byte(i);
+            let mut k = 0;
+            while k < zeros {
+                c = (c >> 8) ^ crc32_byte(c & 0xff);
+                k += 1;
+            }
+            *slot = c;
+            slots = more;
+            i += 1;
         }
-        *slot = c;
         rest = tail;
-        i += 1;
+        zeros += 1;
     }
-    table
+    tables
+}
+
+/// The CRC register after one byte `c` (< 256) from zero: eight shifts.
+const fn crc32_byte(mut c: u32) -> u32 {
+    let mut k = 0;
+    while k < 8 {
+        c = if c & 1 != 0 {
+            0xEDB8_8320 ^ (c >> 1)
+        } else {
+            c >> 1
+        };
+        k += 1;
+    }
+    c
 }
 
 #[cfg(test)]
@@ -692,11 +814,12 @@ mod tests {
             .collect()
     }
 
-    /// Bytes the log spends on `requests`: header and payload of each.
+    /// Bytes the log spends on `requests`: header, format byte, time and
+    /// binary body of each.
     fn framed_len(requests: &[(SimTime, Request)]) -> usize {
         requests
             .iter()
-            .map(|(t, r)| 8 + crate::protocol::encode_session_entry(*t, r).len())
+            .map(|(_, r)| 8 + 1 + 8 + body(r).len())
             .sum()
     }
 
@@ -705,6 +828,354 @@ mod tests {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC: the reference slice-by-8 must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = crc32_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[usize::from(crc as u8 ^ b)];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_the_bytewise_crc() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..300)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        // Every length through several whole words and every remainder,
+        // from every alignment within a word.
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                let slice = &bytes[start..end];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "bytes {start}..{end}");
+            }
+        }
+    }
+
+    /// One log record around `payload`, its checksum valid.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&crc32(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        record
+    }
+
+    /// A binary record's payload: format byte, time, then `body`.
+    fn binary_payload(t: SimTime, body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![RECORD_BINARY];
+        payload.extend_from_slice(&t.as_millis().to_le_bytes());
+        payload.extend_from_slice(body);
+        payload
+    }
+
+    fn body(request: &Request) -> Vec<u8> {
+        let mut body = Vec::new();
+        request.encode_binary(&mut body);
+        body
+    }
+
+    /// `depth` batches, one inside the other, around a `Predict`.
+    fn nested(depth: usize) -> Request {
+        (0..depth).fold(
+            Request::Predict {
+                bot: botwork::BotId(3),
+            },
+            |inner, _| Request::Batch(vec![inner]),
+        )
+    }
+
+    #[test]
+    fn a_record_is_its_time_and_binary_body_behind_the_format_byte() {
+        let dir = temp_dir("layout");
+        let (t, request) = (SimTime::from_millis(2000), sample_requests(3)[2].1.clone());
+        let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        wal.append(t, &request).unwrap();
+        let payload = binary_payload(t, &body(&request));
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), framed(&payload));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The service refuses a non-finite credit amount only *after* its
+    /// record is staged, so that record must read back: written as JSON,
+    /// the float would be `null`, which no reader takes, and one binary
+    /// frame would make the log unreadable.
+    #[test]
+    fn non_finite_credits_survive_a_reopen() {
+        let dir = temp_dir("nonfinite");
+        let bot = botwork::BotId(0);
+        let order = |credits: f64| Request::OrderQos {
+            bot,
+            credits,
+            strategy: None,
+        };
+        let deposit = |credits: f64| Request::Deposit {
+            user: UserId(1),
+            credits,
+        };
+        let register = Request::RegisterQos {
+            user: UserId(1),
+            env: "env".into(),
+            size: 10,
+        };
+        let requests = [
+            deposit(10.0),
+            deposit(f64::NAN),
+            deposit(f64::INFINITY),
+            register,
+            order(f64::NAN),
+            order(f64::NEG_INFINITY),
+            order(4.0),
+        ];
+        let mut served = SpeQuloS::new();
+        {
+            let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Always).unwrap();
+            for (i, request) in requests.iter().enumerate() {
+                let t = SimTime::from_secs(i as u64);
+                wal.append(t, request).unwrap();
+                served.handle(request.clone(), t);
+            }
+        }
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Always).expect("the log reopens");
+        assert_eq!(recovery.records().len(), requests.len());
+        let (recovered, _) = recovery.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&served).unwrap()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checksum_valid_records_that_do_not_decode_are_corrupt_at_their_offset() {
+        let t = SimTime::from_secs(7);
+        let good = binary_payload(t, &body(&sample_requests(2)[1].1));
+        let mut truncated = good.clone();
+        truncated.pop();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut unknown = good.clone();
+        unknown[0] = 0x02;
+        let cases: [(&str, Vec<u8>); 6] = [
+            ("unknown format byte", unknown),
+            ("empty payload", Vec::new()),
+            ("truncated body", truncated),
+            ("trailing bytes", trailing),
+            (
+                "too deep",
+                binary_payload(t, &body(&nested(MAX_BATCH_DEPTH + 1))),
+            ),
+            ("time cut short", vec![RECORD_BINARY, 1, 2, 3]),
+        ];
+        for (what, bad) in cases {
+            for followed in [false, true] {
+                let dir = temp_dir("undecodable");
+                fs::create_dir_all(&dir).unwrap();
+                let mut log = framed(&good);
+                let offset = log.len() as u64;
+                log.extend(framed(&bad));
+                if followed {
+                    log.extend(framed(&good));
+                }
+                fs::write(dir.join(WAL_FILE), &log).unwrap();
+                match WalStore::open(&dir, FsyncPolicy::Never) {
+                    Err(WalError::Corrupt { offset: at, reason }) => {
+                        assert_eq!(at, offset, "{what}: {reason}");
+                    }
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
+                }
+                assert_eq!(
+                    fs::read(dir.join(WAL_FILE)).unwrap(),
+                    log,
+                    "{what}: untouched"
+                );
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_request_leaves_nothing_staged() {
+        let dir = temp_dir("refused");
+        let requests = sample_requests(2);
+        let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        wal.stage(requests[0].0, &requests[0].1).unwrap();
+        let staged = wal.staged.clone();
+        let oversized = Request::RegisterQos {
+            user: UserId(1),
+            env: "x".repeat(MAX_RECORD_BYTES as usize),
+            size: 1,
+        };
+        for refused in [oversized, nested(MAX_BATCH_DEPTH + 1)] {
+            assert!(matches!(
+                wal.stage(SimTime::ZERO, &refused),
+                Err(WalError::Corrupt { .. })
+            ));
+            assert_eq!(wal.staged, staged, "nothing half-staged");
+            assert_eq!(wal.staged_records, 1);
+        }
+        wal.stage(SimTime::ZERO, &nested(MAX_BATCH_DEPTH)).unwrap();
+        wal.stage(requests[1].0, &requests[1].1).unwrap();
+        wal.commit().unwrap();
+        drop(wal);
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let expected = [
+            requests[0].clone(),
+            (SimTime::ZERO, nested(MAX_BATCH_DEPTH)),
+            requests[1].clone(),
+        ];
+        assert_eq!(recovery.records(), &expected[..]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    mod fuzz {
+        use super::*;
+        use crate::{DeployMode, Provisioning, StrategyCombo, Trigger};
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A float the JSON number line cannot carry as often as one it
+        /// can: NaNs of either sign and any payload, infinities, −0.
+        fn float(rng: &mut TestRng) -> f64 {
+            match rng.below(8) {
+                0 => f64::NAN,
+                1 => f64::from_bits(0xfff0_0000_0000_0001 | rng.next_u64() >> 13),
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => -0.0,
+                5 => f64::from_bits(rng.next_u64()),
+                _ => rng.unit_f64() * 1e6,
+            }
+        }
+
+        /// Any request, batches at most `depth` deep.
+        struct Requests {
+            depth: usize,
+        }
+
+        impl Requests {
+            /// A request whose innermost message lies `depth` batches
+            /// deep — or, one time in eight, an empty batch.
+            fn request(rng: &mut TestRng, depth: usize) -> Request {
+                if depth > 0 {
+                    if rng.below(8) == 0 {
+                        return Request::Batch(Vec::new());
+                    }
+                    let mut items = vec![Self::request(rng, depth - 1)];
+                    for _ in 0..rng.below(3) {
+                        let shallower = rng.below(depth as u64) as usize;
+                        items.push(Self::request(rng, shallower));
+                    }
+                    return Request::Batch(items);
+                }
+                let id = rng.next_u64() >> rng.below(64);
+                let bot = botwork::BotId(id);
+                match rng.below(6) {
+                    0 => Request::Deposit {
+                        user: UserId(id),
+                        credits: float(rng),
+                    },
+                    1 => Request::RegisterQos {
+                        user: UserId(id),
+                        env: ["", "env", "\"q\"\n⊕ 😀"][rng.below(3) as usize].into(),
+                        size: rng.next_u64() as u32,
+                    },
+                    2 => {
+                        let trigger = match rng.below(4) {
+                            0 => Trigger::CompletionThreshold(float(rng)),
+                            1 => Trigger::AssignmentThreshold(float(rng)),
+                            2 => Trigger::ExecutionVariance,
+                            _ => Trigger::RateDrop {
+                                fraction: float(rng),
+                            },
+                        };
+                        let strategy = (rng.below(3) > 0).then(|| StrategyCombo {
+                            trigger,
+                            provisioning: Provisioning::ALL[rng.below(2) as usize],
+                            deployment: DeployMode::ALL[rng.below(3) as usize],
+                        });
+                        Request::OrderQos {
+                            bot,
+                            credits: float(rng),
+                            strategy,
+                        }
+                    }
+                    3 => Request::Predict { bot },
+                    4 => {
+                        let mut n = || rng.next_u64() as u32;
+                        let progress = crate::BotProgress {
+                            now: SimTime::from_millis(id),
+                            size: n(),
+                            completed: n(),
+                            dispatched: n(),
+                            queued: n(),
+                            running: n(),
+                            cloud_running: n(),
+                        };
+                        Request::ReportProgress { bot, progress }
+                    }
+                    _ => Request::Complete { bot },
+                }
+            }
+        }
+
+        impl Strategy for Requests {
+            type Value = Request;
+            fn sample(&self, rng: &mut TestRng) -> Request {
+                let depth = rng.below(self.depth as u64 + 1) as usize;
+                Self::request(rng, depth)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every request is refused by `stage`, which then leaves
+            /// nothing staged, or comes back from a reopen bit for bit —
+            /// floats by their bits, which is what the binary body
+            /// compares.
+            #[test]
+            fn prop_records_round_trip_bit_identically_or_are_refused(
+                requests in vec(Requests { depth: MAX_BATCH_DEPTH + 2 }, 1..6),
+                times in vec(any::<u64>(), 6..7),
+            ) {
+                let dir = temp_dir("prop-roundtrip");
+                let mut kept = Vec::new();
+                {
+                    let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+                    for (request, &t) in requests.iter().zip(&times) {
+                        let t = SimTime::from_millis(t);
+                        let (before, count) = (wal.staged.len(), wal.staged_records);
+                        match wal.stage(t, request) {
+                            Ok(()) => {
+                                prop_assert!(batch_depth(request) <= MAX_BATCH_DEPTH);
+                                kept.push((t, body(request)));
+                            }
+                            Err(_) => {
+                                prop_assert!(batch_depth(request) > MAX_BATCH_DEPTH);
+                                prop_assert_eq!(wal.staged.len(), before);
+                                prop_assert_eq!(wal.staged_records, count);
+                            }
+                        }
+                    }
+                    wal.commit().unwrap();
+                }
+                let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                let back: Vec<(SimTime, Vec<u8>)> =
+                    recovery.records().iter().map(|(t, r)| (*t, body(r))).collect();
+                prop_assert_eq!(back, kept);
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]

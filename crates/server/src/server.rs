@@ -445,4 +445,46 @@ mod tests {
             ));
         }
     }
+
+    /// A binary frame carries a float's exact bits, NaN and infinities
+    /// included. The service refuses such a deposit, but its record is
+    /// written first — and a record that cannot be read back would keep
+    /// the server from ever starting on its directory again.
+    #[test]
+    fn a_non_finite_binary_request_does_not_stop_a_durable_restart() {
+        let dir = std::env::temp_dir().join(format!("spq-server-nonfinite-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spawn = || {
+            let durability = DurabilityConfig::new(&dir);
+            Server::spawn_durable(
+                SpeQuloS::new(),
+                "127.0.0.1:0",
+                ServerConfig::default(),
+                durability,
+            )
+        };
+        let user = UserId(3);
+        let deposit = |credits: f64| Request::Deposit { user, credits };
+        let (handle, _) = spawn().expect("first start");
+        let mut bin = RemoteService::connect_with(handle.addr(), Codec::Binary).expect("bin");
+        for credits in [5.0, f64::NAN, f64::INFINITY] {
+            let r = bin.handle(deposit(credits), SimTime::ZERO);
+            assert_eq!(
+                matches!(r, Response::Error(_)),
+                !credits.is_finite(),
+                "{r:?}"
+            );
+        }
+        drop(bin);
+        drop(handle);
+
+        let (handle, report) = spawn().expect("the log is readable: the server starts again");
+        assert_eq!(report.replayed, 3);
+        let mut bin = RemoteService::connect_with(handle.addr(), Codec::Binary).expect("bin");
+        let r = bin.handle(deposit(2.0), SimTime::ZERO);
+        assert_eq!(r, Response::Deposited { user, balance: 7.0 });
+        drop(bin);
+        drop(handle);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

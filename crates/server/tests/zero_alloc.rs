@@ -10,11 +10,16 @@
 //!
 //! The in-place encoders must also write exactly the bytes the owned
 //! ones do; every `Response` variant is checked in both codecs.
+//!
+//! A durable server also logs every request before it answers: staging
+//! a record into the write-ahead log's buffer and committing it must not
+//! touch the heap either.
 
 use botwork::BotId;
 use simcore::SimTime;
 use spequlos::oracle::Prediction;
 use spequlos::protocol::{Request, RequestError, Response};
+use spequlos::wal::{FsyncPolicy, WalStore};
 use spequlos::{BotProgress, CloudAction, CreditError, UserId};
 use spq_server::conn::{Conn, Decoded};
 use spq_server::frame::{hello_line, write_frame, Codec};
@@ -75,18 +80,7 @@ fn window(codec: Codec, first_id: u64) -> Vec<u8> {
         let envelope = RequestEnvelope {
             id,
             at: SimTime::from_secs(id * 60),
-            request: Request::ReportProgress {
-                bot: BotId(id % 8),
-                progress: BotProgress {
-                    now: SimTime::from_secs(id * 60),
-                    size: 1000,
-                    completed: (id % 1000) as u32,
-                    dispatched: 1000,
-                    queued: 0,
-                    running: 1000 - (id % 1000) as u32,
-                    cloud_running: 2,
-                },
-            },
+            request: report(id),
         };
         match codec {
             Codec::Json => write_frame(&mut wire, codec, envelope.to_json().as_bytes()),
@@ -94,6 +88,22 @@ fn window(codec: Codec, first_id: u64) -> Vec<u8> {
         }
     }
     wire
+}
+
+/// The monitoring report the `id`-th request of [`window`] carries.
+fn report(id: u64) -> Request {
+    Request::ReportProgress {
+        bot: BotId(id % 8),
+        progress: BotProgress {
+            now: SimTime::from_secs(id * 60),
+            size: 1000,
+            completed: (id % 1000) as u32,
+            dispatched: 1000,
+            queued: 0,
+            running: 1000 - (id % 1000) as u32,
+            cloud_running: 2,
+        },
+    }
 }
 
 /// Serves `windows` through `conn` — fill, decode, reply, flush, as the
@@ -239,4 +249,34 @@ fn steady_state_requests_allocate_nothing_in_the_codec_layer() {
             assert_eq!(in_place, owned, "{codec}: {reply:?}");
         }
     }
+}
+
+#[test]
+fn steady_state_records_allocate_nothing_in_the_write_ahead_log() {
+    let dir = std::env::temp_dir().join(format!("spq-zero-alloc-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).expect("open");
+    // Staged and committed a window at a time, as a connection turn does.
+    let mut log = |windows: std::ops::Range<u64>| {
+        let before = allocations();
+        for w in windows {
+            for id in w * 32..w * 32 + 32 {
+                wal.stage(SimTime::from_secs(id * 60), &report(id))
+                    .expect("stage");
+            }
+            wal.commit().expect("commit");
+        }
+        allocations() - before
+    };
+    log(0..8);
+    let steady = 8..8 + 63;
+    let records = (steady.end - steady.start) * 32;
+    assert!(records >= 2_000);
+    let made = log(steady);
+    assert_eq!(
+        made, 0,
+        "{made} allocations over {records} steady-state records"
+    );
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
 }

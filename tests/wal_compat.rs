@@ -1,18 +1,21 @@
-//! On-disk compatibility of the durable path: `tests/fixtures/wal_pr20/`
-//! holds a write-ahead log, the snapshot taken two thirds of the way in
-//! and the recovered state, all written by the commit *before* WAL
-//! records and snapshots moved onto `simcore::json`'s streaming writer
-//! (PR 21). Both directions are pinned byte for byte:
+//! On-disk compatibility of the durable path, in both directions.
 //!
-//! * today's code, serving the same session, writes the same `wal.log`
-//!   and the same snapshot — a record is still the session-entry JSON
-//!   behind `len | crc32`, a snapshot still the `Value` tree's text;
-//! * today's code, opening those files, recovers — from the snapshot
-//!   plus the log's tail, and from the log alone — the very state the
-//!   old code recovered.
+//! `tests/fixtures/wal_pr20/` holds a write-ahead log, the snapshot taken
+//! two thirds of the way in and the recovered state, all written by the
+//! commit *before* WAL records and snapshots moved onto `simcore::json`'s
+//! streaming writer (PR 21). Its records are JSON session entries, the
+//! format every log had before records became binary; it is the **read**
+//! pin. Today's code, opening those files, recovers — from the snapshot
+//! plus the log's tail, and from the log alone — the very state the old
+//! code recovered, and a log of that format grows in today's format
+//! behind its old records and still recovers.
+//!
+//! `tests/fixtures/wal_bin/wal.log` is the same session in today's binary
+//! records; it is the **write** pin. Today's code, serving that session,
+//! writes that log and PR 20's snapshot byte for byte.
 //!
 //! A PR that changes the record or snapshot format on purpose replaces
-//! the fixture and says so; one that changes it by accident fails here.
+//! the write pin and says so; one that changes it by accident fails here.
 
 use botwork::BotId;
 use simcore::{SimDuration, SimTime};
@@ -30,6 +33,11 @@ const STATE_FILE: &str = "recovered_state.json";
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_pr20")
+}
+
+/// The log today's code writes for [`session`].
+fn binary_log() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_bin/wal.log")
 }
 
 fn template() -> SpeQuloS {
@@ -166,12 +174,14 @@ fn todays_code_writes_the_bytes_the_fixture_holds() {
     let dir = scratch("write");
     let service = serve(&dir);
     assert!(session().len() > SNAPSHOT_AFTER + 4, "a tail to replay");
-    for file in [WAL_FILE, SNAPSHOT_FILE] {
-        assert!(
-            read(dir.join(file)) == read(fixture().join(file)),
-            "{file} differs from the bytes written before PR 21"
-        );
-    }
+    assert!(
+        read(dir.join(WAL_FILE)) == read(binary_log()),
+        "{WAL_FILE} differs from the binary records of tests/fixtures/wal_bin"
+    );
+    assert!(
+        read(dir.join(SNAPSHOT_FILE)) == read(fixture().join(SNAPSHOT_FILE)),
+        "{SNAPSHOT_FILE} differs from the bytes written before PR 21"
+    );
     assert_eq!(
         encode_state_json(&service).expect("encodes").into_bytes(),
         read(fixture().join(STATE_FILE)),
@@ -180,16 +190,23 @@ fn todays_code_writes_the_bytes_the_fixture_holds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn the_fixture_recovers_to_the_state_its_writer_recovered() {
+/// A scratch WAL directory holding `log` and, if asked, PR 20's snapshot.
+fn copied(tag: &str, log: &Path, with_snapshot: bool) -> PathBuf {
+    let dir = scratch(tag);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::copy(log, dir.join(WAL_FILE)).expect("copy log");
+    if with_snapshot {
+        std::fs::copy(fixture().join(SNAPSHOT_FILE), dir.join(SNAPSHOT_FILE)).expect("copy");
+    }
+    dir
+}
+
+/// Recovers each fixture log, with and without PR 20's snapshot, to the
+/// state PR 20 recovered.
+fn recovers_to_the_fixture_state(log: &Path, tag: &str) {
     let expected = read(fixture().join(STATE_FILE));
     for with_snapshot in [true, false] {
-        let dir = scratch(if with_snapshot { "snap" } else { "log" });
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::copy(fixture().join(WAL_FILE), dir.join(WAL_FILE)).expect("copy log");
-        if with_snapshot {
-            std::fs::copy(fixture().join(SNAPSHOT_FILE), dir.join(SNAPSHOT_FILE)).expect("copy");
-        }
+        let dir = copied(&format!("{tag}-{with_snapshot}"), log, with_snapshot);
         let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("open");
         assert_eq!(recovery.records(), &session()[..], "the log decodes");
         let (service, report) = recovery.recover(template()).expect("recovers");
@@ -200,6 +217,118 @@ fn the_fixture_recovers_to_the_state_its_writer_recovered() {
             encode_state_json(&service).expect("encodes").into_bytes(),
             expected,
             "recovered state (snapshot: {with_snapshot})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn the_fixture_recovers_to_the_state_its_writer_recovered() {
+    recovers_to_the_fixture_state(&fixture().join(WAL_FILE), "log");
+}
+
+#[test]
+fn the_binary_fixture_recovers_to_the_same_state() {
+    recovers_to_the_fixture_state(&binary_log(), "bin");
+}
+
+/// What a server restarted on PR 20's directory goes on to serve: more
+/// of the same BoTs, a new one, and requests whose floats JSON cannot
+/// carry.
+fn continuation() -> Vec<(SimTime, Request)> {
+    let at = SimTime::from_secs;
+    vec![
+        (
+            at(900),
+            Request::Deposit {
+                user: UserId(1),
+                credits: f64::NAN,
+            },
+        ),
+        (
+            at(900),
+            Request::Deposit {
+                user: UserId(2),
+                credits: 75.5,
+            },
+        ),
+        (
+            at(901),
+            Request::RegisterQos {
+                user: UserId(2),
+                env: "g5klyo/BOINC/SMALL".into(),
+                size: 10,
+            },
+        ),
+        (
+            at(902),
+            Request::OrderQos {
+                bot: BotId(2),
+                credits: f64::INFINITY,
+                strategy: None,
+            },
+        ),
+        (
+            at(902),
+            Request::OrderQos {
+                bot: BotId(2),
+                credits: 20.0,
+                strategy: Some(StrategyCombo::paper_default()),
+            },
+        ),
+        (
+            at(960),
+            Request::ReportProgress {
+                bot: BotId(1),
+                progress: BotProgress {
+                    now: at(960),
+                    size: 40,
+                    completed: 30,
+                    dispatched: 40,
+                    queued: 0,
+                    running: 10,
+                    cloud_running: 0,
+                },
+            },
+        ),
+        (at(961), Request::Predict { bot: BotId(1) }),
+        (at(962), Request::Complete { bot: BotId(1) }),
+    ]
+}
+
+#[test]
+fn a_pr20_log_grows_in_binary_and_recovers_the_whole_session() {
+    let whole: Vec<(SimTime, Request)> = session().into_iter().chain(continuation()).collect();
+    let mut served = template();
+    for (t, request) in whole.clone() {
+        served.handle(request, t);
+    }
+    let expected = encode_state_json(&served).expect("encodes");
+    for with_snapshot in [true, false] {
+        let dir = copied(
+            &format!("mixed-{with_snapshot}"),
+            &fixture().join(WAL_FILE),
+            with_snapshot,
+        );
+        {
+            let (mut store, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("open");
+            assert_eq!(recovery.records(), &session()[..]);
+            for (t, request) in &continuation() {
+                store.append(*t, request).expect("append");
+            }
+        }
+        let log = read(dir.join(WAL_FILE));
+        let old = read(fixture().join(WAL_FILE));
+        assert!(log.starts_with(&old), "the old records stay as they were");
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).expect("reopen");
+        assert_eq!(recovery.records().len(), whole.len());
+        let (service, report) = recovery.recover(template()).expect("recovers");
+        let applied = if with_snapshot { SNAPSHOT_AFTER } else { 0 } as u64;
+        assert_eq!(report.snapshot_applied, applied);
+        assert_eq!(
+            encode_state_json(&service).expect("encodes"),
+            expected,
+            "mixed-format recovery (snapshot: {with_snapshot})"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
