@@ -31,7 +31,9 @@ use crate::credit::CreditSystem;
 use crate::info::{ArchivedExecution, BotRecord, Information};
 use crate::oracle::{Prediction, Provisioning, StrategyCombo, Trigger};
 use crate::progress::BotProgress;
+use crate::protocol::codec::Stored;
 use crate::scheduler::CloudAction;
+use crate::snapshot::SnapshotError;
 use botwork::BotId;
 use simcore::json::{Reader, Writer};
 use simcore::SimTime;
@@ -70,12 +72,14 @@ pub trait InfoBackend: Debug + Send {
     fn clone_box(&self) -> Box<dyn InfoBackend>;
 
     /// Writes the module's state, one JSON value, into a durability
-    /// snapshot ([`crate::snapshot`]) and returns `true`. `false` (the
-    /// default) with nothing written opts the module out: a service
-    /// containing it cannot be snapshotted, and durable recovery falls
-    /// back to replaying the whole write-ahead log.
-    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
-        false
+    /// snapshot ([`crate::snapshot`]), or refuses a state it cannot
+    /// write exactly (a non-finite float is [`SnapshotError::NonFinite`]).
+    /// The default writes nothing and opts the module out with
+    /// [`SnapshotError::UnsupportedModule`]: a service containing it
+    /// cannot be snapshotted, and durable recovery falls back to
+    /// replaying the whole write-ahead log.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        Err(SnapshotError::UnsupportedModule("info"))
     }
 
     /// Restores [`InfoBackend::snapshot_state`]'s value from `r`,
@@ -135,12 +139,10 @@ pub trait OracleStrategy: Debug + Send {
     /// Boxed clone.
     fn clone_box(&self) -> Box<dyn OracleStrategy>;
 
-    /// Writes the module's state, one JSON value, into a durability
-    /// snapshot ([`crate::snapshot`]) and returns `true`; `false` (the
-    /// default) with nothing written opts out and forces full-log
-    /// replay on recovery.
-    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
-        false
+    /// Writes the module's state, as [`InfoBackend::snapshot_state`];
+    /// the default opts out and forces full-log replay on recovery.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        Err(SnapshotError::UnsupportedModule("oracle"))
     }
 
     /// Restores [`OracleStrategy::snapshot_state`]'s value, as [`InfoBackend::restore_state`].
@@ -195,12 +197,10 @@ pub trait SchedulingPolicy: Debug + Send {
     /// Boxed clone.
     fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
 
-    /// Writes the module's state, one JSON value, into a durability
-    /// snapshot ([`crate::snapshot`]) and returns `true`; `false` (the
-    /// default) with nothing written opts out and forces full-log
-    /// replay on recovery.
-    fn snapshot_state(&self, _w: &mut Writer<'_>) -> bool {
-        false
+    /// Writes the module's state, as [`InfoBackend::snapshot_state`];
+    /// the default opts out and forces full-log replay on recovery.
+    fn snapshot_state(&self, _w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        Err(SnapshotError::UnsupportedModule("scheduler"))
     }
 
     /// Restores [`SchedulingPolicy::snapshot_state`]'s value, as [`InfoBackend::restore_state`].
@@ -249,13 +249,12 @@ impl InfoBackend for Information {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self, w: &mut Writer<'_>) -> bool {
-        crate::snapshot::write_info(w, self);
-        true
+    fn snapshot_state(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        self.store(w, "info")
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        *self = crate::snapshot::read_info(r)?;
+        *self = Stored::load(r, "info")?;
         Ok(())
     }
 }

@@ -215,13 +215,15 @@ impl crate::modules::OracleStrategy for Oracle {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
-        crate::snapshot::write_oracle(w, self);
-        true
+    fn snapshot_state(
+        &self,
+        w: &mut simcore::json::Writer<'_>,
+    ) -> Result<(), crate::SnapshotError> {
+        crate::protocol::codec::Stored::store(self, w, "oracle")
     }
 
     fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::snapshot::read_oracle(r)?;
+        *self = crate::protocol::codec::Stored::load(r, "oracle")?;
         Ok(())
     }
 }

@@ -40,6 +40,16 @@ impl Trigger {
         Trigger::ExecutionVariance,
     ];
 
+    /// The threshold (or rate-drop fraction) the trigger carries, if any.
+    pub(crate) fn threshold(&self) -> Option<f64> {
+        match *self {
+            Trigger::CompletionThreshold(t)
+            | Trigger::AssignmentThreshold(t)
+            | Trigger::RateDrop { fraction: t } => Some(t),
+            Trigger::ExecutionVariance => None,
+        }
+    }
+
     fn code(&self) -> String {
         match self {
             Trigger::CompletionThreshold(t) => format!("{}C", (t * 10.0).round() as u32),

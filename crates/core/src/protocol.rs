@@ -60,7 +60,6 @@ use crate::scheduler::CloudAction;
 use crate::service::{LogEvent, SpeQuloS};
 use botwork::BotId;
 use codec::{coded, messages};
-pub(crate) use codec::{read_nested, Nested};
 pub use codec::{BinError, Binary, Message, Rd, MAX_BATCH_DEPTH};
 use simcore::json::{self, Reader, Token, Writer};
 use simcore::SimTime;
@@ -280,6 +279,14 @@ impl SpqService for SpeQuloS {
                         "order of {credits} credits"
                     )));
                 }
+                // A snapshot stores the threshold, and JSON cannot carry a
+                // non-finite one back.
+                if let Some(t) = strategy.and_then(|s| s.trigger.threshold()) {
+                    if !t.is_finite() {
+                        let msg = format!("strategy threshold {t}");
+                        return Response::Error(RequestError::Invalid(msg));
+                    }
+                }
                 if self.user_of(bot).is_none() {
                     return Response::Error(RequestError::UnknownBot(bot));
                 }
@@ -390,13 +397,6 @@ impl<const N: usize> Scalars<'_, N> {
     pub(crate) fn str(&self, key: &str) -> Result<&str, String> {
         let s = self.get(key).and_then(Token::as_str);
         s.ok_or_else(|| missing(key))
-    }
-
-    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Token::Bool(b)) => Ok(*b),
-            _ => Err(missing(key)),
-        }
     }
 }
 
@@ -785,6 +785,57 @@ mod tests {
             ),
             Response::Error(RequestError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn a_non_finite_strategy_threshold_is_invalid() {
+        use crate::oracle::Trigger;
+        let mut spq = SpeQuloS::new();
+        let user = UserId(4);
+        spq.handle(
+            Request::Deposit {
+                user,
+                credits: 100.0,
+            },
+            SimTime::ZERO,
+        );
+        let Response::Registered { bot } = spq.handle(
+            Request::RegisterQos {
+                user,
+                env: "env".into(),
+                size: 10,
+            },
+            SimTime::ZERO,
+        ) else {
+            panic!();
+        };
+        for trigger in [
+            Trigger::CompletionThreshold(f64::NAN),
+            Trigger::AssignmentThreshold(f64::INFINITY),
+            Trigger::RateDrop {
+                fraction: f64::NEG_INFINITY,
+            },
+        ] {
+            let strategy = StrategyCombo {
+                trigger,
+                ..StrategyCombo::paper_default()
+            };
+            let order = Request::OrderQos {
+                bot,
+                credits: 10.0,
+                strategy: Some(strategy),
+            };
+            // The binary codec carries any bits, so this is what a frame
+            // decodes to.
+            let mut body = Vec::new();
+            order.encode_binary(&mut body);
+            let decoded = Request::decode_binary(&mut Rd::new(&body)).unwrap();
+            assert!(matches!(
+                spq.handle(decoded, SimTime::ZERO),
+                Response::Error(RequestError::Invalid(_))
+            ));
+        }
+        assert_eq!(spq.strategy(bot), None, "no order was placed");
     }
 
     #[test]

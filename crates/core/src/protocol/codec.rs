@@ -1,11 +1,15 @@
-//! Both codecs of the protocol, driven by one description per message.
+//! Both codecs of the protocol, driven by one description per message,
+//! and the snapshot codec, driven by one field list per stored type.
 //!
 //! A message is a row of `messages!`: its variant, JSON tag, binary tag
 //! and ordered fields. Every field type implements [`Field`], which
 //! spells that type in both codecs, so a row is all the codec code a
 //! message needs. A nested record ([`BotProgress`], [`Prediction`]) is
 //! one field list (`record!`); an enum-coded value is one
-//! `(variant, JSON name, byte)` list (`coded!`).
+//! `(variant, JSON name, byte)` list (`coded!`). A type a snapshot
+//! stores is one field list too (`stored!`), over the JSON-only
+//! [`Stored`] spelling of each field type and the [`Kind`]s of field
+//! that a type alone cannot describe (id-keyed maps).
 //!
 //! The binary encoding (PROTOCOL.md §5) is built from five primitives:
 //! `u8` tags, little-endian `u32`/`u64`, IEEE-754 `f64` bit patterns and
@@ -14,18 +18,21 @@
 //! unknown tags, trailing bytes, lying counts, over-deep batch nesting —
 //! never a panic: this decoder sits on the listening side of the wire.
 
-use super::{read_array, read_object, RequestError};
+use super::{read_array, read_entry, write_entry, RequestError};
 // What the table macros' expansions use, wherever they are invoked.
-pub(crate) use super::{first, missing, no_extra, read_members, Extra, Scalars};
+pub(crate) use super::{first, missing, no_extra, read_members, read_object, Extra, Scalars};
 use crate::credit::{CreditError, UserId};
 use crate::oracle::{DeployMode, Prediction, Provisioning, StrategyCombo, Trigger};
 use crate::progress::BotProgress;
 use crate::scheduler::CloudAction;
+use crate::snapshot::SnapshotError;
 use botwork::BotId;
 pub(crate) use simcore::json::{Reader, Token, Writer};
-use simcore::SimTime;
+use simcore::{IdSet, SimDuration, SimTime, TimeSeries};
 use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// Batch nesting depth both decoders accept (PROTOCOL.md §5.3, §8).
 /// The service rejects any nested batch at dispatch, but a decoder must
@@ -826,4 +833,486 @@ macro_rules! messages {
     };
 }
 
-pub(crate) use {coded, messages};
+// ---------------------------------------------------------------------------
+// Snapshots: one field list per stored type, JSON only
+// ---------------------------------------------------------------------------
+
+/// A value a snapshot stores. Unlike the wire's [`Field`], a non-finite
+/// float is refused at encode ([`SnapshotError::NonFinite`], naming its
+/// member) instead of written as `null`, an absent option is an explicit
+/// `null`, and a nested value's errors are bare. There is no binary half.
+pub(crate) trait Stored: Sized {
+    /// Writes the value of member `key`, whose key is written already.
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError>;
+    /// Reads member `key`'s value.
+    fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String>;
+    /// The value of member `key` when the object has none.
+    fn absent(key: &str) -> Result<Self, String> {
+        Err(format!("missing `{key}`"))
+    }
+}
+
+/// `v`, or the refusal naming member `key` when it is not finite.
+fn finite(v: f64, key: &'static str) -> Result<f64, SnapshotError> {
+    v.is_finite()
+        .then_some(v)
+        .ok_or(SnapshotError::NonFinite(key))
+}
+
+/// Scalars: one JSON token each, ``missing or invalid `key` `` otherwise.
+macro_rules! stored_scalar {
+    ($($ty:ty: |$t:ident| $from:expr, |$w:ident, $v:ident, $k:pat_param| $json:expr;)*) => {$(
+        impl Stored for $ty {
+            fn store(&self, $w: &mut Writer<'_>, $k: &'static str) -> Result<(), SnapshotError> {
+                let $v = self;
+                $json;
+                Ok(())
+            }
+            fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+                let $t = r.scalar();
+                $from.ok_or_else(|| missing(key))
+            }
+            fn absent(key: &str) -> Result<Self, String> {
+                Err(missing(key))
+            }
+        }
+    )*};
+}
+
+stored_scalar! {
+    u64: |t| t.as_u64(), |w, v, _| w.num(*v as f64);
+    u32: |t| u32::from_token(t), |w, v, _| w.num((*v).into());
+    f64: |t| t.as_f64(), |w, v, key| w.num(finite(*v, key)?);
+    bool: |t| match t { Token::Bool(b) => Some(b), _ => None }, |w, v, _| w.bool(*v);
+    String: |t| String::from_token(t), |w, v, _| w.str(v);
+    UserId: |t| UserId::from_token(t), |w, v, _| w.num(v.0 as f64);
+    SimTime: |t| SimTime::from_token(t), |w, v, _| w.num(v.as_millis() as f64);
+    SimDuration: |t| t.as_u64().map(SimDuration::from_millis), |w, v, _| w.num(v.as_millis() as f64);
+}
+
+/// `null` when `None`.
+impl<T: Stored> Stored for Option<T> {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        match self {
+            Some(v) => v.store(w, key),
+            None => {
+                w.null();
+                Ok(())
+            }
+        }
+    }
+    fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        if r.clone().token() == Token::Null {
+            r.skip_value();
+            return Ok(None);
+        }
+        T::load(r, key).map(Some)
+    }
+}
+
+/// `[[t_ms, value], …]`. Points out of order are refused: a corrupted
+/// snapshot must decode to an error, not panic in `TimeSeries::push`.
+impl Stored for TimeSeries {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        w.begin_array();
+        for &(t, v) in self.points() {
+            let v = finite(v, key)?;
+            w.begin_array().num(t.as_millis() as f64).num(v).end_array();
+        }
+        w.end_array();
+        Ok(())
+    }
+    fn load(r: &mut Reader<'_>, _: &str) -> Result<Self, String> {
+        let mut series = TimeSeries::new();
+        let points = read_array(r, |r| {
+            let (mut n, mut t, mut value) = (0, None, None);
+            read_array(r, |r| {
+                let item = r.scalar();
+                (t, value) = match n {
+                    0 => (Some(item.as_u64()), value),
+                    1 => (t, Some(item.as_f64())),
+                    _ => (t, value),
+                };
+                n += 1;
+                Ok(())
+            });
+            let (2, Some(t), Some(value)) = (n, t, value) else {
+                return Err("series point must be a [t_ms, value] pair".to_string());
+            };
+            let t = t.ok_or("series point time must be integer milliseconds")?;
+            let value = value.ok_or("series point value must be finite")?;
+            if series.last().is_some_and(|(prev, _)| t < prev.as_millis()) {
+                return Err("series points out of order".into());
+            }
+            series.push(SimTime::from_millis(t), value);
+            Ok(())
+        });
+        points
+            .ok_or("series must be an array")?
+            .map_err(|(_, e)| e)?;
+        Ok(series)
+    }
+}
+
+/// A set of ids, as an array in id order.
+impl Stored for IdSet {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        let mut ids: Vec<u64> = self.iter().copied().collect();
+        ids.sort_unstable();
+        ids.store(w, key)
+    }
+    fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        Ok(Vec::<u64>::load(r, key)?.into_iter().collect())
+    }
+}
+
+/// An array; the first value that fails is reported as it stands.
+impl<T: Stored> Stored for Vec<T> {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        w.begin_array();
+        for v in self {
+            v.store(w, key)?;
+        }
+        w.end_array();
+        Ok(())
+    }
+    fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        array(r, key, |r| T::load(r, key))
+    }
+}
+
+/// Every item of the array member `key` that `r` stands at, or the first
+/// that failed.
+fn array<'a, T>(
+    r: &mut Reader<'a>,
+    key: &str,
+    item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = read_array(r, item).ok_or_else(|| format!("`{key}` must be an array"))?;
+    items.map_err(|(_, e)| e)
+}
+
+/// A log entry: its time `t` and the message's members, one object.
+impl<M: Message> Stored for (SimTime, M) {
+    fn store(&self, w: &mut Writer<'_>, _: &'static str) -> Result<(), SnapshotError> {
+        write_entry(w, self.0, &self.1);
+        Ok(())
+    }
+    fn load(r: &mut Reader<'_>, _: &str) -> Result<Self, String> {
+        read_entry(r)
+    }
+}
+
+/// The wire's spelling, its threshold refused when not finite.
+impl Stored for StrategyCombo {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        if let Some(t) = self.trigger.threshold() {
+            finite(t, key)?;
+        }
+        self.json(w);
+        Ok(())
+    }
+    fn load(r: &mut Reader<'_>, _: &str) -> Result<Self, String> {
+        read_nested(r)
+    }
+}
+
+/// A type a snapshot stores as one object of its fields (`stored!`).
+pub(crate) trait Record: Sized {
+    /// Writes the members into the object `w` has open.
+    fn store_members(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError>;
+    /// Reads the object whose `head` was just read; members the record
+    /// does not own go to `extra`.
+    fn load_from<'a>(
+        r: &mut Reader<'a>,
+        head: Token<'a>,
+        extra: Extra<'_, 'a>,
+    ) -> Result<Self, String>;
+}
+
+impl<T: Record> Stored for T {
+    fn store(&self, w: &mut Writer<'_>, _: &'static str) -> Result<(), SnapshotError> {
+        self.store_members(w.begin_object())?;
+        w.end_object();
+        Ok(())
+    }
+    fn load(r: &mut Reader<'_>, _: &str) -> Result<Self, String> {
+        let head = r.token();
+        T::load_from(r, head, &mut no_extra)
+    }
+}
+
+/// How a record's field is stored: [`Plain`] is its type's own
+/// [`Stored`] spelling; the other kinds say what a type cannot.
+pub(crate) trait Kind<T> {
+    fn store(&self, v: &T, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError>;
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<T, String>;
+    fn absent(&self, key: &str) -> Result<T, String> {
+        Err(format!("missing `{key}`"))
+    }
+}
+
+pub(crate) struct Plain;
+
+impl<T: Stored> Kind<T> for Plain {
+    fn store(&self, v: &T, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        v.store(w, key)
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<T, String> {
+        T::load(r, key)
+    }
+    fn absent(&self, key: &str) -> Result<T, String> {
+        T::absent(key)
+    }
+}
+
+/// A boolean that is ``missing `key` `` when absent and
+/// `` `key` must be a boolean `` when of another kind.
+pub(crate) struct Flag;
+
+impl Kind<bool> for Flag {
+    fn store(&self, v: &bool, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        v.store(w, key)
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<bool, String> {
+        match r.scalar() {
+            Token::Bool(b) => Ok(b),
+            _ => Err(format!("`{key}` must be a boolean")),
+        }
+    }
+}
+
+/// An option that is `None` when missing too, and ``invalid `key` ``
+/// when neither `null` nor a value.
+pub(crate) struct Nullable;
+
+impl<T: Stored> Kind<Option<T>> for Nullable {
+    fn store(
+        &self,
+        v: &Option<T>,
+        w: &mut Writer<'_>,
+        key: &'static str,
+    ) -> Result<(), SnapshotError> {
+        v.store(w, key)
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<Option<T>, String> {
+        Stored::load(r, key).map_err(|_| format!("invalid `{key}`"))
+    }
+    fn absent(&self, _: &str) -> Result<Option<T>, String> {
+        Ok(None)
+    }
+}
+
+/// A map a snapshot stores, hashed or ordered: written in key order.
+pub(crate) trait Map: FromIterator<(Self::K, Self::V)> {
+    type K: Stored + Ord + Hash + Clone + fmt::Display;
+    type V;
+    fn sorted(&self) -> Vec<(&Self::K, &Self::V)>;
+}
+
+impl<K, V, S> Map for HashMap<K, V, S>
+where
+    K: Stored + Ord + Hash + Clone + fmt::Display,
+    S: BuildHasher + Default,
+{
+    type K = K;
+    type V = V;
+    fn sorted(&self) -> Vec<(&K, &V)> {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+}
+
+impl<K: Stored + Ord + Hash + Clone + fmt::Display, V> Map for BTreeMap<K, V> {
+    type K = K;
+    type V = V;
+    fn sorted(&self) -> Vec<(&K, &V)> {
+        self.iter().collect()
+    }
+}
+
+/// A map of records, `Keyed(id, duplicate)`: an array in key order of
+/// entries `{<id>: key, …the record's members}`. A key seen twice is the
+/// `duplicate` message, `{}` standing for the key.
+pub(crate) struct Keyed(pub &'static str, pub &'static str);
+
+/// A map of values, `Paired(id, value, duplicate)`: as [`Keyed`], with
+/// entries `{<id>: key, <value>: value}`.
+pub(crate) struct Paired(pub &'static str, pub &'static str, pub &'static str);
+
+impl<M: Map<V: Record>> Kind<M> for Keyed {
+    fn store(&self, map: &M, w: &mut Writer<'_>, _: &'static str) -> Result<(), SnapshotError> {
+        store_map(map, w, self.0, |v, w| v.store_members(w))
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<M, String> {
+        load_map(r, key, self.0, self.1, M::V::load_from)
+    }
+}
+
+impl<M: Map<V: Stored>> Kind<M> for Paired {
+    fn store(&self, map: &M, w: &mut Writer<'_>, _: &'static str) -> Result<(), SnapshotError> {
+        store_map(map, w, self.0, |v, w| v.store(w.key(self.1), self.1))
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<M, String> {
+        load_map(r, key, self.0, self.2, |r, head, extra| {
+            let mut v = None;
+            read_object(r, head, [], |k, r| {
+                (k == self.1 && first(&mut v, || M::V::load(r, k))) || extra(k, r)
+            });
+            v.unwrap_or_else(|| M::V::absent(self.1))
+        })
+    }
+}
+
+fn store_map<M: Map>(
+    map: &M,
+    w: &mut Writer<'_>,
+    id: &'static str,
+    mut value: impl FnMut(&M::V, &mut Writer<'_>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    w.begin_array();
+    for (k, v) in map.sorted() {
+        k.store(w.begin_object().key(id), id)?;
+        value(v, w)?;
+        w.end_object();
+    }
+    w.end_array();
+    Ok(())
+}
+
+/// A map's entries: `value` reads an entry's object, offering the
+/// members it does not own to the `id` reader it is handed.
+fn load_map<'a, M: Map>(
+    r: &mut Reader<'a>,
+    key: &str,
+    id: &'static str,
+    duplicate: &str,
+    mut value: impl FnMut(&mut Reader<'a>, Token<'a>, Extra<'_, 'a>) -> Result<M::V, String>,
+) -> Result<M, String> {
+    let mut seen = HashSet::new();
+    let entries = array(r, key, |r| {
+        let (head, mut k) = (r.token(), None);
+        let v = value(r, head, &mut |name, r| {
+            name == id && first(&mut k, || M::K::load(r, name))
+        });
+        let (k, v) = (k.unwrap_or_else(|| M::K::absent(id))?, v?);
+        match seen.insert(k.clone()) {
+            true => Ok((k, v)),
+            false => Err(duplicate.replace("{}", &k.to_string())),
+        }
+    })?;
+    Ok(entries.into_iter().collect())
+}
+
+/// A module's `module` tag, which must be `tag`.
+pub(crate) fn module_tag(r: &mut Reader<'_>, tag: &str) -> Result<(), String> {
+    match r.scalar().as_str() {
+        None => Err(missing("module")),
+        Some(t) if t == tag => Ok(()),
+        Some(_) => Err(format!("module tag is not `{tag}`")),
+    }
+}
+
+/// What restoring module `name` in place came to.
+pub(crate) fn restored(module: Option<Result<(), String>>, name: &str) -> Result<(), String> {
+    let module = module.ok_or_else(|| format!("missing `{name}`"))?;
+    module.map_err(|e| format!("{name} module: {e}"))
+}
+
+/// A type a snapshot stores, declared once: `Type { field, … }`, or
+/// `Type module "tag" { … }` for a module, whose state starts with its
+/// `module` tag. A field is a member under its name, in order, spelled as
+/// its type says ([`Stored`]) or, as `field = Kind`, as the [`Kind`]
+/// says. An object's members are read in any order, the first of a name
+/// wins, unknown ones are skipped, and the fields are judged in order
+/// once it is closed.
+///
+/// `Type in place { … } modules { … }` is the service: its fields are
+/// restored into it, and the listed modules write and restore themselves
+/// through their seams, their errors under ``<name> module:``.
+macro_rules! stored {
+    (@kind) => { Plain };
+    (@kind $kind:expr) => { $kind };
+    (@load $r:ident, $key:ident, $f:ident $(= $kind:expr)?) => {
+        $key == stringify!($f) && first(&mut $f, || {
+            Kind::load(&$crate::protocol::codec::stored!(@kind $($kind)?), $r, $key)
+        })
+    };
+    (@absent $f:ident $(= $kind:expr)?) => {
+        $f.unwrap_or_else(|| {
+            Kind::absent(&$crate::protocol::codec::stored!(@kind $($kind)?), stringify!($f))
+        })?
+    };
+    (@store $self:ident, $w:ident, $($f:ident $(= $kind:expr)?),*) => {$(
+        let kind = $crate::protocol::codec::stored!(@kind $($kind)?);
+        Kind::store(&kind, &$self.$f, $w.key(stringify!($f)), stringify!($f))?;
+    )*};
+    ($ty:ident $(module $tag:literal)? { $($f:ident $(= $kind:expr)?),* $(,)? }) => {
+        const _: () = {
+            use $crate::protocol::codec::*;
+            use $crate::snapshot::SnapshotError;
+
+            impl Record for $ty {
+                fn store_members(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+                    $(w.key("module").str($tag);)?
+                    $crate::protocol::codec::stored!(@store self, w, $($f $(= $kind)?),*);
+                    Ok(())
+                }
+
+                fn load_from<'a>(
+                    r: &mut Reader<'a>,
+                    head: Token<'a>,
+                    extra: Extra<'_, 'a>,
+                ) -> Result<Self, String> {
+                    $(let mut tag = None; let _ = $tag;)?
+                    $(let mut $f = None;)*
+                    read_object(r, head, [], |key, r| {
+                        $((key == "module" && first(&mut tag, || module_tag(r, $tag))) ||)?
+                        $($crate::protocol::codec::stored!(@load r, key, $f $(= $kind)?) ||)*
+                        extra(key, r)
+                    });
+                    $(tag.unwrap_or_else(|| Err(missing("module")))?; let _ = $tag;)?
+                    Ok($ty { $($f: $crate::protocol::codec::stored!(@absent $f $(= $kind)?),)* })
+                }
+            }
+        };
+    };
+    ($ty:ident in place { $($f:ident $(= $kind:expr)?),* $(,)? } modules { $($m:ident),* }) => {
+        const _: () = {
+            use $crate::protocol::codec::*;
+            use $crate::snapshot::SnapshotError;
+
+            impl $ty {
+                /// Writes the members into the object `w` has open.
+                fn store_members(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+                    $crate::protocol::codec::stored!(@store self, w, $($f $(= $kind)?),*);
+                    $(self.$m.snapshot_state(w.key(stringify!($m)))?;)*
+                    Ok(())
+                }
+
+                /// Restores the members of the object `r` stands at: the
+                /// modules as they are read, the rest once it is closed.
+                /// Members it does not own go to `extra`.
+                fn restore_members<'a>(
+                    &mut self,
+                    r: &mut Reader<'a>,
+                    extra: Extra<'_, 'a>,
+                ) -> Result<(), String> {
+                    $(let mut $f = None;)*
+                    $(let mut $m = None;)*
+                    read_members(r, [], |key, r| {
+                        $($crate::protocol::codec::stored!(@load r, key, $f $(= $kind)?) ||)*
+                        $((key == stringify!($m) && first(&mut $m, || self.$m.restore_state(r))) ||)*
+                        extra(key, r)
+                    });
+                    $(self.$f = $crate::protocol::codec::stored!(@absent $f $(= $kind)?);)*
+                    $(restored($m, stringify!($m))?;)*
+                    Ok(())
+                }
+            }
+        };
+    };
+}
+
+pub(crate) use {coded, messages, stored};

@@ -168,13 +168,15 @@ impl SchedulingPolicy for Scheduler {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
-        crate::snapshot::write_scheduler(w, self);
-        true
+    fn snapshot_state(
+        &self,
+        w: &mut simcore::json::Writer<'_>,
+    ) -> Result<(), crate::SnapshotError> {
+        crate::protocol::codec::Stored::store(self, w, "scheduler")
     }
 
     fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::snapshot::read_scheduler(r)?;
+        *self = crate::protocol::codec::Stored::load(r, "scheduler")?;
         Ok(())
     }
 }
@@ -299,13 +301,15 @@ impl SchedulingPolicy for GreedyUntilTc {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(&self, w: &mut simcore::json::Writer<'_>) -> bool {
-        crate::snapshot::write_greedy(w, self);
-        true
+    fn snapshot_state(
+        &self,
+        w: &mut simcore::json::Writer<'_>,
+    ) -> Result<(), crate::SnapshotError> {
+        crate::protocol::codec::Stored::store(self, w, "scheduler")
     }
 
     fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::snapshot::read_greedy(r)?;
+        *self = crate::protocol::codec::Stored::load(r, "scheduler")?;
         Ok(())
     }
 }

@@ -3,23 +3,27 @@
 //! A snapshot is a deterministic JSON encoding of everything a
 //! [`SpeQuloS`] instance knows — credit accounts and orders, the favor
 //! ledger, QoS registrations, the event log, pool occupancy, tenant
-//! counters, and the internal state of the three pluggable modules —
-//! with one field list per type and direction: a `write_*` on the shared
-//! [`simcore::json`] writer and a `read_*` on its pull reader, which
-//! builds no document tree. The write-ahead log ([`crate::wal`])
-//! persists a snapshot once the log's tail outweighs the last one;
-//! recovery restores the newest valid snapshot into a freshly assembled
-//! template service and replays only the log tail through
+//! counters, and the internal state of the three pluggable modules. Each
+//! type it stores is declared once, below, as a field list (`stored!`,
+//! from [`crate::protocol`]'s codec): the writer on the shared
+//! [`simcore::json`] writer and the reader on its pull reader, which
+//! builds no document tree, both come from that one list. Only `config`
+//! is written by hand. The write-ahead log ([`crate::wal`]) persists a
+//! snapshot once the log's tail outweighs the last one; recovery restores
+//! the newest valid snapshot into a freshly assembled template service
+//! and replays only the log tail through
 //! [`crate::protocol::SpqService::handle`].
 //!
 //! Determinism rules:
 //!
-//! * every hash map — SipHash or [`simcore::IdMap`] — is emitted sorted
-//!   by key: map iteration order must never leak into the bytes;
+//! * every map — SipHash, [`simcore::IdMap`] or B-tree — is an array of
+//!   entries sorted by key: map iteration order must never leak into the
+//!   bytes;
 //! * floats go through the shortest-round-trip formatter (`fmt_f64`),
 //!   so `encode → decode → encode` is bit-identical;
-//! * non-finite floats are a typed [`SnapshotError::NonFinite`] at
-//!   encode time (the JSON writer would emit an unrestorable `null`).
+//! * every stored float that is not finite is a typed
+//!   [`SnapshotError::NonFinite`] at encode time (the JSON writer would
+//!   emit an unrestorable `null`).
 //!
 //! Decoding reads members in any order, the first of a repeated name,
 //! and skips unknown ones; a missing or ill-typed member and a repeated
@@ -43,19 +47,11 @@
 use crate::credit::{CreditSystem, FavorLedger, Order};
 use crate::info::{ArchivedExecution, BotRecord, Information};
 use crate::oracle::{Oracle, StrategyCombo, VarianceState};
-use crate::protocol::{
-    first, no_extra, read_array, read_entry, read_members, read_nested, read_object, write_entry,
-    Nested, Scalars,
-};
+use crate::protocol::codec::{first, read_members, stored, Stored};
 use crate::scheduler::{BotSchedState, GreedyUntilTc, Scheduler};
 use crate::service::SpeQuloS;
 use crate::tenancy::{CloudPool, TenantMetrics};
-use crate::UserId;
 use simcore::json::{self, Reader, Token, Value, Writer};
-use simcore::{SimDuration, SimTime, TimeSeries};
-use std::collections::{HashMap, HashSet};
-use std::fmt::Display;
-use std::hash::Hash;
 
 /// Snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_FORMAT: u64 = 1;
@@ -64,11 +60,12 @@ pub const SNAPSHOT_FORMAT: u64 = 1;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// A pluggable module opted out of snapshotting (its
-    /// `snapshot_state` returned `None`); recovery must replay the full
-    /// log instead.
+    /// `snapshot_state` returned this error); recovery must replay the
+    /// full log instead.
     UnsupportedModule(&'static str),
     /// A state field holds a non-finite float the JSON encoding cannot
-    /// round-trip (e.g. an account balance driven to infinity).
+    /// round-trip (e.g. an account balance driven to infinity); names the
+    /// member that holds it.
     NonFinite(&'static str),
     /// The snapshot bytes are malformed or inconsistent.
     Decode(String),
@@ -102,472 +99,94 @@ impl From<String> for SnapshotError {
     }
 }
 
-/// Writes a finite float, or fails with a typed error naming the field.
-fn fin(w: &mut Writer<'_>, field: &'static str, v: f64) -> Result<(), SnapshotError> {
-    if !v.is_finite() {
-        return Err(SnapshotError::NonFinite(field));
-    }
-    w.num(v);
-    Ok(())
-}
-
-/// A hash map's entries in key order, whatever it hashes with.
-fn sorted<K: Ord, V, S>(map: &HashMap<K, V, S>) -> Vec<(&K, &V)> {
-    // spq-lint: allow(det-unordered-iter) — entries are sorted on the next line
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entries
-}
-
-/// What reading a member the decoder cannot do without came to.
-fn present<T>(member: Option<Result<T, String>>, key: &str) -> Result<T, String> {
-    member.unwrap_or_else(|| Err(format!("missing `{key}`")))
-}
-
-/// Every entry of the array member `key` that `r` stands at, or the
-/// first that failed.
-fn entries<'a, T>(
-    r: &mut Reader<'a>,
-    key: &str,
-    entry: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let items = read_array(r, entry).ok_or_else(|| format!("`{key}` must be an array"))?;
-    items.map_err(|(_, e)| e)
-}
-
-/// [`entries`] that are a map's key-value pairs, collected into the map;
-/// a key seen twice fails with `duplicate(key)`.
-fn keyed<'a, K: Eq + Hash + Clone, V, M: FromIterator<(K, V)>>(
-    r: &mut Reader<'a>,
-    key: &str,
-    mut entry: impl FnMut(&mut Reader<'a>) -> Result<(K, V), String>,
-    duplicate: impl Fn(&K) -> String,
-) -> Result<M, String> {
-    let mut seen = HashSet::new();
-    let pairs = entries(r, key, |r| {
-        let (k, v) = entry(r)?;
-        if !seen.insert(k.clone()) {
-            return Err(duplicate(&k));
-        }
-        Ok((k, v))
-    })?;
-    Ok(pairs.into_iter().collect())
-}
-
-/// ``duplicate {what} {key}``, [`keyed`]'s usual message.
-fn dup<K: Display>(what: &'static str) -> impl Fn(&K) -> String {
-    move |key| format!("duplicate {what} {key}")
-}
-
-/// A map written as `[{<id>: …, <field>: …}, …]`: `value` judges each
-/// entry's `field`; an id seen twice is ``duplicate {what} {id}``.
-fn id_map<'a, V, M: FromIterator<(u64, V)>>(
-    r: &mut Reader<'a>,
-    key: &str,
-    [id, field, what]: [&'static str; 3],
-    value: impl Fn(&Scalars<'a, 2>, &str) -> Result<V, String>,
-) -> Result<M, String> {
-    let entry = |r: &mut Reader<'a>| {
-        let m = read_members(r, [id, field], no_extra);
-        Ok((m.u64(id)?, value(&m, field)?))
-    };
-    keyed(r, key, entry, dup(what))
-}
-
 // ---------------------------------------------------------------------------
-// Time series
+// The stored types, one field list each
 // ---------------------------------------------------------------------------
 
-fn write_series(w: &mut Writer<'_>, series: &TimeSeries) {
-    w.begin_array();
-    for &(t, v) in series.points() {
-        w.begin_array().num(t.as_millis() as f64).num(v).end_array();
+stored! {
+    SpeQuloS in place {
+        credits,
+        favors,
+        strategies = Paired("bot", "strategy", "duplicate strategy for bot {}"),
+        users = Paired("bot", "user", "duplicate user mapping for bot {}"),
+        next_bot,
+        log,
+        pool,
+        tenants = Keyed("bot", "duplicate tenant metrics for {}"),
+    } modules { info, oracle, scheduler }
+}
+
+stored! {
+    CreditSystem {
+        accounts = Paired("user", "balance", "duplicate account for user {}"),
+        orders = Keyed("bot", "duplicate order for bot {}"),
     }
-    w.end_array();
 }
-
-fn read_series(r: &mut Reader<'_>) -> Result<TimeSeries, String> {
-    let mut series = TimeSeries::new();
-    let points = read_array(r, |r| {
-        let (mut pair, mut n) = ([None, None], 0);
-        read_array(r, |r| {
-            let item = r.scalar();
-            if let Some(slot) = pair.get_mut(n) {
-                *slot = Some(item);
-            }
-            n += 1;
-            Ok(())
-        });
-        let (2, [Some(t), Some(value)]) = (n, pair) else {
-            return Err("series point must be a [t_ms, value] pair".to_string());
-        };
-        let t = t
-            .as_u64()
-            .ok_or("series point time must be integer milliseconds")?;
-        let value = value.as_f64().ok_or("series point value must be finite")?;
-        // `TimeSeries::push` asserts monotone time; a corrupted snapshot
-        // must decode to an error, not a panic.
-        if series.last().is_some_and(|(prev, _)| t < prev.as_millis()) {
-            return Err("series points out of order".into());
-        }
-        series.push(SimTime::from_millis(t), value);
-        Ok(())
-    });
-    points
-        .ok_or("series must be an array")?
-        .map_err(|(_, e)| e)?;
-    Ok(series)
-}
-
-// ---------------------------------------------------------------------------
-// Module state: Information
-// ---------------------------------------------------------------------------
-
-/// Writes the in-memory [`Information`] store (live records sorted by
-/// bot id, archive sorted by environment).
-pub(crate) fn write_info(w: &mut Writer<'_>, info: &Information) {
-    w.begin_object().key("live").begin_array();
-    for (&bot, rec) in sorted(&info.live) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("env").str(&rec.env);
-        w.key("size").num(f64::from(rec.size));
-        w.key("submitted_at")
-            .num(rec.submitted_at.as_millis() as f64);
-        write_series(w.key("completed"), &rec.completed);
-        write_series(w.key("dispatched"), &rec.dispatched);
-        write_series(w.key("queued"), &rec.queued);
-        match rec.completion {
-            Some(t) => w.key("completion").num(t.as_millis() as f64),
-            None => w.key("completion").null(),
-        };
-        w.end_object();
+stored! { Order { user, provisioned, spent, closed = Flag } }
+stored! {
+    FavorLedger {
+        donated = Paired("user", "cpu_hours", "duplicate favor entry for {}"),
+        consumed = Paired("user", "cpu_hours", "duplicate favor entry for {}"),
     }
-    w.end_array().key("archive").begin_array();
-    for (env, executions) in sorted(&info.archive) {
-        w.begin_object().key("env").str(env);
-        w.key("executions").begin_array();
-        for e in executions {
-            w.begin_object().key("size").num(f64::from(e.size));
-            w.key("completion").num(e.completion.as_millis() as f64);
-            write_series(w.key("completed"), &e.completed);
-            w.end_object();
-        }
-        w.end_array().end_object();
-    }
-    w.end_array().end_object();
 }
 
-/// Decodes what [`write_info`] wrote. Every member is required: one read
-/// as empty when missing would restore another state than the one
-/// written.
-pub(crate) fn read_info(r: &mut Reader<'_>) -> Result<Information, String> {
-    let (mut live, mut archive) = (None, None);
-    read_members(r, [], |key, r| match key {
-        "live" => first(&mut live, || {
-            keyed(r, key, read_bot_record, dup("live record for bot"))
-        }),
-        "archive" => first(&mut archive, || {
-            let duplicate = |env: &String| format!("duplicate archive env `{env}`");
-            keyed(r, key, read_archived, duplicate)
-        }),
-        _ => false,
-    });
-    let (live, archive) = (present(live, "live")?, present(archive, "archive")?);
-    Ok(Information { live, archive })
-}
-
-fn read_bot_record(r: &mut Reader<'_>) -> Result<(u64, BotRecord), String> {
-    let (mut completed, mut dispatched, mut queued) = (None, None, None);
-    let keys = ["bot", "env", "size", "submitted_at", "completion"];
-    let m = read_members(r, keys, |key, r| match key {
-        "completed" => first(&mut completed, || read_series(r)),
-        "dispatched" => first(&mut dispatched, || read_series(r)),
-        "queued" => first(&mut queued, || read_series(r)),
-        _ => false,
-    });
-    let bot = m.u64("bot")?;
-    let completion = match m.get("completion") {
-        None | Some(Token::Null) => None,
-        Some(c) => Some(c.as_u64().ok_or("invalid `completion`")?),
-    };
-    let record = BotRecord {
-        env: m.str("env")?.to_string(),
-        size: m.u32("size")?,
-        submitted_at: SimTime::from_millis(m.u64("submitted_at")?),
-        completed: present(completed, "completed")?,
-        dispatched: present(dispatched, "dispatched")?,
-        queued: present(queued, "queued")?,
-        completion: completion.map(SimTime::from_millis),
-    };
-    Ok((bot, record))
-}
-
-fn read_archived(r: &mut Reader<'_>) -> Result<(String, Vec<ArchivedExecution>), String> {
-    let mut executions = None;
-    let m = read_members(r, ["env"], |key, r| {
-        key == "executions" && first(&mut executions, || entries(r, key, read_execution))
-    });
-    let env = m.str("env")?.to_string();
-    Ok((env, present(executions, "executions")?))
-}
-
-fn read_execution(r: &mut Reader<'_>) -> Result<ArchivedExecution, String> {
-    let mut completed = None;
-    let m = read_members(r, ["size", "completion"], |key, r| {
-        key == "completed" && first(&mut completed, || read_series(r))
-    });
-    Ok(ArchivedExecution {
-        size: m.u32("size")?,
-        completion: SimTime::from_millis(m.u64("completion")?),
-        completed: present(completed, "completed")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Module state: Oracle
-// ---------------------------------------------------------------------------
-
-/// Writes the paper [`Oracle`]'s per-BoT variance state.
-pub(crate) fn write_oracle(w: &mut Writer<'_>, oracle: &Oracle) {
-    w.begin_object().key("module").str("oracle");
-    w.key("variance").begin_array();
-    for (&bot, state) in sorted(&oracle.variance) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("max_first_half").num(state.max_first_half);
-        w.end_object();
-    }
-    w.end_array().end_object();
-}
-
-/// The `module` tag a module's state starts with.
-fn module_tag<const N: usize>(m: &Scalars<'_, N>, tag: &str) -> Result<(), String> {
-    if m.str("module")? != tag {
-        return Err(format!("module tag is not `{tag}`"));
-    }
-    Ok(())
-}
-
-/// Decodes what [`write_oracle`] wrote.
-pub(crate) fn read_oracle(r: &mut Reader<'_>) -> Result<Oracle, String> {
-    let mut variance = None;
-    let m = read_members(r, ["module"], |key, r| match key {
-        "variance" => first(&mut variance, || {
-            let shape = ["bot", "max_first_half", "variance state for bot"];
-            id_map(r, key, shape, |m, k| {
-                m.f64(k)
-                    .map(|max_first_half| VarianceState { max_first_half })
-            })
-        }),
-        _ => false,
-    });
-    module_tag(&m, "oracle")?;
-    let variance = present(variance, "variance")?;
-    Ok(Oracle { variance })
-}
-
-// ---------------------------------------------------------------------------
-// Module state: schedulers
-// ---------------------------------------------------------------------------
-
-/// Writes the paper [`Scheduler`]'s per-BoT fleet flags.
-pub(crate) fn write_scheduler(w: &mut Writer<'_>, scheduler: &Scheduler) {
-    w.begin_object().key("module").str("scheduler");
-    w.key("allow_topup").bool(scheduler.allow_topup);
-    w.key("state").begin_array();
-    for (&bot, state) in sorted(&scheduler.state) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("cloud_started").bool(state.cloud_started);
-        w.end_object();
-    }
-    w.end_array().end_object();
-}
-
-/// Decodes what [`write_scheduler`] wrote.
-pub(crate) fn read_scheduler(r: &mut Reader<'_>) -> Result<Scheduler, String> {
-    let mut state = None;
-    let m = read_members(r, ["module", "allow_topup"], |key, r| match key {
-        "state" => first(&mut state, || {
-            let shape = ["bot", "cloud_started", "scheduler state for bot"];
-            id_map(r, key, shape, |m, k| {
-                m.bool(k)
-                    .map(|cloud_started| BotSchedState { cloud_started })
-            })
-        }),
-        _ => false,
-    });
-    module_tag(&m, "scheduler")?;
-    let allow_topup = m.bool("allow_topup")?;
-    let state = present(state, "state")?;
-    Ok(Scheduler { state, allow_topup })
-}
-
-/// Writes the deadline-aware [`GreedyUntilTc`] policy.
-pub(crate) fn write_greedy(w: &mut Writer<'_>, policy: &GreedyUntilTc) {
-    let mut bots: Vec<u64> = policy.started.iter().copied().collect();
-    bots.sort_unstable();
-    w.begin_object().key("module").str("greedy_until_tc");
-    w.key("target").num(policy.target.as_millis() as f64);
-    w.key("started").begin_array();
-    for bot in bots {
-        w.num(bot as f64);
-    }
-    w.end_array().end_object();
-}
-
-/// Decodes what [`write_greedy`] wrote.
-pub(crate) fn read_greedy(r: &mut Reader<'_>) -> Result<GreedyUntilTc, String> {
-    let mut started = None;
-    let bot = |r: &mut Reader<'_>| {
-        r.scalar()
-            .as_u64()
-            .ok_or("`started` entries must be bot ids")
-    };
-    let m = read_members(r, ["module", "target"], |key, r| {
-        key == "started" && first(&mut started, || entries(r, key, |r| Ok(bot(r)?)))
-    });
-    module_tag(&m, "greedy_until_tc")?;
-    let target = SimDuration::from_millis(m.u64("target")?);
-    let started = present(started, "started")?.into_iter().collect();
-    Ok(GreedyUntilTc { target, started })
-}
-
-// ---------------------------------------------------------------------------
-// Service state
-// ---------------------------------------------------------------------------
-
-fn write_credits(w: &mut Writer<'_>, credits: &CreditSystem) -> Result<(), SnapshotError> {
-    // The credit maps are BTreeMaps: iteration is already key-sorted.
-    w.begin_object().key("accounts").begin_array();
-    for (&user, &balance) in &credits.accounts {
-        w.begin_object().key("user").num(user as f64);
-        fin(w.key("balance"), "balance", balance)?;
-        w.end_object();
-    }
-    w.end_array().key("orders").begin_array();
-    for (&bot, order) in &credits.orders {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("user").num(order.user.0 as f64);
-        fin(w.key("provisioned"), "provisioned", order.provisioned)?;
-        fin(w.key("spent"), "spent", order.spent)?;
-        w.key("closed").bool(order.closed);
-        w.end_object();
-    }
-    w.end_array().end_object();
-    Ok(())
-}
-
-fn read_credits(r: &mut Reader<'_>) -> Result<CreditSystem, String> {
-    let (mut accounts, mut orders) = (None, None);
-    read_members(r, [], |key, r| match key {
-        "accounts" => first(&mut accounts, || {
-            let shape = ["user", "balance", "account for user"];
-            id_map(r, key, shape, Scalars::f64)
-        }),
-        "orders" => first(&mut orders, || {
-            keyed(r, key, read_order, dup("order for bot"))
-        }),
-        _ => false,
-    });
-    let accounts = present(accounts, "accounts")?;
-    let orders = present(orders, "orders")?;
-    Ok(CreditSystem { accounts, orders })
-}
-
-fn read_order(r: &mut Reader<'_>) -> Result<(u64, Order), String> {
-    let keys = ["bot", "user", "provisioned", "spent", "closed"];
-    let m = read_members(r, keys, no_extra);
-    let bot = m.u64("bot")?;
-    let order = Order {
-        user: UserId(m.u64("user")?),
-        provisioned: m.f64("provisioned")?,
-        spent: m.f64("spent")?,
-        closed: match m.get("closed") {
-            Some(Token::Bool(closed)) => *closed,
-            Some(_) => return Err("`closed` must be a boolean".into()),
-            None => return Err("missing `closed`".into()),
-        },
-    };
-    Ok((bot, order))
-}
-
-fn write_favor_map<S>(
-    w: &mut Writer<'_>,
-    field_name: &'static str,
-    map: &HashMap<u64, f64, S>,
-) -> Result<(), SnapshotError> {
-    w.begin_array();
-    for (&user, &hours) in sorted(map) {
-        w.begin_object().key("user").num(user as f64);
-        fin(w.key("cpu_hours"), field_name, hours)?;
-        w.end_object();
-    }
-    w.end_array();
-    Ok(())
-}
-
-fn read_favors(r: &mut Reader<'_>) -> Result<FavorLedger, String> {
-    let (mut donated, mut consumed) = (None, None);
-    let favor_map = |r: &mut Reader<'_>, key: &str| {
-        let shape = ["user", "cpu_hours", "favor entry for"];
-        id_map(r, key, shape, Scalars::f64)
-    };
-    read_members(r, [], |key, r| match key {
-        "donated" => first(&mut donated, || favor_map(r, key)),
-        "consumed" => first(&mut consumed, || favor_map(r, key)),
-        _ => false,
-    });
-    let donated = present(donated, "donated")?;
-    let consumed = present(consumed, "consumed")?;
-    Ok(FavorLedger { donated, consumed })
-}
-
-fn write_pool(w: &mut Writer<'_>, pool: &CloudPool) {
-    w.begin_object()
-        .key("capacity")
-        .num(f64::from(pool.capacity));
-    w.key("peak_in_use").num(f64::from(pool.peak_in_use));
-    w.key("leases").begin_array();
-    for (&bot, &workers) in sorted(&pool.leases) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("workers").num(f64::from(workers));
-        w.end_object();
-    }
-    w.end_array().end_object();
-}
-
-/// `null` is a service without a pool.
-fn read_pool(r: &mut Reader<'_>) -> Result<Option<CloudPool>, String> {
-    let head = r.token();
-    if head == Token::Null {
-        return Ok(None);
-    }
-    let mut leases = None;
-    let m = read_object(r, head, ["capacity", "peak_in_use"], |key, r| match key {
-        "leases" => first(&mut leases, || {
-            id_map(r, key, ["bot", "workers", "lease for bot"], Scalars::u32)
-        }),
-        _ => false,
-    });
-    let (capacity, peak_in_use) = (m.u32("capacity")?, m.u32("peak_in_use")?);
-    let leases = present(leases, "leases")?;
-    Ok(Some(CloudPool {
+stored! {
+    CloudPool {
         capacity,
-        leases,
         peak_in_use,
-    }))
+        leases = Paired("bot", "workers", "duplicate lease for bot {}"),
+    }
 }
+stored! { TenantMetrics { requested, granted, denied, throttled_ticks } }
 
-fn read_tenant(r: &mut Reader<'_>) -> Result<(u64, TenantMetrics), String> {
-    let keys = ["bot", "requested", "granted", "denied", "throttled_ticks"];
-    let m = read_members(r, keys, no_extra);
-    let bot = m.u64("bot")?;
-    let metrics = TenantMetrics {
-        requested: m.u64("requested")?,
-        granted: m.u64("granted")?,
-        denied: m.u64("denied")?,
-        throttled_ticks: m.u64("throttled_ticks")?,
+stored! {
+    Information {
+        live = Keyed("bot", "duplicate live record for bot {}"),
+        archive = Paired("env", "executions", "duplicate archive env `{}`"),
+    }
+}
+stored! {
+    BotRecord { env, size, submitted_at, completed, dispatched, queued, completion = Nullable }
+}
+stored! { ArchivedExecution { size, completion, completed } }
+
+stored! { Oracle module "oracle" { variance = Keyed("bot", "duplicate variance state for bot {}") } }
+stored! { VarianceState { max_first_half } }
+
+stored! {
+    Scheduler module "scheduler" {
+        allow_topup,
+        state = Keyed("bot", "duplicate scheduler state for bot {}"),
+    }
+}
+stored! { BotSchedState { cloud_started } }
+stored! { GreedyUntilTc module "greedy_until_tc" { target, started } }
+
+// ---------------------------------------------------------------------------
+// The configuration, by hand, and the state
+// ---------------------------------------------------------------------------
+
+/// Writes `config`, the builder configuration a restore template must
+/// match. By hand: `bot_stride` is written only for sharded services, so
+/// every pre-sharding snapshot keeps its bytes, and reading it is judged
+/// against the template ([`read_state`]).
+fn write_config(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), SnapshotError> {
+    w.begin_object()
+        .key("tick")
+        .num(service.tick.as_millis() as f64);
+    let default_strategy = w.key("default_strategy");
+    service
+        .default_strategy
+        .store(default_strategy, "default_strategy")?;
+    match service.pool.as_ref() {
+        Some(pool) => w.key("pool_capacity").num(f64::from(pool.capacity)),
+        None => w.key("pool_capacity").null(),
     };
-    Ok((bot, metrics))
+    if service.bot_stride != 1 {
+        w.key("bot_stride").num(service.bot_stride as f64);
+    }
+    w.end_object();
+    Ok(())
 }
 
 /// Writes the full state of `service` as one deterministic JSON object:
@@ -575,116 +194,31 @@ fn read_tenant(r: &mut Reader<'_>) -> Result<(u64, TenantMetrics), String> {
 /// and the write-ahead log's snapshot files all come from. On an error
 /// the writer's text is left unfinished and is to be discarded.
 pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), SnapshotError> {
-    w.begin_object().key("config").begin_object();
-    w.key("tick").num(service.tick.as_millis() as f64);
-    service.default_strategy.json(w.key("default_strategy"));
-    match service.pool.as_ref() {
-        Some(pool) => w.key("pool_capacity").num(f64::from(pool.capacity)),
-        None => w.key("pool_capacity").null(),
-    };
-    // Recorded only for sharded services: omitting the default keeps
-    // every pre-sharding snapshot byte-identical.
-    if service.bot_stride != 1 {
-        w.key("bot_stride").num(service.bot_stride as f64);
-    }
-    w.end_object();
-    write_credits(w.key("credits"), &service.credits)?;
-    w.key("favors").begin_object();
-    write_favor_map(w.key("donated"), "donated", &service.favors.donated)?;
-    write_favor_map(w.key("consumed"), "consumed", &service.favors.consumed)?;
-    w.end_object();
-    w.key("strategies").begin_array();
-    for (&bot, strategy) in sorted(&service.strategies) {
-        w.begin_object().key("bot").num(bot as f64);
-        strategy.json(w.key("strategy"));
-        w.end_object();
-    }
-    w.end_array().key("users").begin_array();
-    for (&bot, user) in sorted(&service.users) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("user").num(user.0 as f64);
-        w.end_object();
-    }
-    w.end_array().key("next_bot").num(service.next_bot as f64);
-    w.key("log").begin_array();
-    for (t, event) in &service.log {
-        write_entry(w, *t, event);
-    }
-    w.end_array();
-    match service.pool.as_ref() {
-        Some(pool) => write_pool(w.key("pool"), pool),
-        None => {
-            w.key("pool").null();
-        }
-    }
-    w.key("tenants").begin_array();
-    for (&bot, m) in sorted(&service.tenants) {
-        w.begin_object().key("bot").num(bot as f64);
-        w.key("requested").num(m.requested as f64);
-        w.key("granted").num(m.granted as f64);
-        w.key("denied").num(m.denied as f64);
-        w.key("throttled_ticks").num(m.throttled_ticks as f64);
-        w.end_object();
-    }
-    w.end_array();
-    if !service.info.snapshot_state(w.key("info")) {
-        return Err(SnapshotError::UnsupportedModule("info"));
-    }
-    if !service.oracle.snapshot_state(w.key("oracle")) {
-        return Err(SnapshotError::UnsupportedModule("oracle"));
-    }
-    if !service.scheduler.snapshot_state(w.key("scheduler")) {
-        return Err(SnapshotError::UnsupportedModule("scheduler"));
-    }
+    write_config(w.begin_object().key("config"), service)?;
+    service.store_members(w)?;
     w.end_object();
     Ok(())
 }
 
 /// Restores what [`write_state`] wrote, at the value `r` stands at, into
 /// `service`: its modules restore themselves as their members are read,
-/// the rest is judged once the object is closed, in the order
-/// [`write_state`] writes it — the recorded configuration first. On an
-/// error `service` is left half restored and is to be discarded.
+/// the rest is judged once the object is closed — the recorded
+/// configuration first. On an error `service` is left half restored and
+/// is to be discarded.
 fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), SnapshotError> {
-    let (mut config, mut credits, mut favors, mut strategies) = (None, None, None, None);
-    let (mut users, mut log, mut pool, mut tenants) = (None, None, None, None);
-    let (mut info, mut oracle, mut scheduler) = (None, None, None);
-    let state = read_members(r, ["next_bot"], |key, r| match key {
-        "config" => first(&mut config, || {
-            let mut default_strategy = None;
-            let keys = ["tick", "pool_capacity", "bot_stride"];
-            let m = read_members(r, keys, |key, r| {
-                key == "default_strategy"
-                    && first(&mut default_strategy, || read_nested::<StrategyCombo>(r))
-            });
-            (m, default_strategy)
-        }),
-        "credits" => first(&mut credits, || read_credits(r)),
-        "favors" => first(&mut favors, || read_favors(r)),
-        "strategies" => first(&mut strategies, || {
-            let entry = |r: &mut Reader<'_>| {
-                let mut strategy = None;
-                let m = read_members(r, ["bot"], |key, r| {
-                    key == "strategy" && first(&mut strategy, || read_nested(r))
+    let template_capacity = service.pool.as_ref().map(|p| p.capacity);
+    let mut config = None;
+    let state = service.restore_members(r, &mut |key, r| {
+        key == "config"
+            && first(&mut config, || {
+                let mut default_strategy = None;
+                let keys = ["tick", "pool_capacity", "bot_stride"];
+                let m = read_members(r, keys, |key, r| {
+                    key == "default_strategy"
+                        && first(&mut default_strategy, || StrategyCombo::load(r, key))
                 });
-                Ok((m.u64("bot")?, present(strategy, "strategy")?))
-            };
-            keyed(r, key, entry, dup("strategy for bot"))
-        }),
-        "users" => first(&mut users, || {
-            id_map(r, key, ["bot", "user", "user mapping for bot"], |m, k| {
-                m.u64(k).map(UserId)
+                (m, default_strategy)
             })
-        }),
-        "log" => first(&mut log, || entries(r, key, read_entry)),
-        "pool" => first(&mut pool, || read_pool(r)),
-        "tenants" => first(&mut tenants, || {
-            keyed(r, key, read_tenant, dup("tenant metrics for"))
-        }),
-        "info" => first(&mut info, || service.info.restore_state(r)),
-        "oracle" => first(&mut oracle, || service.oracle.restore_state(r)),
-        "scheduler" => first(&mut scheduler, || service.scheduler.restore_state(r)),
-        _ => false,
     });
 
     let (config, default_strategy) = config.ok_or_else(|| "missing `config`".to_string())?;
@@ -695,7 +229,9 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
             service.tick.as_millis()
         )));
     }
-    if present(default_strategy, "default_strategy")? != service.default_strategy {
+    let default_strategy =
+        default_strategy.unwrap_or_else(|| StrategyCombo::absent("default_strategy"))?;
+    if default_strategy != service.default_strategy {
         return Err(SnapshotError::ConfigMismatch(
             "snapshot default strategy differs from template".into(),
         ));
@@ -722,7 +258,6 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
             service.bot_stride
         )));
     }
-    let template_capacity = service.pool.as_ref().map(|p| p.capacity);
     // A shard's pool capacity is its PoolLedger quota, which the
     // rebalancer moves at runtime — so for sharded templates only the
     // pool's presence must match; the recorded quota is restored as-is.
@@ -738,21 +273,10 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
         )));
     }
 
-    service.credits = present(credits, "credits")?;
-    service.favors = present(favors, "favors")?;
-    service.strategies = present(strategies, "strategies")?;
-    service.users = present(users, "users")?;
-    service.next_bot = state.u64("next_bot")?;
-    service.log = present(log, "log")?;
-    service.pool = present(pool, "pool")?;
+    state?;
     if service.pool.as_ref().map(|p| p.capacity) != pool_capacity {
         let msg = "pool state capacity disagrees with recorded configuration";
         return Err(msg.to_string().into());
-    }
-    service.tenants = present(tenants, "tenants")?;
-    for (module, name) in [(info, "info"), (oracle, "oracle"), (scheduler, "scheduler")] {
-        let module = module.map(|m| m.map_err(|e| format!("{name} module: {e}")));
-        present(module, name)?;
     }
     Ok(())
 }
@@ -794,9 +318,11 @@ pub fn restore_state(template: SpeQuloS, state: &Value) -> Result<SpeQuloS, Snap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::StrategyCombo;
+    use crate::oracle::Trigger;
     use crate::protocol::{Request, SpqService};
+    use crate::UserId;
     use botwork::BotId;
+    use simcore::{SimDuration, SimTime};
 
     fn exercised_service() -> SpeQuloS {
         // Drive a pooled service through every state-bearing code path:
@@ -930,28 +456,66 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_balances_fail_typed() {
-        let mut spq = SpeQuloS::new();
-        // Two maximal deposits overflow the balance to infinity; the
-        // snapshot must refuse rather than emit an unrestorable null.
-        spq.handle(
-            Request::Deposit {
-                user: UserId(1),
-                credits: f64::MAX,
-            },
-            SimTime::ZERO,
-        );
-        spq.handle(
-            Request::Deposit {
-                user: UserId(1),
-                credits: f64::MAX,
-            },
-            SimTime::ZERO,
-        );
-        assert_eq!(
-            encode_state(&spq).unwrap_err(),
-            SnapshotError::NonFinite("balance")
-        );
+    fn non_finite_floats_fail_typed() {
+        // Every float a snapshot stores, set non-finite one at a time:
+        // the snapshot must refuse, naming the member that holds it,
+        // rather than emit an unrestorable `null`.
+        type Poison = fn(&mut SpeQuloS);
+        let cases: [(&str, Poison); 9] = [
+            ("balance", |spq| {
+                // Two maximal deposits overflow the balance to infinity.
+                for _ in 0..2 {
+                    let deposit = Request::Deposit {
+                        user: UserId(1),
+                        credits: f64::MAX,
+                    };
+                    spq.handle(deposit, SimTime::ZERO);
+                }
+            }),
+            ("provisioned", |spq| {
+                let orders = spq.credits.orders.values_mut();
+                orders.for_each(|o| o.provisioned = f64::NAN);
+            }),
+            ("spent", |spq| {
+                let orders = spq.credits.orders.values_mut();
+                orders.for_each(|o| o.spent = f64::INFINITY);
+            }),
+            ("cpu_hours", |spq| {
+                _ = spq.favors.donated.insert(7, f64::NAN)
+            }),
+            ("cpu_hours", |spq| {
+                _ = spq.favors.consumed.insert(7, f64::NEG_INFINITY);
+            }),
+            ("strategy", |spq| {
+                let fraction = f64::INFINITY;
+                let strategies = spq.strategies.values_mut();
+                strategies.for_each(|s| s.trigger = Trigger::RateDrop { fraction });
+            }),
+            ("default_strategy", |spq| {
+                spq.default_strategy.trigger = Trigger::CompletionThreshold(f64::NAN);
+            }),
+            ("max_first_half", |spq| {
+                let state = VarianceState {
+                    max_first_half: f64::NAN,
+                };
+                let variance = [(0, state)].into_iter().collect();
+                spq.oracle = Box::new(Oracle { variance });
+            }),
+            ("completed", |spq| {
+                let mut info = Information::new();
+                info.register(BotId(0), "env", 10, SimTime::ZERO);
+                if let Some(record) = info.live.get_mut(&0) {
+                    record.completed.push(SimTime::ZERO, f64::INFINITY);
+                }
+                spq.info = Box::new(info);
+            }),
+        ];
+        for (name, poison) in cases {
+            let mut spq = exercised_service();
+            assert!(encode_state_json(&spq).is_ok(), "{name}");
+            poison(&mut spq);
+            assert_eq!(encode_state_json(&spq), Err(SnapshotError::NonFinite(name)));
+        }
     }
 
     #[test]

@@ -135,6 +135,10 @@ pub enum WalError {
     /// Snapshot encode/restore failed in a way recovery must not paper
     /// over (currently: configuration mismatch with the template).
     Snapshot(SnapshotError),
+    /// A request no reader of the log would take back (batches nested
+    /// deeper than [`MAX_BATCH_DEPTH`], a payload over [`MAX_RECORD_BYTES`])
+    /// was refused before anything was staged; the log is unharmed.
+    Refused(String),
 }
 
 impl std::fmt::Display for WalError {
@@ -145,6 +149,7 @@ impl std::fmt::Display for WalError {
                 write!(f, "wal corrupt at byte {offset}: {reason}")
             }
             WalError::Snapshot(e) => write!(f, "wal snapshot: {e}"),
+            WalError::Refused(reason) => write!(f, "wal refused the record: {reason}"),
         }
     }
 }
@@ -354,7 +359,7 @@ impl WalStore {
     /// [`WalStore::record_count`], before [`WalStore::commit`] returns.
     /// A request that cannot be a record — batches nested deeper than
     /// [`MAX_BATCH_DEPTH`], or a payload over [`MAX_RECORD_BYTES`] — is
-    /// refused, and leaves nothing staged.
+    /// [`WalError::Refused`], and leaves nothing staged.
     pub fn stage(&mut self, at: SimTime, request: &Request) -> Result<(), WalError> {
         self.check_live()?;
         let start = self.staged.len();
@@ -488,9 +493,8 @@ impl WalStore {
 /// encoded in place behind it, then the header filled in. On an error
 /// `out` may hold part of the record; the caller cuts it off.
 fn write_record(out: &mut Vec<u8>, at: SimTime, request: &Request) -> Result<(), WalError> {
-    let refused = |reason: String| WalError::Corrupt { offset: 0, reason };
     if batch_depth(request) > MAX_BATCH_DEPTH {
-        return Err(refused(format!(
+        return Err(WalError::Refused(format!(
             "batches nest deeper than {MAX_BATCH_DEPTH}: no reader would take the record"
         )));
     }
@@ -504,7 +508,7 @@ fn write_record(out: &mut Vec<u8>, at: SimTime, request: &Request) -> Result<(),
         .ok()
         .filter(|&l| l <= MAX_RECORD_BYTES)
         .ok_or_else(|| {
-            refused(format!(
+            WalError::Refused(format!(
                 "record payload of {} bytes exceeds maximum",
                 payload.len()
             ))
@@ -1003,6 +1007,51 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_threshold_leaves_later_snapshots_restorable() {
+        use crate::{StrategyCombo, Trigger};
+        let dir = temp_dir("nan-threshold");
+        let strategy = StrategyCombo {
+            trigger: Trigger::CompletionThreshold(f64::NAN),
+            ..StrategyCombo::paper_default()
+        };
+        let requests = [
+            Request::Deposit {
+                user: UserId(1),
+                credits: 10.0,
+            },
+            Request::RegisterQos {
+                user: UserId(1),
+                env: "env".into(),
+                size: 10,
+            },
+            Request::OrderQos {
+                bot: botwork::BotId(0),
+                credits: 4.0,
+                strategy: Some(strategy),
+            },
+        ];
+        let mut served = SpeQuloS::new();
+        {
+            let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+            for (i, request) in requests.iter().enumerate() {
+                let t = SimTime::from_secs(i as u64);
+                wal.append(t, request).unwrap();
+                served.handle(request.clone(), t);
+            }
+            wal.snapshot(&served).unwrap();
+        }
+        let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let (recovered, report) = recovery.recover(SpeQuloS::new()).unwrap();
+        assert_eq!(report.snapshots_discarded, 0, "the snapshot restores");
+        assert_eq!(report.snapshot_applied, requests.len() as u64);
+        assert_eq!(
+            encode_state_json(&recovered).unwrap(),
+            encode_state_json(&served).unwrap()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_refused_request_leaves_nothing_staged() {
         let dir = temp_dir("refused");
         let requests = sample_requests(2);
@@ -1017,7 +1066,7 @@ mod tests {
         for refused in [oversized, nested(MAX_BATCH_DEPTH + 1)] {
             assert!(matches!(
                 wal.stage(SimTime::ZERO, &refused),
-                Err(WalError::Corrupt { .. })
+                Err(WalError::Refused(_))
             ));
             assert_eq!(wal.staged, staged, "nothing half-staged");
             assert_eq!(wal.staged_records, 1);
