@@ -6,11 +6,22 @@
 //! middleware × BoT class) so the Oracle can learn the `α` correction
 //! factor and report a historical success rate with its predictions
 //! (§3.4).
+//!
+//! A finished BoT's completed-count history is held once: the archived
+//! execution shares the live record's series ([`Arc`]) instead of copying
+//! it. Samples are pushed copy-on-write ([`Arc::make_mut`]), so a report
+//! that arrives after completion un-shares the live series and the
+//! archive keeps the points it had at completion. A snapshot writes each
+//! holder's points; restoring one shares equal series again
+//! (`Information::share_completed_series`).
 
 use crate::progress::BotProgress;
+use crate::protocol::codec::Map;
 use botwork::BotId;
 use simcore::{IdMap, SimTime, TimeSeries};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Live monitoring record of one BoT execution.
 #[derive(Clone, Debug)]
@@ -22,8 +33,9 @@ pub struct BotRecord {
     pub size: u32,
     /// Registration (submission) time.
     pub submitted_at: SimTime,
-    /// Completed-count samples.
-    pub completed: TimeSeries,
+    /// Completed-count samples; once the BoT completed, shared with its
+    /// archived execution until the next sample.
+    pub completed: Arc<TimeSeries>,
     /// Cumulative dispatched-count samples.
     pub dispatched: TimeSeries,
     /// Queued-count samples.
@@ -58,7 +70,7 @@ impl BotRecord {
 #[derive(Clone, Debug)]
 pub struct ArchivedExecution {
     /// Completed-count samples of the whole run.
-    pub completed: TimeSeries,
+    pub completed: Arc<TimeSeries>,
     /// BoT size.
     pub size: u32,
     /// Actual completion time.
@@ -96,7 +108,7 @@ impl Information {
                 env: env.to_string(),
                 size,
                 submitted_at: now,
-                completed: TimeSeries::new(),
+                completed: Arc::default(),
                 dispatched: TimeSeries::new(),
                 queued: TimeSeries::new(),
                 completion: None,
@@ -109,13 +121,13 @@ impl Information {
     /// deployment).
     pub fn sample(&mut self, bot: BotId, p: &BotProgress) {
         let rec = self.live.get_mut(&bot.0).expect("BoT not registered");
-        rec.completed.push(p.now, p.completed as f64);
+        Arc::make_mut(&mut rec.completed).push(p.now, p.completed as f64);
         rec.dispatched.push(p.now, p.dispatched as f64);
         rec.queued.push(p.now, p.queued as f64);
     }
 
     /// Marks a BoT complete and archives its execution trace under its
-    /// environment key.
+    /// environment key, sharing the live completed series.
     pub fn mark_complete(&mut self, bot: BotId, now: SimTime) {
         let rec = self.live.get_mut(&bot.0).expect("BoT not registered");
         if rec.completion.is_some() {
@@ -123,7 +135,7 @@ impl Information {
         }
         rec.completion = Some(now);
         let exec = ArchivedExecution {
-            completed: rec.completed.clone(),
+            completed: Arc::clone(&rec.completed),
             size: rec.size,
             completion: now,
         };
@@ -150,6 +162,84 @@ impl Information {
     /// Number of BoTs currently monitored.
     pub fn live_count(&self) -> usize {
         self.live.len()
+    }
+
+    /// Makes each completed live record share its series with its
+    /// archived execution again, as [`Information::mark_complete`] left
+    /// them: a restored store holds each history once, like the one that
+    /// was snapshotted. A record and an execution of its environment pair
+    /// up when size, completion time and every point agree bit for bit
+    /// (`-0.0` is not `0.0`), so no value changes. One pass over the
+    /// archive, one over the live records, each walked in key order; a
+    /// series is read in full only to confirm a pair.
+    pub(crate) fn share_completed_series(&mut self) {
+        let envs = self.archive.sorted();
+        let executions = envs.iter().map(|(_, execs)| execs.len()).sum();
+        let mut archived = HashMap::with_capacity(executions);
+        for (env, execs) in envs {
+            for exec in execs {
+                let key = Pairing::new(env, exec.size, exec.completion, &exec.completed);
+                archived.entry(key).or_insert(&exec.completed);
+            }
+        }
+        let shared: Vec<(u64, Arc<TimeSeries>)> = (self.live.sorted().into_iter())
+            .filter_map(|(&bot, rec)| {
+                let key = Pairing::new(&rec.env, rec.size, rec.completion?, &rec.completed);
+                Some((bot, Arc::clone(archived.get(&key)?)))
+            })
+            .collect();
+        for (bot, series) in shared {
+            if let Some(rec) = self.live.get_mut(&bot) {
+                rec.completed = series;
+            }
+        }
+    }
+}
+
+/// What pairs a completed record with its archived execution: equal
+/// environment, size, completion time and points, compared by their
+/// bits. Hashed by the length and the first, middle and last points
+/// only, so building and probing the map reads a few words of each
+/// series: the match stays linear unless many executions of one
+/// environment agree on all of those and differ elsewhere.
+struct Pairing<'a> {
+    /// Environment, size, completion time, length, and the first, middle
+    /// and last points.
+    head: (&'a str, u32, SimTime, usize, [Option<Bits>; 3]),
+    series: &'a TimeSeries,
+}
+
+/// A point as `(t_ms, value bits)`.
+type Bits = (u64, u64);
+
+impl<'a> Pairing<'a> {
+    fn new(env: &'a str, size: u32, completion: SimTime, series: &'a TimeSeries) -> Self {
+        let (points, len) = (series.points(), series.len());
+        let probe = |i: usize| points.get(i).map(point_bits);
+        let probes = [probe(0), probe(len / 2), probe(len.wrapping_sub(1))];
+        Pairing {
+            head: (env, size, completion, len, probes),
+            series,
+        }
+    }
+}
+
+fn point_bits(&(t, v): &(SimTime, f64)) -> Bits {
+    (t.as_millis(), v.to_bits())
+}
+
+impl PartialEq for Pairing<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |p: &Self| p.series.points().iter().map(point_bits);
+        self.head == other.head && bits(self).eq(bits(other))
+    }
+}
+
+impl Eq for Pairing<'_> {}
+
+impl Hash for Pairing<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.head.hash(h);
     }
 }
 
@@ -204,6 +294,68 @@ mod tests {
         // Double-completion is idempotent.
         info.mark_complete(bot, SimTime::from_secs(700));
         assert_eq!(info.history("nd/BOINC/BIG").len(), 1);
+    }
+
+    /// A store with one BoT of `env` sampled at 0, 60 and 120 s, then
+    /// completed.
+    fn completed(env: &str) -> Information {
+        let mut info = Information::new();
+        let bot = BotId(3);
+        info.register(bot, env, 100, SimTime::ZERO);
+        info.sample(bot, &progress(0, 0, 40));
+        info.sample(bot, &progress(60, 40, 90));
+        info.sample(bot, &progress(120, 100, 100));
+        info.mark_complete(bot, SimTime::from_secs(120));
+        info
+    }
+
+    fn shared(info: &Information, bot: BotId) -> bool {
+        let rec = info.record(bot).expect("registered");
+        let exec = &info.history(&rec.env)[0];
+        Arc::ptr_eq(&rec.completed, &exec.completed)
+    }
+
+    #[test]
+    fn completion_shares_the_series_with_the_archive() {
+        let info = completed("seti/BOINC/BIG");
+        assert!(shared(&info, BotId(3)));
+        assert_eq!(info.history("seti/BOINC/BIG")[0].completed.len(), 3);
+    }
+
+    #[test]
+    fn a_sample_after_completion_leaves_the_archive_as_it_was() {
+        let mut info = completed("seti/BOINC/BIG");
+        info.sample(BotId(3), &progress(180, 100, 100));
+        assert!(!shared(&info, BotId(3)));
+        let rec = info.record(BotId(3)).expect("registered");
+        let exec = &info.history("seti/BOINC/BIG")[0];
+        assert_eq!(rec.completed.len(), 4);
+        assert_eq!(exec.completed.points(), &rec.completed.points()[..3]);
+        assert_eq!(exec.tc(1.0), Some(SimTime::from_secs(120)));
+    }
+
+    #[test]
+    fn series_equal_bit_for_bit_are_shared_again() {
+        // Un-share by hand, as a restore leaves them: equal bits share.
+        let mut info = completed("env");
+        let exec = &mut info.archive.get_mut("env").expect("archived")[0];
+        exec.completed = Arc::new(TimeSeries::clone(&exec.completed));
+        assert!(!shared(&info, BotId(3)));
+        info.share_completed_series();
+        assert!(shared(&info, BotId(3)));
+
+        // `-0.0 == 0.0`, but a series holding one is not the other's.
+        let exec = &mut info.archive.get_mut("env").expect("archived")[0];
+        let mut signed = TimeSeries::new();
+        for &(t, v) in exec.completed.points() {
+            signed.push(t, if v == 0.0 { -0.0 } else { v });
+        }
+        exec.completed = Arc::new(signed);
+        let rec = info.record(BotId(3)).expect("registered");
+        let exec = &info.history("env")[0];
+        assert_eq!(rec.completed.points(), exec.completed.points());
+        info.share_completed_series();
+        assert!(!shared(&info, BotId(3)));
     }
 
     #[test]

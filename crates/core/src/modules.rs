@@ -255,6 +255,7 @@ impl InfoBackend for Information {
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
         *self = Stored::load(r, "info")?;
+        self.share_completed_series();
         Ok(())
     }
 }

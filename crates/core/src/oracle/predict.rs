@@ -110,7 +110,7 @@ mod tests {
         s.push(SimTime::from_secs(linear_span), 0.9 * size as f64);
         s.push(SimTime::from_secs(completion), size as f64);
         ArchivedExecution {
-            completed: s,
+            completed: s.into(),
             size,
             completion: SimTime::from_secs(completion),
         }

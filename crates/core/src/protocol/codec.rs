@@ -33,6 +33,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
 
 /// Batch nesting depth both decoders accept (PROTOCOL.md §5.3, §8).
 /// The service rejects any nested batch at dispatch, but a decoder must
@@ -951,6 +952,17 @@ impl Stored for TimeSeries {
             .ok_or("series must be an array")?
             .map_err(|(_, e)| e)?;
         Ok(series)
+    }
+}
+
+/// A shared series, as the series: each holder writes its own copy, and
+/// each reads back its own ([`crate::Information`] shares them again).
+impl Stored for Arc<TimeSeries> {
+    fn store(&self, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        TimeSeries::store(self, w, key)
+    }
+    fn load(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        TimeSeries::load(r, key).map(Arc::new)
     }
 }
 

@@ -319,10 +319,11 @@ pub fn restore_state(template: SpeQuloS, state: &Value) -> Result<SpeQuloS, Snap
 mod tests {
     use super::*;
     use crate::oracle::Trigger;
-    use crate::protocol::{Request, SpqService};
+    use crate::protocol::{Request, Response, SpqService};
     use crate::UserId;
     use botwork::BotId;
     use simcore::{SimDuration, SimTime};
+    use std::sync::Arc;
 
     fn exercised_service() -> SpeQuloS {
         // Drive a pooled service through every state-bearing code path:
@@ -434,6 +435,96 @@ mod tests {
         );
     }
 
+    /// Whether BoT `bot`'s live completed series is its archived one.
+    fn shares_series(spq: &SpeQuloS, bot: u64) -> bool {
+        let rec = spq.info().record(BotId(bot)).expect("registered");
+        (spq.info().history(&rec.env).iter())
+            .any(|exec| Arc::ptr_eq(&exec.completed, &rec.completed))
+    }
+
+    fn template() -> SpeQuloS {
+        SpeQuloS::builder()
+            .pool(2)
+            .tick(SimDuration::from_mins(1))
+            .build()
+    }
+
+    #[test]
+    fn restore_shares_each_completed_series_again() {
+        let mut service = exercised_service();
+        // BoT 1 completes, then reports once more: its live series no
+        // longer is the archived one.
+        let now = SimTime::from_mins(32);
+        service.handle(Request::Complete { bot: BotId(1) }, now);
+        let progress = crate::BotProgress {
+            now,
+            size: 10,
+            completed: 10,
+            dispatched: 10,
+            queued: 0,
+            running: 0,
+            cloud_running: 0,
+        };
+        let report = Request::ReportProgress {
+            bot: BotId(1),
+            progress,
+        };
+        assert!(!matches!(service.handle(report, now), Response::Error(_)));
+        assert!(shares_series(&service, 0) && !shares_series(&service, 1));
+
+        let text = encode_state_json(&service).expect("encode");
+        let restored = restore_state_json(template(), &text).expect("restore");
+        assert!(shares_series(&restored, 0), "equal series share again");
+        assert!(
+            !shares_series(&restored, 1),
+            "a later sample keeps them apart"
+        );
+        let archived = &restored.info().history("env-1")[0].completed;
+        assert_eq!(
+            archived.len() + 1,
+            restored.info().record(BotId(1)).unwrap().completed.len()
+        );
+        assert_eq!(encode_state_json(&restored).expect("re-encode"), text);
+    }
+
+    #[test]
+    fn restore_keeps_a_signed_zero_apart() {
+        // BoT 0's archived series, its first point `-0.0` instead of `0.0`:
+        // equal under `==`, different bits, so not shared after a restore,
+        // and each written back as it was.
+        let mut service = exercised_service();
+        let mut info = Information::new();
+        info.register(BotId(0), "env", 10, SimTime::ZERO);
+        for (t, done) in [(0, 0), (60, 10)] {
+            let progress = crate::BotProgress {
+                now: SimTime::from_secs(t),
+                size: 10,
+                completed: done,
+                dispatched: 10,
+                queued: 0,
+                running: 10 - done,
+                cloud_running: 0,
+            };
+            info.sample(BotId(0), &progress);
+        }
+        info.mark_complete(BotId(0), SimTime::from_secs(60));
+        let exec = &mut info.archive.get_mut("env").expect("archived")[0];
+        let mut signed = simcore::TimeSeries::new();
+        signed.push(SimTime::ZERO, -0.0);
+        signed.push(SimTime::from_secs(60), 10.0);
+        exec.completed = Arc::new(signed);
+        service.info = Box::new(info);
+
+        let text = encode_state_json(&service).expect("encode");
+        assert!(
+            text.contains("[0.0,-0.0]") && text.contains("[0.0,0.0]"),
+            "{text}"
+        );
+        let restored = restore_state_json(template(), &text).expect("restore");
+        assert!(!shares_series(&restored, 0));
+        assert_eq!(encode_state_json(&restored).expect("re-encode"), text);
+    }
+
     #[test]
     fn config_mismatch_is_typed() {
         let service = exercised_service();
@@ -505,7 +596,7 @@ mod tests {
                 let mut info = Information::new();
                 info.register(BotId(0), "env", 10, SimTime::ZERO);
                 if let Some(record) = info.live.get_mut(&0) {
-                    record.completed.push(SimTime::ZERO, f64::INFINITY);
+                    Arc::make_mut(&mut record.completed).push(SimTime::ZERO, f64::INFINITY);
                 }
                 spq.info = Box::new(info);
             }),

@@ -10,17 +10,20 @@ use crate::runner::ExecutionMetrics;
 use simcore::SimTime;
 use spequlos::info::ArchivedExecution;
 use spequlos::oracle::{historical_success_rate, learn_alpha};
+use std::sync::Arc;
 
 /// Converts completed runs into the Information module's archive format.
 pub fn archive_of(runs: &[ExecutionMetrics]) -> Vec<ArchivedExecution> {
-    runs.iter()
-        .filter(|m| m.completed)
-        .map(|m| ArchivedExecution {
-            completed: m.completed_series.clone(),
-            size: m.bot_size,
-            completion: SimTime::from_secs_f64(m.completion_secs),
-        })
-        .collect()
+    runs.iter().filter(|m| m.completed).map(archived).collect()
+}
+
+/// A completed run as the Information module archives it.
+fn archived(m: &ExecutionMetrics) -> ArchivedExecution {
+    ArchivedExecution {
+        completed: Arc::new(m.completed_series.clone()),
+        size: m.bot_size,
+        completion: SimTime::from_secs_f64(m.completion_secs),
+    }
 }
 
 /// Success rate of predictions made at completion ratio `r` over a set of
@@ -44,16 +47,14 @@ pub fn prediction_outcomes(runs: &[ExecutionMetrics], r: f64) -> (u32, u32) {
     use spequlos::oracle::{prediction_successful, raw_estimate};
     use std::collections::BTreeMap;
 
-    let mut by_env: BTreeMap<&str, Vec<&ExecutionMetrics>> = BTreeMap::new();
+    let mut by_env: BTreeMap<&str, Vec<ArchivedExecution>> = BTreeMap::new();
     for m in runs.iter().filter(|m| m.completed) {
-        by_env.entry(&m.env).or_default().push(m);
+        by_env.entry(&m.env).or_default().push(archived(m));
     }
     let (mut ok, mut total) = (0u32, 0u32);
-    for group in by_env.values() {
-        let owned: Vec<ExecutionMetrics> = group.iter().map(|m| (*m).clone()).collect();
-        let archive = archive_of(&owned);
-        let alpha = learn_alpha(&archive, r);
-        for exec in &archive {
+    for archive in by_env.values() {
+        let alpha = learn_alpha(archive, r);
+        for exec in archive {
             let Some(tc) = exec.tc(r) else { continue };
             let Some(raw) = raw_estimate(tc.as_secs_f64(), r) else {
                 continue;

@@ -14,13 +14,17 @@
 //! A durable server also logs every request before it answers: staging
 //! a record into the write-ahead log's buffer and committing it must not
 //! touch the heap either.
+//!
+//! The same allocator keeps this thread's live heap bytes, which is what
+//! a finished BoT session leaves behind in the service: completing a BoT
+//! must archive its progress history without copying it.
 
 use botwork::BotId;
 use simcore::SimTime;
 use spequlos::oracle::Prediction;
-use spequlos::protocol::{Request, RequestError, Response};
+use spequlos::protocol::{Request, RequestError, Response, SpqService};
 use spequlos::wal::{FsyncPolicy, WalStore};
-use spequlos::{BotProgress, CloudAction, CreditError, UserId};
+use spequlos::{BotProgress, CloudAction, CreditError, SpeQuloS, StrategyCombo, UserId};
 use spq_server::conn::{Conn, Decoded};
 use spq_server::frame::{hello_line, write_frame, Codec};
 use spq_server::{binary, RequestEnvelope, ResponseEnvelope, ServerConfig};
@@ -31,6 +35,13 @@ use std::io::{self, Read};
 thread_local! {
     /// Allocations made by this thread (reallocations included).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed (a reallocation
+    /// is an allocation and a free).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add_live(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
@@ -44,11 +55,13 @@ unsafe impl GlobalAlloc for Counting {
     // spq-lint: allow(unsafe-outside-polling) — one of the two methods `GlobalAlloc` requires; it counts, then forwards
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        add_live(layout.size() as i64);
         System.alloc(layout)
     }
 
-    // spq-lint: allow(unsafe-outside-polling) — the other method `GlobalAlloc` requires; it only forwards
+    // spq-lint: allow(unsafe-outside-polling) — the other method `GlobalAlloc` requires; it counts the freed bytes, then forwards
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -58,6 +71,10 @@ static COUNTING: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// A non-blocking source: hands out what it holds, then would block —
@@ -279,4 +296,96 @@ fn steady_state_records_allocate_nothing_in_the_write_ahead_log() {
     );
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `sessions` BoT sessions shaped like the benchmark's `wire_bin`
+/// traffic through `SpeQuloS::handle`: register, deposit, order, 60
+/// monitoring ticks with a `Predict` after every 16th, complete; eight
+/// sessions share an environment. Returns the mean live-byte growth of a
+/// `Complete`, the mean live bytes a session leaves behind, and the byte
+/// size of one completed series.
+fn leftover_of_sessions(sessions: u64) -> (f64, f64, usize) {
+    const SIZE: u32 = 1_000;
+    let mut spq = SpeQuloS::new();
+    let ok = |spq: &mut SpeQuloS, request: Request, ms: u64| {
+        let response = spq.handle(request, SimTime::from_millis(ms));
+        assert!(!matches!(response, Response::Error(_)), "{response:?}");
+        response
+    };
+    let user = UserId(1);
+    let (mut completing, mut series_bytes) = (0, 0);
+    let before = live_bytes();
+    for s in 0..sessions {
+        let start = s * 1_000;
+        let env = format!("bench/c0/g{}", s / 8);
+        let Response::Registered { bot } = ok(
+            &mut spq,
+            Request::RegisterQos {
+                user,
+                env,
+                size: SIZE,
+            },
+            start,
+        ) else {
+            panic!("registration refused");
+        };
+        let credits = 50.0 + (s % 100) as f64 * 0.5;
+        ok(&mut spq, Request::Deposit { user, credits }, start);
+        let strategy = Some(StrategyCombo::paper_default());
+        ok(
+            &mut spq,
+            Request::OrderQos {
+                bot,
+                credits,
+                strategy,
+            },
+            start,
+        );
+        let mut completed = 0;
+        for tick in 1..=60u32 {
+            let now = start + u64::from(tick) * 60_000;
+            let jitter = (s as u32 + tick * 7) % 8;
+            completed = (SIZE * tick / 60).saturating_sub(jitter).max(completed);
+            if tick == 60 {
+                completed = SIZE;
+            }
+            let running = ((s as u32 + tick * 13) % 50).min(SIZE - completed);
+            let progress = BotProgress {
+                now: SimTime::from_millis(now),
+                size: SIZE,
+                completed,
+                dispatched: completed + running,
+                queued: SIZE - completed - running,
+                running,
+                cloud_running: 0,
+            };
+            ok(&mut spq, Request::ReportProgress { bot, progress }, now);
+            if tick % 16 == 0 {
+                ok(&mut spq, Request::Predict { bot }, now + 1_000);
+            }
+        }
+        let at_complete = live_bytes();
+        ok(&mut spq, Request::Complete { bot }, start + 61 * 60_000);
+        completing += live_bytes() - at_complete;
+        let record = spq.info().record(bot).expect("registered");
+        series_bytes = std::mem::size_of_val(record.completed.points());
+    }
+    let per = |bytes: i64| bytes as f64 / sessions as f64;
+    (per(completing), per(live_bytes() - before), series_bytes)
+}
+
+#[test]
+fn completing_a_bot_does_not_copy_its_series() {
+    let sessions = 2_000;
+    let (complete, session, series) = leftover_of_sessions(sessions);
+    println!(
+        "{sessions} sessions: {session:.0} live bytes left per completed session, \
+         {complete:.0} per `Complete`, completed series {series} bytes"
+    );
+    assert!(series > 0);
+    assert!(
+        complete < series as f64,
+        "a `Complete` grows the live heap by {complete:.0} B on average, \
+         no less than the {series} B series it archives: it is copied"
+    );
 }
