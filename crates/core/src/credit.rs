@@ -165,11 +165,6 @@ impl CreditSystem {
         Ok(billed)
     }
 
-    /// Bills `cpu_hours` of cloud worker usage at the fixed exchange rate.
-    pub fn bill_cpu_hours(&mut self, bot: BotId, cpu_hours: f64) -> Result<f64, CreditError> {
-        self.bill(bot, cpu_hours * CREDITS_PER_CPU_HOUR)
-    }
-
     /// Closes the order (the `pay` call of Fig. 3): remaining credits are
     /// transferred back to the user. Returns the refund.
     pub fn pay(&mut self, bot: BotId) -> Result<f64, CreditError> {
@@ -181,19 +176,6 @@ impl CreditSystem {
         let refund = (order.provisioned - order.spent).max(0.0);
         *self.accounts.entry(order.user.0).or_insert(0.0) += refund;
         Ok(refund)
-    }
-
-    /// Open (not yet paid) orders as `(bot, user, remaining)`, sorted by
-    /// BoT id.
-    pub fn open_orders(&self) -> Vec<(BotId, UserId, f64)> {
-        let mut v: Vec<(BotId, UserId, f64)> = self
-            .orders
-            .iter()
-            .filter(|(_, o)| !o.closed)
-            .map(|(&b, o)| (BotId(b), o.user, (o.provisioned - o.spent).max(0.0)))
-            .collect();
-        v.sort_by_key(|(b, _, _)| b.0);
-        v
     }
 
     /// Credits remaining over every open order — the multi-tenant
@@ -337,7 +319,7 @@ mod tests {
         assert!(cs.has_credits(B));
         assert_eq!(cs.remaining(B), 600.0);
         // Bill 2 CPU·hours = 30 credits.
-        let billed = cs.bill_cpu_hours(B, 2.0).expect("open order");
+        let billed = cs.bill(B, 2.0 * CREDITS_PER_CPU_HOUR).expect("open order");
         assert_eq!(billed, 30.0);
         assert_eq!(cs.spent(B), 30.0);
         // Pay: 570 refunded.
@@ -442,18 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn open_orders_sorted_and_filtered() {
+    fn closed_orders_leave_the_open_count_and_remaining() {
         let mut cs = CreditSystem::new();
         cs.deposit(U, 100.0);
         for id in [9u64, 3, 7] {
             cs.order_qos(BotId(id), U, 10.0).unwrap();
         }
         cs.pay(BotId(7)).unwrap();
-        let open = cs.open_orders();
-        let ids: Vec<u64> = open.iter().map(|(b, _, _)| b.0).collect();
-        assert_eq!(ids, vec![3, 9], "sorted by BoT id, closed orders gone");
-        assert_eq!(cs.open_order_count(), 2);
-        assert!(open.iter().all(|&(_, u, r)| u == U && r == 10.0));
+        assert_eq!(cs.open_order_count(), 2, "closed order gone");
+        assert_eq!(cs.open_remaining(), 20.0);
     }
 
     #[test]

@@ -152,18 +152,6 @@ impl Information {
         self.archive.get(env).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Injects a pre-recorded execution into the archive (used to bootstrap
-    /// the learning phase from external history, as the paper does when it
-    /// "assumes perfect knowledge of the history", §4.3.3).
-    pub fn archive_execution(&mut self, env: &str, exec: ArchivedExecution) {
-        self.archive.entry(env.to_string()).or_default().push(exec);
-    }
-
-    /// Number of BoTs currently monitored.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Makes each completed live record share its series with its
     /// archived execution again, as [`Information::mark_complete`] left
     /// them: a restored store holds each history once, like the one that

@@ -50,7 +50,6 @@
 pub mod credit;
 pub mod info;
 pub mod metrics;
-pub mod modules;
 pub mod oracle;
 pub mod progress;
 pub mod protocol;
@@ -68,14 +67,13 @@ pub use metrics::{
     ideal_time, speedup, tail_removal_efficiency, tail_slowdown, tail_stats, TailStats,
     IDEAL_FRACTION,
 };
-pub use modules::{InfoBackend, OracleStrategy, SchedulingPolicy};
 pub use oracle::{
     learn_alpha, prediction_successful, DeployMode, Oracle, Prediction, Provisioning,
     StrategyCombo, Trigger, PREDICTION_TOLERANCE,
 };
 pub use progress::BotProgress;
 pub use protocol::{Request, RequestError, Response, SpqService};
-pub use scheduler::{CloudAction, GreedyUntilTc, Scheduler};
+pub use scheduler::{CloudAction, GreedyUntilTc, Scheduler, SchedulingPolicy};
 pub use service::{LogEvent, SpeQuloS, SpeQuloSBuilder};
 pub use snapshot::{encode_state, encode_state_json, restore_state, SnapshotError};
 pub use tenancy::{

@@ -175,59 +175,6 @@ impl Oracle {
     }
 }
 
-/// The Oracle is the default [`crate::OracleStrategy`]: it honors the
-/// per-BoT [`StrategyCombo`] exactly as §3.4–3.5 specify.
-impl crate::modules::OracleStrategy for Oracle {
-    fn should_start_cloud(
-        &mut self,
-        bot: BotId,
-        record: &BotRecord,
-        now: SimTime,
-        trigger: Trigger,
-    ) -> bool {
-        Oracle::should_start_cloud(self, bot, record, now, trigger)
-    }
-
-    fn workers_to_start(
-        &self,
-        record: &BotRecord,
-        now: SimTime,
-        provisioning: Provisioning,
-        credits_remaining: f64,
-    ) -> u32 {
-        Oracle::workers_to_start(self, record, now, provisioning, credits_remaining)
-    }
-
-    fn predict(
-        &self,
-        record: &BotRecord,
-        history: &[crate::info::ArchivedExecution],
-        now: SimTime,
-    ) -> Option<Prediction> {
-        Oracle::predict_completion(record, history, now)
-    }
-
-    fn forget(&mut self, bot: BotId) {
-        Oracle::forget(self, bot);
-    }
-
-    fn clone_box(&self) -> Box<dyn crate::modules::OracleStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn snapshot_state(
-        &self,
-        w: &mut simcore::json::Writer<'_>,
-    ) -> Result<(), crate::SnapshotError> {
-        crate::protocol::codec::Stored::store(self, w, "oracle")
-    }
-
-    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::protocol::codec::Stored::load(r, "oracle")?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,15 +38,6 @@ impl BotProgress {
         }
     }
 
-    /// Dispatched (cumulatively assigned) fraction of the BoT.
-    pub fn assignment_ratio(&self) -> f64 {
-        if self.size == 0 {
-            0.0
-        } else {
-            self.dispatched as f64 / self.size as f64
-        }
-    }
-
     /// True once every task has completed.
     pub fn is_complete(&self) -> bool {
         self.size > 0 && self.completed >= self.size
@@ -73,7 +64,6 @@ mod tests {
     fn ratios() {
         let p = sample(90, 180);
         assert!((p.completion_ratio() - 0.45).abs() < 1e-12);
-        assert!((p.assignment_ratio() - 0.9).abs() < 1e-12);
         assert!(!p.is_complete());
         assert!(sample(200, 200).is_complete());
     }

@@ -1115,6 +1115,19 @@ impl<T: Stored> Kind<Option<T>> for Nullable {
     }
 }
 
+/// A module's state, stored as its type says, its errors under
+/// ``<key> module:``.
+pub(crate) struct Module;
+
+impl<T: Stored> Kind<T> for Module {
+    fn store(&self, v: &T, w: &mut Writer<'_>, key: &'static str) -> Result<(), SnapshotError> {
+        v.store(w, key)
+    }
+    fn load(&self, r: &mut Reader<'_>, key: &str) -> Result<T, String> {
+        T::load(r, key).map_err(|e| format!("{key} module: {e}"))
+    }
+}
+
 /// A map a snapshot stores, hashed or ordered: written in key order.
 pub(crate) trait Map: FromIterator<(Self::K, Self::V)> {
     type K: Stored + Ord + Hash + Clone + fmt::Display;
@@ -1226,10 +1239,16 @@ pub(crate) fn module_tag(r: &mut Reader<'_>, tag: &str) -> Result<(), String> {
     }
 }
 
-/// What restoring module `name` in place came to.
-pub(crate) fn restored(module: Option<Result<(), String>>, name: &str) -> Result<(), String> {
-    let module = module.ok_or_else(|| format!("missing `{name}`"))?;
-    module.map_err(|e| format!("{name} module: {e}"))
+/// What restoring the policy `name` in place came to, a decode error
+/// under ``<name> module:``.
+pub(crate) fn restored(
+    policy: Option<Result<(), SnapshotError>>,
+    name: &str,
+) -> Result<(), SnapshotError> {
+    match policy.ok_or_else(|| format!("missing `{name}`"))? {
+        Err(SnapshotError::Decode(e)) => Err(format!("{name} module: {e}").into()),
+        verdict => verdict,
+    }
 }
 
 /// A type a snapshot stores, declared once: `Type { field, … }`, or
@@ -1240,9 +1259,10 @@ pub(crate) fn restored(module: Option<Result<(), String>>, name: &str) -> Result
 /// wins, unknown ones are skipped, and the fields are judged in order
 /// once it is closed.
 ///
-/// `Type in place { … } modules { … }` is the service: its fields are
-/// restored into it, and the listed modules write and restore themselves
-/// through their seams, their errors under ``<name> module:``.
+/// `Type in place { … } policy p` is the service: its fields are
+/// restored into it, and its scheduling policy `p` writes and restores
+/// itself through [`crate::SchedulingPolicy`], judged before the fields
+/// so that a policy of another configuration is reported as such.
 macro_rules! stored {
     (@kind) => { Plain };
     (@kind $kind:expr) => { $kind };
@@ -1290,7 +1310,7 @@ macro_rules! stored {
             }
         };
     };
-    ($ty:ident in place { $($f:ident $(= $kind:expr)?),* $(,)? } modules { $($m:ident),* }) => {
+    ($ty:ident in place { $($f:ident $(= $kind:expr)?),* $(,)? } policy $p:ident) => {
         const _: () = {
             use $crate::protocol::codec::*;
             use $crate::snapshot::SnapshotError;
@@ -1299,27 +1319,26 @@ macro_rules! stored {
                 /// Writes the members into the object `w` has open.
                 fn store_members(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
                     $crate::protocol::codec::stored!(@store self, w, $($f $(= $kind)?),*);
-                    $(self.$m.snapshot_state(w.key(stringify!($m)))?;)*
-                    Ok(())
+                    self.$p.snapshot_state(w.key(stringify!($p)))
                 }
 
                 /// Restores the members of the object `r` stands at: the
-                /// modules as they are read, the rest once it is closed.
+                /// policy as it is read, the rest once it is closed.
                 /// Members it does not own go to `extra`.
                 fn restore_members<'a>(
                     &mut self,
                     r: &mut Reader<'a>,
                     extra: Extra<'_, 'a>,
-                ) -> Result<(), String> {
+                ) -> Result<(), SnapshotError> {
                     $(let mut $f = None;)*
-                    $(let mut $m = None;)*
+                    let mut $p = None;
                     read_members(r, [], |key, r| {
                         $($crate::protocol::codec::stored!(@load r, key, $f $(= $kind)?) ||)*
-                        $((key == stringify!($m) && first(&mut $m, || self.$m.restore_state(r))) ||)*
+                        (key == stringify!($p) && first(&mut $p, || self.$p.restore_state(r))) ||
                         extra(key, r)
                     });
+                    restored($p, stringify!($p))?;
                     $(self.$f = $crate::protocol::codec::stored!(@absent $f $(= $kind)?);)*
-                    $(restored($m, stringify!($m))?;)*
                     Ok(())
                 }
             }

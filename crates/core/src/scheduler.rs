@@ -7,11 +7,15 @@
 //! or the credits run out.
 
 use crate::credit::{CreditSystem, CREDITS_PER_CPU_HOUR};
-use crate::modules::{InfoBackend, OracleStrategy, SchedulingPolicy};
-use crate::oracle::{Provisioning, StrategyCombo};
+use crate::info::Information;
+use crate::oracle::{Oracle, Provisioning, StrategyCombo};
 use crate::progress::BotProgress;
+use crate::protocol::{codec::Stored, read_members};
+use crate::snapshot::SnapshotError;
 use botwork::BotId;
+use simcore::json::{Reader, Writer};
 use simcore::{IdMap, IdSet, SimDuration};
+use std::fmt::Debug;
 
 /// Action the Scheduler orders after a monitoring tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +28,90 @@ pub enum CloudAction {
     StopAll,
 }
 
+/// The Scheduler-module seam (§3.6): one monitoring period for one BoT.
+///
+/// A policy receives the collaborating modules exactly as Fig. 3 draws the
+/// arrows — it reads progress from the [`Information`] module, consults
+/// the [`Oracle`], and bills the [`CreditSystem`] — and answers with a
+/// [`CloudAction`]. Two policies ship: the paper's [`Scheduler`]
+/// (Algorithms 1 & 2) and the deadline-aware [`GreedyUntilTc`].
+///
+/// Policies require `Debug + Send` and provide `clone_box`, so the boxed
+/// policy keeps the service `Clone + Debug` (harness reports carry the
+/// final service state by value) and `Send` (the `spq-server` dispatch
+/// loop owns the service on its own thread).
+pub trait SchedulingPolicy: Debug + Send {
+    /// One scheduling period: billing followed by the provisioning
+    /// decision. `tick_hours` is the billing granularity.
+    // One parameter per collaborating module (Fig. 3); bundling them into
+    // a context struct would only obscure the Algorithm 1/2 call shape.
+    #[allow(clippy::too_many_arguments)]
+    fn tick(
+        &mut self,
+        bot: BotId,
+        progress: &BotProgress,
+        info: &Information,
+        oracle: &mut Oracle,
+        credits: &mut CreditSystem,
+        strategy: StrategyCombo,
+        tick_hours: f64,
+    ) -> CloudAction;
+
+    /// Whether the fleet has been provisioned for this BoT.
+    fn cloud_started(&self, bot: BotId) -> bool;
+
+    /// Clears the fleet-started flag so a later tick re-evaluates the
+    /// provisioning decision. Used by the multi-tenant arbiter whenever a
+    /// `Start` was granted only partially or not at all (shared pool
+    /// contended): without the reset the paper's size-the-fleet-once rule
+    /// would turn a transient denial into permanent starvation, and a
+    /// partial grant into a permanently undersized fleet even after other
+    /// tenants return capacity.
+    fn reset_start(&mut self, bot: BotId);
+
+    /// Drops per-BoT state after completion.
+    fn forget(&mut self, bot: BotId);
+
+    /// Boxed clone.
+    fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
+
+    /// Writes the policy's state, one JSON value, into a durability
+    /// snapshot ([`crate::snapshot`]).
+    fn snapshot_state(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError>;
+
+    /// Restores [`SchedulingPolicy::snapshot_state`]'s value from `r`,
+    /// consuming exactly that value whatever it returns.
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError>;
+}
+
+impl Clone for Box<dyn SchedulingPolicy> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+/// The snapshot tags of the policies this crate ships.
+const POLICIES: [&str; 2] = ["scheduler", "greedy_until_tc"];
+
+/// Loads policy `P`, whose snapshot tag is `tag`, from the value `r`
+/// stands at. A value tagged as the other shipped policy was written by
+/// a service of another configuration, not corrupted: replaying the log
+/// under this policy instead would silently diverge, so it is a
+/// [`SnapshotError::ConfigMismatch`]. The tag is looked up only when
+/// loading failed.
+fn restore_policy<P: Stored>(r: &mut Reader<'_>, tag: &str) -> Result<P, SnapshotError> {
+    let mut value = r.clone();
+    P::load(r, "scheduler").map_err(|e| {
+        match read_members(&mut value, ["module"], |_, _| false).str("module") {
+            Ok(found) if found != tag && POLICIES.contains(&found) => {
+                let msg = format!("snapshot scheduling policy `{found}` vs template `{tag}`");
+                SnapshotError::ConfigMismatch(msg)
+            }
+            _ => SnapshotError::Decode(e),
+        }
+    })
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BotSchedState {
     /// The trigger fired and the fleet was sized; the paper's strategies
@@ -31,13 +119,12 @@ pub(crate) struct BotSchedState {
     pub(crate) cloud_started: bool,
 }
 
-/// The Scheduler module.
+/// The Scheduler module: the paper's [`SchedulingPolicy`].
 #[derive(Clone, Debug, Default)]
 pub struct Scheduler {
     pub(crate) state: IdMap<BotSchedState>,
     /// Allow re-provisioning on later ticks if workers stopped while
-    /// credits remain (off by default: the paper sizes the fleet once;
-    /// used by ablation experiments).
+    /// credits remain (off by default: the paper sizes the fleet once).
     pub allow_topup: bool,
 }
 
@@ -46,23 +133,17 @@ impl Scheduler {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// One scheduling period for one BoT: Algorithm 2's billing followed
-    /// by Algorithm 1's provisioning decision.
-    ///
-    /// `tick_hours` is the period length in hours (billing granularity).
-    /// The Information and Oracle modules come in behind their seams
-    /// ([`InfoBackend`] / [`OracleStrategy`]); concrete
-    /// [`crate::Information`] / [`crate::Oracle`] references coerce.
-    // One parameter per collaborating module (Fig. 3); bundling them into
-    // a context struct would only obscure the Algorithm 1/2 call shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick(
+impl SchedulingPolicy for Scheduler {
+    /// Algorithm 2's billing followed by Algorithm 1's provisioning
+    /// decision.
+    fn tick(
         &mut self,
         bot: BotId,
         progress: &BotProgress,
-        info: &dyn InfoBackend,
-        oracle: &mut dyn OracleStrategy,
+        info: &Information,
+        oracle: &mut Oracle,
         credits: &mut CreditSystem,
         strategy: StrategyCombo,
         tick_hours: f64,
@@ -108,75 +189,33 @@ impl Scheduler {
         CloudAction::Start(delta)
     }
 
-    /// Whether the fleet has been provisioned for this BoT.
-    pub fn cloud_started(&self, bot: BotId) -> bool {
+    fn cloud_started(&self, bot: BotId) -> bool {
         self.state
             .get(&bot.0)
             .map(|s| s.cloud_started)
             .unwrap_or(false)
     }
 
-    /// Clears the fleet-started flag so a later tick re-evaluates the
-    /// provisioning decision. Used by the multi-tenant arbiter whenever a
-    /// `Start` was granted only partially or not at all (shared pool
-    /// contended): without the reset the paper's size-the-fleet-once rule
-    /// would turn a transient denial into permanent starvation, and a
-    /// partial grant into a permanently undersized fleet even after other
-    /// tenants return capacity.
-    pub fn reset_start(&mut self, bot: BotId) {
+    fn reset_start(&mut self, bot: BotId) {
         if let Some(s) = self.state.get_mut(&bot.0) {
             s.cloud_started = false;
         }
     }
 
-    /// Drops per-BoT state after completion.
-    pub fn forget(&mut self, bot: BotId) {
-        self.state.remove(&bot.0);
-    }
-}
-
-/// The paper's Scheduler is the default [`SchedulingPolicy`].
-impl SchedulingPolicy for Scheduler {
-    fn tick(
-        &mut self,
-        bot: BotId,
-        progress: &BotProgress,
-        info: &dyn InfoBackend,
-        oracle: &mut dyn OracleStrategy,
-        credits: &mut CreditSystem,
-        strategy: StrategyCombo,
-        tick_hours: f64,
-    ) -> CloudAction {
-        Scheduler::tick(
-            self, bot, progress, info, oracle, credits, strategy, tick_hours,
-        )
-    }
-
-    fn cloud_started(&self, bot: BotId) -> bool {
-        Scheduler::cloud_started(self, bot)
-    }
-
-    fn reset_start(&mut self, bot: BotId) {
-        Scheduler::reset_start(self, bot);
-    }
-
     fn forget(&mut self, bot: BotId) {
-        Scheduler::forget(self, bot);
+        self.state.remove(&bot.0);
     }
 
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(
-        &self,
-        w: &mut simcore::json::Writer<'_>,
-    ) -> Result<(), crate::SnapshotError> {
-        crate::protocol::codec::Stored::store(self, w, "scheduler")
+    fn snapshot_state(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        self.store(w, "scheduler")
     }
 
-    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::protocol::codec::Stored::load(r, "scheduler")?;
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        *self = restore_policy(r, "scheduler")?;
         Ok(())
     }
 }
@@ -229,8 +268,8 @@ impl SchedulingPolicy for GreedyUntilTc {
         &mut self,
         bot: BotId,
         progress: &BotProgress,
-        info: &dyn InfoBackend,
-        oracle: &mut dyn OracleStrategy,
+        info: &Information,
+        oracle: &mut Oracle,
         credits: &mut CreditSystem,
         _strategy: StrategyCombo,
         tick_hours: f64,
@@ -301,15 +340,12 @@ impl SchedulingPolicy for GreedyUntilTc {
         Box::new(self.clone())
     }
 
-    fn snapshot_state(
-        &self,
-        w: &mut simcore::json::Writer<'_>,
-    ) -> Result<(), crate::SnapshotError> {
-        crate::protocol::codec::Stored::store(self, w, "scheduler")
+    fn snapshot_state(&self, w: &mut Writer<'_>) -> Result<(), SnapshotError> {
+        self.store(w, "scheduler")
     }
 
-    fn restore_state(&mut self, r: &mut simcore::json::Reader<'_>) -> Result<(), String> {
-        *self = crate::protocol::codec::Stored::load(r, "scheduler")?;
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        *self = restore_policy(r, "greedy_until_tc")?;
         Ok(())
     }
 }
@@ -501,6 +537,39 @@ mod tests {
             1.0 / 60.0,
         );
         assert_eq!(a, CloudAction::None);
+    }
+
+    /// The contract both shipped policies keep: boxed, the policy leaves
+    /// the service `Clone + Debug`, and the service's snapshot restores
+    /// into a template of the same policy byte for byte.
+    #[test]
+    fn both_policies_clone_debug_and_round_trip_a_snapshot() {
+        use crate::service::SpeQuloS;
+        use crate::snapshot::{encode_state_json, restore_state_json};
+
+        let greedy = || {
+            let policy = GreedyUntilTc::new(SimDuration::from_hours(1));
+            SpeQuloS::builder().policy(policy).build()
+        };
+        let templates: [fn() -> SpeQuloS; 2] = [SpeQuloS::new, greedy];
+        for (template, name) in templates.into_iter().zip(["Scheduler", "GreedyUntilTc"]) {
+            let mut spq = template();
+            spq.credits.deposit(USER, 150.0);
+            let bot = spq.register_qos("env", 100, USER, SimTime::ZERO);
+            spq.order_qos(bot, 150.0, combo(), SimTime::ZERO).unwrap();
+            let action = spq.on_progress(bot, &progress(7200, 90, 0), 1.0 / 60.0);
+            assert!(
+                matches!(action, CloudAction::Start(_)),
+                "{name}: {action:?}"
+            );
+
+            let copy = spq.clone();
+            assert!(format!("{copy:?}").contains(name), "{name}");
+            let text = encode_state_json(&copy).unwrap();
+            let restored = restore_state_json(template(), &text).unwrap();
+            assert!(restored.scheduler.cloud_started(bot), "{name}");
+            assert_eq!(encode_state_json(&restored).unwrap(), text, "{name}");
+        }
     }
 
     #[test]

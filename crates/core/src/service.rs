@@ -16,10 +16,9 @@
 
 use crate::credit::{CreditError, CreditSystem, FavorLedger, UserId};
 use crate::info::Information;
-use crate::modules::{InfoBackend, OracleStrategy, SchedulingPolicy};
 use crate::oracle::{Oracle, Prediction, StrategyCombo};
 use crate::progress::BotProgress;
-use crate::scheduler::{CloudAction, Scheduler};
+use crate::scheduler::{CloudAction, Scheduler, SchedulingPolicy};
 use crate::tenancy::{CloudPool, PoolLease, PoolLedger, TenantMetrics};
 use botwork::BotId;
 use simcore::{IdMap, SimDuration, SimTime};
@@ -142,16 +141,15 @@ crate::protocol::codec::messages! {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpeQuloS {
-    /// Information module (monitoring + archive), behind the
-    /// [`InfoBackend`] seam. Default: the in-memory [`Information`] store.
-    pub(crate) info: Box<dyn InfoBackend>,
+    /// Information module (monitoring + archive).
+    pub(crate) info: Information,
     /// Credit System module (accounts + orders).
     pub credits: CreditSystem,
-    /// Oracle module (prediction + strategies), behind the
-    /// [`OracleStrategy`] seam. Default: the paper's [`Oracle`].
-    pub(crate) oracle: Box<dyn OracleStrategy>,
-    /// Scheduler module, behind the [`SchedulingPolicy`] seam. Default:
-    /// the paper's [`Scheduler`] (Algorithms 1 & 2).
+    /// Oracle module (prediction + strategies).
+    pub(crate) oracle: Oracle,
+    /// Scheduler module, the one module behind a trait: the paper's
+    /// [`Scheduler`] (Algorithms 1 & 2) unless the builder was given
+    /// another [`SchedulingPolicy`].
     pub(crate) scheduler: Box<dyn SchedulingPolicy>,
     /// Network-of-favors ledger (§3.3): the arbiter's tie-breaker. The
     /// service records cloud consumption here at `pay` time; donations are
@@ -185,7 +183,8 @@ impl Default for SpeQuloS {
     }
 }
 
-/// Assembles a [`SpeQuloS`] service from pluggable modules.
+/// Assembles a [`SpeQuloS`] service: its scheduling policy and
+/// configuration.
 ///
 /// Obtained from [`SpeQuloS::builder`]; every knob has the paper's
 /// default, so `SpeQuloS::builder().build()` equals [`SpeQuloS::new`].
@@ -205,8 +204,6 @@ impl Default for SpeQuloS {
 /// ```
 #[derive(Debug)]
 pub struct SpeQuloSBuilder {
-    info: Box<dyn InfoBackend>,
-    oracle: Box<dyn OracleStrategy>,
     scheduler: Box<dyn SchedulingPolicy>,
     pool: Option<u32>,
     default_strategy: StrategyCombo,
@@ -217,8 +214,6 @@ pub struct SpeQuloSBuilder {
 impl Default for SpeQuloSBuilder {
     fn default() -> Self {
         SpeQuloSBuilder {
-            info: Box::new(Information::new()),
-            oracle: Box::new(Oracle::new()),
             scheduler: Box::new(Scheduler::new()),
             pool: None,
             default_strategy: StrategyCombo::paper_default(),
@@ -234,18 +229,6 @@ impl SpeQuloSBuilder {
     /// unbounded — the paper's single-BoT evaluation setting.
     pub fn pool(mut self, capacity: u32) -> Self {
         self.pool = Some(capacity);
-        self
-    }
-
-    /// Replaces the Information module.
-    pub fn info(mut self, info: impl InfoBackend + 'static) -> Self {
-        self.info = Box::new(info);
-        self
-    }
-
-    /// Replaces the Oracle module.
-    pub fn oracle(mut self, oracle: impl OracleStrategy + 'static) -> Self {
-        self.oracle = Box::new(oracle);
         self
     }
 
@@ -290,9 +273,9 @@ impl SpeQuloSBuilder {
     pub fn build(self) -> SpeQuloS {
         let (first_bot, stride) = self.shard.unwrap_or((0, 1));
         SpeQuloS {
-            info: self.info,
+            info: Information::new(),
             credits: CreditSystem::new(),
-            oracle: self.oracle,
+            oracle: Oracle::new(),
             scheduler: self.scheduler,
             favors: FavorLedger::new(),
             default_strategy: self.default_strategy,
@@ -315,8 +298,8 @@ impl SpeQuloS {
         Self::default()
     }
 
-    /// A builder assembling the service from pluggable modules (pool
-    /// capacity, default strategy, scheduling policy, clock granularity).
+    /// A builder assembling the service (pool capacity, default
+    /// strategy, scheduling policy, clock granularity).
     pub fn builder() -> SpeQuloSBuilder {
         SpeQuloSBuilder::default()
     }
@@ -328,32 +311,8 @@ impl SpeQuloS {
     }
 
     /// The Information module.
-    pub fn info(&self) -> &dyn InfoBackend {
-        self.info.as_ref()
-    }
-
-    /// The Information module, mutably (e.g. to
-    /// [`InfoBackend::archive_execution`] bootstrap history).
-    pub fn info_mut(&mut self) -> &mut dyn InfoBackend {
-        self.info.as_mut()
-    }
-
-    /// The Oracle module.
-    pub fn oracle(&self) -> &dyn OracleStrategy {
-        self.oracle.as_ref()
-    }
-
-    /// The Scheduler module.
-    pub fn scheduler(&self) -> &dyn SchedulingPolicy {
-        self.scheduler.as_ref()
-    }
-
-    /// The Scheduler module, mutably (ablations toggle
-    /// [`Scheduler::allow_topup`] through a downcast-free seam by
-    /// rebuilding instead; this accessor serves policies that expose
-    /// runtime knobs).
-    pub fn scheduler_mut(&mut self) -> &mut dyn SchedulingPolicy {
-        self.scheduler.as_mut()
+    pub fn info(&self) -> &Information {
+        &self.info
     }
 
     /// Strategy used when a protocol `OrderQos` request names none.
@@ -486,7 +445,7 @@ impl SpeQuloS {
     pub fn predict(&mut self, bot: BotId, now: SimTime) -> Option<Prediction> {
         let record = self.info.record(bot)?;
         let history = self.info.history(&record.env);
-        let p = self.oracle.predict(record, history, now)?;
+        let p = Oracle::predict_completion(record, history, now)?;
         self.log.push((
             now,
             LogEvent::Predicted {
@@ -524,8 +483,8 @@ impl SpeQuloS {
         let action = self.scheduler.tick(
             bot,
             progress,
-            self.info.as_ref(),
-            self.oracle.as_mut(),
+            &self.info,
+            &mut self.oracle,
             &mut self.credits,
             strategy,
             tick_hours,
@@ -886,7 +845,7 @@ mod tests {
         )
         .expect("one open order of four: admitted");
         // Tenant 1 triggers: pool exhausted ⇒ denial, no Start.
-        spq.info_mut().sample(b1, &p); // it needs a progress history to trigger
+        spq.info.sample(b1, &p); // it needs a progress history to trigger
         let a1 = spq.on_progress(b1, &progress(7260, 100, 90, 0), 1.0 / 60.0);
         assert_eq!(a1, CloudAction::None);
         assert_eq!(spq.tenant_metrics(b1).throttled_ticks, 1);
@@ -992,7 +951,7 @@ mod tests {
             panic!("deadline policy must burst early, got {a:?}");
         };
         assert_eq!(n, 100, "greedy: the whole 100 CPU·h order at once");
-        assert!(spq.scheduler().cloud_started(bot));
+        assert!(spq.scheduler.cloud_started(bot));
 
         // The paper's default policy sees the same snapshot and does
         // nothing — the seam, not the data, changed the behaviour.

@@ -3,16 +3,16 @@
 //! A snapshot is a deterministic JSON encoding of everything a
 //! [`SpeQuloS`] instance knows — credit accounts and orders, the favor
 //! ledger, QoS registrations, the event log, pool occupancy, tenant
-//! counters, and the internal state of the three pluggable modules. Each
-//! type it stores is declared once, below, as a field list (`stored!`,
-//! from [`crate::protocol`]'s codec): the writer on the shared
-//! [`simcore::json`] writer and the reader on its pull reader, which
-//! builds no document tree, both come from that one list. Only `config`
-//! is written by hand. The write-ahead log ([`crate::wal`]) persists a
-//! snapshot once the log's tail outweighs the last one; recovery restores
-//! the newest valid snapshot into a freshly assembled template service
-//! and replays only the log tail through
-//! [`crate::protocol::SpqService::handle`].
+//! counters, and the internal state of the Information, Oracle and
+//! Scheduler modules. Each type it stores is declared once, below, as a
+//! field list (`stored!`, from [`crate::protocol`]'s codec): the writer
+//! on the shared [`simcore::json`] writer and the reader on its pull
+//! reader, which builds no document tree, both come from that one list.
+//! Only `config` is written by hand. The write-ahead log
+//! ([`crate::wal`]) persists a snapshot once the log's tail outweighs
+//! the last one; recovery restores the newest valid snapshot into a
+//! freshly assembled template service and replays only the log tail
+//! through [`crate::protocol::SpqService::handle`].
 //!
 //! Determinism rules:
 //!
@@ -29,20 +29,15 @@
 //! and skips unknown ones; a missing or ill-typed member and a repeated
 //! map key are a typed [`SnapshotError::Decode`] naming them.
 //!
-//! Module state crosses the [`crate::modules`] seams via
-//! `snapshot_state` / `restore_state`; a third-party module that opts
-//! out (the default) makes the whole service unsnapshottable —
-//! [`SnapshotError::UnsupportedModule`] — and durable recovery falls
-//! back to replaying the entire log from genesis, which is equally
-//! exact, just slower.
-//!
-//! Restoration is *template-based*: trait objects cannot be rebuilt from
+//! Restoration is *template-based*: the scheduling policy is a trait
+//! object ([`crate::SchedulingPolicy`]), which cannot be rebuilt from
 //! bytes alone, so [`restore_state_json`] takes a service assembled with
 //! the **same builder configuration** (tick, default strategy, pool
-//! capacity, module types) as the one that was snapshotted, validates
-//! the recorded configuration against it, and replaces its state. A
-//! mismatch is a typed [`SnapshotError::ConfigMismatch`], never a
-//! silently diverging service.
+//! capacity, scheduling policy) as the one that was snapshotted,
+//! validates the recorded configuration against it, and replaces its
+//! state. A mismatch — a snapshot of the other shipped policy included —
+//! is a typed [`SnapshotError::ConfigMismatch`], never a silently
+//! diverging service.
 
 use crate::credit::{CreditSystem, FavorLedger, Order};
 use crate::info::{ArchivedExecution, BotRecord, Information};
@@ -59,10 +54,6 @@ pub const SNAPSHOT_FORMAT: u64 = 1;
 /// Why a snapshot could not be taken or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// A pluggable module opted out of snapshotting (its
-    /// `snapshot_state` returned this error); recovery must replay the
-    /// full log instead.
-    UnsupportedModule(&'static str),
     /// A state field holds a non-finite float the JSON encoding cannot
     /// round-trip (e.g. an account balance driven to infinity); names the
     /// member that holds it.
@@ -77,9 +68,6 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::UnsupportedModule(m) => {
-                write!(f, "module `{m}` does not support snapshots")
-            }
             SnapshotError::NonFinite(field) => {
                 write!(f, "non-finite float in `{field}` cannot be snapshotted")
             }
@@ -113,7 +101,9 @@ stored! {
         log,
         pool,
         tenants = Keyed("bot", "duplicate tenant metrics for {}"),
-    } modules { info, oracle, scheduler }
+        info = Module,
+        oracle = Module,
+    } policy scheduler
 }
 
 stored! {
@@ -201,10 +191,11 @@ pub(crate) fn write_state(w: &mut Writer<'_>, service: &SpeQuloS) -> Result<(), 
 }
 
 /// Restores what [`write_state`] wrote, at the value `r` stands at, into
-/// `service`: its modules restore themselves as their members are read,
-/// the rest is judged once the object is closed — the recorded
-/// configuration first. On an error `service` is left half restored and
-/// is to be discarded.
+/// `service`: its scheduling policy restores itself as its member is
+/// read, the rest is judged once the object is closed — the recorded
+/// configuration first — and the Information module then shares each
+/// completed series with its archived execution again. On an error
+/// `service` is left half restored and is to be discarded.
 fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), SnapshotError> {
     let template_capacity = service.pool.as_ref().map(|p| p.capacity);
     let mut config = None;
@@ -278,6 +269,7 @@ fn read_state(r: &mut Reader<'_>, service: &mut SpeQuloS) -> Result<(), Snapshot
         let msg = "pool state capacity disagrees with recorded configuration";
         return Err(msg.to_string().into());
     }
+    service.info.share_completed_series();
     Ok(())
 }
 
@@ -295,7 +287,7 @@ pub fn encode_state_json(service: &SpeQuloS) -> Result<String, SnapshotError> {
 
 /// Restores state text produced by [`encode_state_json`] into
 /// `template` — a service assembled with the same builder configuration
-/// (tick, default strategy, pool capacity, module types) as the
+/// (tick, default strategy, pool capacity, scheduling policy) as the
 /// snapshotted one — in one pass. On any inconsistency the template is
 /// dropped and a typed error returned.
 pub fn restore_state_json(mut template: SpeQuloS, text: &str) -> Result<SpeQuloS, SnapshotError> {
@@ -513,7 +505,7 @@ mod tests {
         signed.push(SimTime::ZERO, -0.0);
         signed.push(SimTime::from_secs(60), 10.0);
         exec.completed = Arc::new(signed);
-        service.info = Box::new(info);
+        service.info = info;
 
         let text = encode_state_json(&service).expect("encode");
         assert!(
@@ -590,7 +582,7 @@ mod tests {
                     max_first_half: f64::NAN,
                 };
                 let variance = [(0, state)].into_iter().collect();
-                spq.oracle = Box::new(Oracle { variance });
+                spq.oracle.variance = variance;
             }),
             ("completed", |spq| {
                 let mut info = Information::new();
@@ -598,7 +590,7 @@ mod tests {
                 if let Some(record) = info.live.get_mut(&0) {
                     Arc::make_mut(&mut record.completed).push(SimTime::ZERO, f64::INFINITY);
                 }
-                spq.info = Box::new(info);
+                spq.info = info;
             }),
         ];
         for (name, poison) in cases {

@@ -205,18 +205,14 @@ impl PoolLedger {
         self.inner.slots.len()
     }
 
-    /// A snapshot of every shard's quota, in shard order.
+    /// A snapshot of every shard's quota, in shard order. The quotas
+    /// always sum to [`PoolLedger::capacity`].
     pub fn quotas(&self) -> Vec<u32> {
         self.inner
             .slots
             .iter()
             .map(|s| s.quota.load(Ordering::Acquire))
             .collect()
-    }
-
-    /// Sum of all quotas — always equals [`PoolLedger::capacity`].
-    pub fn total_quota(&self) -> u32 {
-        self.quotas().iter().sum()
     }
 
     /// One credit-proportional rebalance pass. Each shard is first
@@ -570,7 +566,7 @@ mod tests {
     #[test]
     fn ledger_split_conserves_capacity_and_honors_floor() {
         let (ledger, leases) = PoolLedger::split(10, 4, 2);
-        assert_eq!(ledger.total_quota(), 10);
+        assert_eq!(ledger.quotas().iter().sum::<u32>(), 10);
         assert_eq!(ledger.quotas(), vec![3, 3, 2, 2]);
         assert_eq!(ledger.floor(), 2);
         assert_eq!(leases.len(), 4);
@@ -578,7 +574,7 @@ mod tests {
         // Floor larger than an even split clamps.
         let (ledger, _) = PoolLedger::split(6, 4, 5);
         assert_eq!(ledger.floor(), 1);
-        assert_eq!(ledger.total_quota(), 6);
+        assert_eq!(ledger.quotas().iter().sum::<u32>(), 6);
     }
 
     #[test]

@@ -793,7 +793,8 @@ const fn crc32_byte(mut c: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::snapshot::encode_state_json;
-    use crate::UserId;
+    use crate::{GreedyUntilTc, UserId};
+    use simcore::SimDuration;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1677,5 +1678,43 @@ mod tests {
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot taken under one scheduling policy once read as corrupt
+    /// in a template of the other, so recovery replayed the whole log
+    /// under the template's policy. It is a configuration mismatch, both
+    /// ways round, refused like any other.
+    #[test]
+    fn a_snapshot_of_the_other_scheduling_policy_is_a_config_mismatch() {
+        let greedy = || {
+            let policy = GreedyUntilTc::new(SimDuration::from_hours(1));
+            SpeQuloS::builder().policy(policy).build()
+        };
+        let templates: [fn() -> SpeQuloS; 2] = [SpeQuloS::new, greedy];
+        for (writer, reader) in [(0, 1), (1, 0)] {
+            let dir = temp_dir("policy");
+            let mut served = templates[writer]();
+            {
+                let (mut wal, _) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+                for (t, r) in &sample_requests(4) {
+                    wal.append(*t, r).unwrap();
+                    served.handle(r.clone(), *t);
+                }
+                wal.snapshot(&served).unwrap();
+            }
+            let text = encode_state_json(&served).unwrap();
+            match restore_state_json(templates[reader](), &text) {
+                Err(SnapshotError::ConfigMismatch(_)) => {}
+                other => panic!("expected ConfigMismatch, got {:?}", other.err()),
+            }
+            let (_, recovery) = WalStore::open(&dir, FsyncPolicy::Never).unwrap();
+            match recovery.recover(templates[reader]()) {
+                Err(WalError::Snapshot(SnapshotError::ConfigMismatch(_))) => {}
+                other => panic!("expected ConfigMismatch, got {:?}", other.map(|(_, r)| r)),
+            }
+            let (_, report) = recovery.recover(templates[writer]()).unwrap();
+            assert_eq!((report.snapshot_applied, report.replayed), (4, 0));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
