@@ -344,8 +344,16 @@ impl SchedulingPolicy for GreedyUntilTc {
         self.store(w, "scheduler")
     }
 
+    /// A snapshot of another `target` is a [`SnapshotError::ConfigMismatch`]:
+    /// the template's target is configuration, as the policy itself is.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        *self = restore_policy(r, "greedy_until_tc")?;
+        let loaded: GreedyUntilTc = restore_policy(r, "greedy_until_tc")?;
+        let (found, template) = (loaded.target, self.target);
+        if found != template {
+            let msg = format!("snapshot greedy target {found:?} vs template {template:?}");
+            return Err(SnapshotError::ConfigMismatch(msg));
+        }
+        *self = loaded;
         Ok(())
     }
 }

@@ -35,8 +35,8 @@
 //! the **same builder configuration** (tick, default strategy, pool
 //! capacity, scheduling policy) as the one that was snapshotted,
 //! validates the recorded configuration against it, and replaces its
-//! state. A mismatch — a snapshot of the other shipped policy included —
-//! is a typed [`SnapshotError::ConfigMismatch`], never a silently
+//! state. A mismatch — a snapshot of the other shipped policy, or of a
+//! `GreedyUntilTc` with another target, included — is a typed [`SnapshotError::ConfigMismatch`], never a silently
 //! diverging service.
 
 use crate::credit::{CreditSystem, FavorLedger, Order};

@@ -1683,15 +1683,17 @@ mod tests {
     /// A snapshot taken under one scheduling policy once read as corrupt
     /// in a template of the other, so recovery replayed the whole log
     /// under the template's policy. It is a configuration mismatch, both
-    /// ways round, refused like any other.
+    /// ways round, refused like any other. So is a `GreedyUntilTc` of
+    /// another target, which a usable snapshot once restored silently
+    /// while a replay from genesis took the template's.
     #[test]
     fn a_snapshot_of_the_other_scheduling_policy_is_a_config_mismatch() {
-        let greedy = || {
-            let policy = GreedyUntilTc::new(SimDuration::from_hours(1));
+        fn greedy(hours: u64) -> SpeQuloS {
+            let policy = GreedyUntilTc::new(SimDuration::from_hours(hours));
             SpeQuloS::builder().policy(policy).build()
-        };
-        let templates: [fn() -> SpeQuloS; 2] = [SpeQuloS::new, greedy];
-        for (writer, reader) in [(0, 1), (1, 0)] {
+        }
+        let templates: [fn() -> SpeQuloS; 3] = [SpeQuloS::new, || greedy(1), || greedy(2)];
+        for (writer, reader) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
             let dir = temp_dir("policy");
             let mut served = templates[writer]();
             {

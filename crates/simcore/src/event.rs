@@ -1,129 +1,135 @@
 //! Deterministic event queue over an index-addressed event arena.
 //!
-//! Events fire in `(time, sequence)` order: events scheduled for the same
-//! instant fire in scheduling order. This total order is what makes whole
+//! Events fire in time order, and events scheduled for the same instant
+//! fire in scheduling order. This total order is what makes whole
 //! simulations reproducible from a seed, which the paired
 //! with/without-SpeQuloS comparisons of the paper (§4.2.1) depend on.
 //!
 //! ## Arena layout
 //!
-//! Event payloads live in a slot arena (`Vec<Option<E>>`) and the binary
-//! heap orders small `Copy` keys (`time`, `seq`, slot, run length) instead
-//! of full payload entries. Heap sift operations therefore move 24 bytes
-//! regardless of how large the event type is, and freed slots are recycled
-//! through a free list, so a steady-state simulation performs no per-event
-//! allocation at all.
+//! Event payloads live in a slot arena (`Vec<Option<E>>`) and the queue
+//! orders small `Copy` keys (`time`, slot, run length: 16 bytes) instead
+//! of full payload entries. Freed slots are recycled through a free list,
+//! so a steady-state simulation performs no per-event allocation at all.
+//!
+//! ## Radix heap
+//!
+//! The clock only moves forward — scheduling into the past is forbidden —
+//! so the keys sit in a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+//! JACM 1990) over their time in milliseconds. Bucket `b > 0` holds the
+//! keys whose time first differs from `last`, the last minimum taken, in
+//! bit `b − 1`; bucket 0 holds the keys at exactly `last`. A push is
+//! O(1), and a far-future key (a BOINC deadline a day out) is not touched
+//! again until the clock gets near it: a pop with bucket 0 empty re-places
+//! only the lowest non-empty bucket, whose keys all land in lower buckets.
+//! Keys at equal times always share a bucket and are appended and moved
+//! in order, so ties fire first-in first-out with no sequence number.
 //!
 //! ## Batches
 //!
 //! [`EventQueue::schedule_batch`] enqueues N events sharing one timestamp
-//! as a *single* heap entry over a contiguous slot run. Popping preserves
+//! as a *single* key over a contiguous slot run. Popping preserves
 //! exactly the order (and count) that N individual [`EventQueue::schedule`]
-//! calls would produce: while a batch is draining, its front holds the
-//! globally smallest `(time, seq)` — any event scheduled meanwhile lands at
-//! the same time with a later sequence number (scheduling into the past is
-//! forbidden) — so batch items can be served without touching the heap.
+//! calls would produce: while a batch is draining, its front is the
+//! globally earliest event — any event scheduled meanwhile lands at the
+//! same time or later and, being later in scheduling order, behind it —
+//! so batch items can be served without touching the heap.
 
 use crate::time::{SimDuration, SimTime};
 
-/// Heap key for a run of one or more events stored in the arena: the run
-/// occupies slots `slot..slot + len` and sequence numbers
-/// `seq..seq + len`, all at `time`.
+/// Key for a run of one or more events stored in the arena: the run
+/// occupies slots `slot..slot + len`, all at `time`.
 #[derive(Clone, Copy, Debug)]
 struct Key {
     time: SimTime,
-    seq: u64,
     slot: u32,
     len: u32,
 }
 
-impl Key {
-    /// Strict `(time, seq)` order; `seq` is unique, so this is total.
-    #[inline]
-    fn before(&self, other: &Key) -> bool {
-        (self.time, self.seq) < (other.time, other.seq)
-    }
+/// Radix heap over [`Key`]s (see module docs). Pop order is time order,
+/// ties first-in first-out; every pushed key must be at or after `last`.
+struct RadixHeap {
+    /// The last minimum taken.
+    last: u64,
+    buckets: [Vec<Key>; 65],
+    /// Bucket 0 is consumed from here, so its keys keep push order.
+    head: usize,
+    /// Minimum time per non-empty bucket.
+    min: [u64; 65],
+    /// Bit `b` set iff bucket `b` is non-empty.
+    mask: u128,
 }
 
-/// 4-ary min-heap over [`Key`]s. Compared to a binary heap it halves the
-/// tree depth, so the sift-down dominating `pop` touches half the cache
-/// lines — measurable on the thousands-deep queues BoT simulations build.
-/// Pop order is the total `(time, seq)` order, independent of layout.
-#[derive(Default)]
-struct KeyHeap {
-    v: Vec<Key>,
-}
-
-impl KeyHeap {
-    const ARITY: usize = 4;
-
-    fn with_capacity(cap: usize) -> Self {
-        KeyHeap {
-            v: Vec::with_capacity(cap),
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            min: [u64::MAX; 65],
+            mask: 0,
         }
     }
+}
 
+impl RadixHeap {
     fn clear(&mut self) {
-        self.v.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.last = 0;
+        self.head = 0;
+        self.min = [u64::MAX; 65];
+        self.mask = 0;
     }
 
-    fn peek(&self) -> Option<&Key> {
-        self.v.first()
+    /// Earliest pending time. Never moves `last`, so a key may still be
+    /// pushed at the clock after a peek.
+    fn peek(&self) -> Option<SimTime> {
+        let b = self.mask.trailing_zeros() as usize;
+        (self.mask != 0).then(|| SimTime::from_millis(self.min[b]))
     }
 
     fn push(&mut self, key: Key) {
-        self.v.push(key);
-        self.sift_up(self.v.len() - 1);
+        let t = key.time.as_millis();
+        debug_assert!(t >= self.last);
+        let b = (u64::BITS - (t ^ self.last).leading_zeros()) as usize;
+        self.buckets[b].push(key);
+        self.min[b] = self.min[b].min(t);
+        self.mask |= 1 << b;
     }
 
     fn pop(&mut self) -> Option<Key> {
-        let last = self.v.len().checked_sub(1)?;
-        self.v.swap(0, last);
-        let key = self.v.pop();
-        if !self.v.is_empty() {
-            self.sift_down(0);
+        if self.mask & 1 == 0 {
+            if self.mask == 0 {
+                return None;
+            }
+            // The lowest non-empty bucket's minimum becomes `last`; its
+            // keys, re-placed in order, all land in lower (empty) buckets.
+            let b = self.mask.trailing_zeros() as usize;
+            self.last = self.min[b];
+            self.min[b] = u64::MAX;
+            self.mask &= !(1 << b);
+            let mut keys = std::mem::take(&mut self.buckets[b]);
+            for &key in &keys {
+                self.push(key);
+            }
+            keys.clear();
+            self.buckets[b] = keys;
         }
-        key
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.v[i].before(&self.v[parent]) {
-                self.v.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+        let key = self.buckets[0][self.head];
+        self.head += 1;
+        if self.head == self.buckets[0].len() {
+            self.buckets[0].clear();
+            self.head = 0;
+            self.min[0] = u64::MAX;
+            self.mask &= !1;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.v.len();
-        loop {
-            let first = i * Self::ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            for child in first + 1..(first + Self::ARITY).min(n) {
-                if self.v[child].before(&self.v[min]) {
-                    min = child;
-                }
-            }
-            if self.v[min].before(&self.v[i]) {
-                self.v.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
+        Some(key)
     }
 }
 
 /// A future-event list with a monotonically advancing clock.
 pub struct EventQueue<E> {
-    heap: KeyHeap,
+    heap: RadixHeap,
     /// Slot arena holding the event payloads the heap keys point into.
     arena: Vec<Option<E>>,
     /// Recycled single-event slots.
@@ -132,7 +138,6 @@ pub struct EventQueue<E> {
     draining: Option<Key>,
     /// Total pending events (heap runs plus the draining batch).
     pending: usize,
-    seq: u64,
     now: SimTime,
 }
 
@@ -145,27 +150,18 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue {
-            heap: KeyHeap::default(),
-            arena: Vec::new(),
-            free: Vec::new(),
-            draining: None,
-            pending: 0,
-            seq: 0,
-            now: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with arena and heap capacity for `cap`
-    /// pending events.
+    /// Creates an empty queue with arena capacity for `cap` pending
+    /// events.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: KeyHeap::with_capacity(cap),
+            heap: RadixHeap::default(),
             arena: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
             draining: None,
             pending: 0,
-            seq: 0,
             now: SimTime::ZERO,
         }
     }
@@ -216,11 +212,9 @@ impl<E> EventQueue<E> {
         let slot = self.alloc_slot(event);
         self.heap.push(Key {
             time: t,
-            seq: self.seq,
             slot,
             len: 1,
         });
-        self.seq += 1;
         self.pending += 1;
     }
 
@@ -252,23 +246,15 @@ impl<E> EventQueue<E> {
         }
         self.heap.push(Key {
             time: t,
-            seq: self.seq,
             slot: start,
             len,
         });
-        self.seq += len as u64;
         self.pending += len as usize;
     }
 
     /// Schedules `event` after delay `d` from the current clock.
     pub fn schedule_after(&mut self, d: SimDuration, event: E) {
         self.schedule(self.now + d, event);
-    }
-
-    /// Schedules `event` at the current clock time (fires after all events
-    /// already scheduled for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
     }
 
     /// Takes the payload out of `slot` and recycles the slot.
@@ -295,7 +281,6 @@ impl<E> EventQueue<E> {
         if key.len > 1 {
             self.draining = Some(Key {
                 time: key.time,
-                seq: key.seq + 1,
                 slot: key.slot + 1,
                 len: key.len - 1,
             });
@@ -314,7 +299,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.draining {
             Some(key) => Some(key.time),
-            None => self.heap.peek().map(|k| k.time),
+            None => self.heap.peek(),
         }
     }
 
@@ -327,12 +312,11 @@ impl<E> EventQueue<E> {
         self.pending = 0;
     }
 
-    /// Discards all pending events *and* rewinds the clock and sequence
-    /// counter, keeping every buffer's capacity — lets sweep drivers reuse
-    /// one queue across thousands of runs without reallocating.
+    /// Discards all pending events *and* rewinds the clock, keeping every
+    /// buffer's capacity — lets sweep drivers reuse one queue across
+    /// thousands of runs without reallocating.
     pub fn reset(&mut self) {
         self.clear();
-        self.seq = 0;
         self.now = SimTime::ZERO;
     }
 }
@@ -341,6 +325,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn pops_in_time_order() {
@@ -434,7 +419,7 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 1)));
         // Scheduled mid-drain at the same instant: FIFO puts it after the
         // rest of the batch, exactly as with individual schedules.
-        q.schedule_now(9);
+        q.schedule(t, 9);
         assert_eq!(q.pop(), Some((t, 2)));
         assert_eq!(q.peek_time(), Some(t));
         assert_eq!(q.pop(), Some((t, 3)));
@@ -482,28 +467,57 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::ZERO, 7)));
     }
 
-    proptest! {
-        /// Popped timestamps are non-decreasing and equal-time events retain
-        /// insertion order, whatever the scheduling pattern.
-        #[test]
-        fn prop_total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_millis(t), i);
-            }
-            let mut last: Option<(SimTime, usize)> = None;
-            while let Some((t, idx)) = q.pop() {
-                prop_assert_eq!(SimTime::from_millis(times[idx]), t);
-                if let Some((lt, lidx)) = last {
-                    prop_assert!(t >= lt);
-                    if t == lt {
-                        prop_assert!(idx > lidx, "FIFO violated for simultaneous events");
-                    }
-                }
-                last = Some((t, idx));
-            }
-        }
+    #[test]
+    fn equal_times_pushed_under_different_minima_fire_in_scheduling_order() {
+        // Keys at t = 1 000 are pushed while `last` is 0, 1 and 999, and
+        // each pop below 1 000 re-places the bucket they share.
+        let t = SimTime::from_millis(1_000);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(t, 0);
+        q.schedule(SimTime::from_millis(1), 100);
+        q.schedule(SimTime::from_millis(999), 101);
+        q.schedule_batch(t, [1, 2]);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 100)));
+        q.schedule(t, 3);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(999), 101)));
+        q.schedule(t, 4);
+        q.schedule(SimTime::from_millis(999), 102);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(999), 102)));
+        q.schedule_batch(t, [5, 6]);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, (0..7).map(|i| (t, i)).collect::<Vec<_>>());
+    }
 
+    #[test]
+    fn a_key_at_the_end_of_time_fires_last() {
+        let (max, half) = (SimTime::MAX, SimTime::from_millis(1 << 63));
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(max, 1);
+        q.schedule(half, 0);
+        q.schedule(max, 2);
+        assert_eq!(q.pop(), Some((half, 0)));
+        assert_eq!(q.peek_time(), Some(max));
+        q.schedule(max, 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(max, 1), (max, 2), (max, 3)]);
+    }
+
+    #[test]
+    fn a_peek_does_not_advance_the_heap() {
+        let (t, later) = (SimTime::from_secs(5), SimTime::from_secs(10));
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(t, 0);
+        q.schedule(later, 2);
+        assert_eq!(q.pop(), Some((t, 0)));
+        // Peeking at the later key must not move the heap's minimum past
+        // the clock, or this schedule at the clock would be misplaced.
+        assert_eq!(q.peek_time(), Some(later));
+        q.schedule(t, 1);
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop(), Some((later, 2)));
+    }
+
+    proptest! {
         /// Mixing batch and single scheduling never changes the total order
         /// relative to all-single scheduling of the same events.
         #[test]
@@ -536,6 +550,51 @@ mod tests {
                 if a.is_none() {
                     break;
                 }
+            }
+        }
+
+        /// Events are numbered in scheduling order, so a sorted set of
+        /// `(time, number)` is the reference order. Every pop, peek and
+        /// length agree with it under random schedules (delays 0, 1 ms,
+        /// 60 s, 1 day, up to 2^40 ms), batches of 0–5 expanded into single
+        /// events (also while one drains), pops, clears and resets.
+        #[test]
+        fn prop_total_order(ops in proptest::collection::vec((0u8..64, any::<u64>()), 1..400)) {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut model: BTreeSet<(SimTime, u32)> = BTreeSet::new();
+            let mut id = 0;
+            for (op, x) in ops {
+                let delays = [0, 1, 60_000, 86_400_000, x % (1 << 40)];
+                let t = q.now() + SimDuration::from_millis(delays[(x >> 48) as usize % 5]);
+                let n = match op {
+                    0..=25 => {
+                        q.schedule(t, id);
+                        1
+                    }
+                    26..=35 => {
+                        let n = (x >> 56) as u32 % 6;
+                        q.schedule_batch(t, id..id + n);
+                        n
+                    }
+                    36..=61 => {
+                        prop_assert_eq!(q.pop(), model.pop_first());
+                        0
+                    }
+                    62 => {
+                        q.clear();
+                        model.clear();
+                        0
+                    }
+                    _ => {
+                        q.reset();
+                        model.clear();
+                        0
+                    }
+                };
+                model.extend((id..id + n).map(|e| (t, e)));
+                id += n;
+                prop_assert_eq!(q.peek_time(), model.first().map(|k| k.0));
+                prop_assert_eq!(q.len(), model.len());
             }
         }
     }

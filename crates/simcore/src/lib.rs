@@ -15,8 +15,9 @@
 //!   the queue breaks timestamp ties by insertion order and the PRNG is a
 //!   fixed xoshiro256++ implementation with named sub-streams.
 //! * **Throughput** — the evaluation campaign simulates >25 000 BoT
-//!   executions; the kernel keeps per-event cost to a heap operation plus
-//!   the world's handler.
+//!   executions; the kernel keeps per-event cost to a constant-time
+//!   radix-heap push, a pop that never touches far-future events, and the
+//!   world's handler.
 //!
 //! ## Example
 //!

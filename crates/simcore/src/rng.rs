@@ -10,9 +10,9 @@
 //! e.g., cloud-worker power sampling cannot perturb the BE-DCI availability
 //! traces between a paired run with SpeQuloS and one without.
 //!
-//! Distribution samplers (normal, log-normal, Weibull, exponential, Pareto)
-//! are implemented here instead of pulling in `rand_distr`, which is not on
-//! the offline dependency list (see DESIGN.md §6).
+//! Distribution samplers (normal, Weibull) are implemented here instead of
+//! pulling in `rand_distr`, which is not on the offline dependency list
+//! (see DESIGN.md §6).
 
 /// SplitMix64 step: used for seeding and stream derivation.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -162,12 +162,6 @@ impl Prng {
         mu.clamp(lo, hi)
     }
 
-    /// Log-normal deviate: `exp(N(mu, sigma))` where `mu`/`sigma` are the
-    /// parameters of the underlying normal.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Weibull deviate with scale `lambda` and shape `k` (inverse-CDF).
     ///
     /// The paper's RANDOM BoT uses `weib(λ=91.98, k=0.57)` for task
@@ -178,35 +172,11 @@ impl Prng {
         lambda * (-u.ln()).powf(1.0 / k)
     }
 
-    /// Exponential deviate with the given rate (mean `1/rate`).
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0);
-        let u = 1.0 - self.next_f64();
-        -u.ln() / rate
-    }
-
-    /// Pareto deviate with scale `xm` and shape `alpha` (heavy-tailed
-    /// availability intervals).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.next_f64();
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.index(i + 1);
             items.swap(i, j);
-        }
-    }
-
-    /// Uniformly chosen element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
         }
     }
 }
@@ -288,14 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = Prng::seed_from(6);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(0.25)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn normal_clamped_respects_bounds() {
         let mut r = Prng::seed_from(8);
         for _ in 0..10_000 {
@@ -313,12 +275,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "50 elements should move");
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = Prng::seed_from(1);
-        assert_eq!(r.choose::<u8>(&[]), None);
     }
 
     proptest! {
@@ -341,9 +297,6 @@ mod tests {
         fn prop_positive_samplers(seed in any::<u64>()) {
             let mut r = Prng::seed_from(seed);
             prop_assert!(r.weibull(91.98, 0.57) >= 0.0);
-            prop_assert!(r.exponential(1.0) >= 0.0);
-            prop_assert!(r.pareto(1.0, 1.5) >= 1.0);
-            prop_assert!(r.lognormal(0.0, 1.0) > 0.0);
         }
     }
 }

@@ -97,19 +97,6 @@ impl TimeSeries {
         }
         None
     }
-
-    /// Average rate of change between the first and last sample, in value
-    /// units per second; `None` with fewer than two samples or zero span.
-    pub fn overall_rate(&self) -> Option<f64> {
-        let (t0, v0) = self.first()?;
-        let (t1, v1) = self.last()?;
-        let dt = t1.since(t0).as_secs_f64();
-        if dt <= 0.0 {
-            None
-        } else {
-            Some((v1 - v0) / dt)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +147,6 @@ mod tests {
         let mut s = TimeSeries::new();
         s.push(SimTime::from_secs(10), 1.0);
         s.push(SimTime::from_secs(5), 2.0);
-    }
-
-    #[test]
-    fn overall_rate() {
-        let s = series(&[(0, 0.0), (100, 200.0)]);
-        assert_eq!(s.overall_rate(), Some(2.0));
-        assert_eq!(series(&[(0, 1.0)]).overall_rate(), None);
     }
 
     proptest! {

@@ -251,11 +251,6 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Fraction of samples > `x` (complementary CDF, as plotted in Fig. 4).
-    pub fn fraction_gt(&self, x: f64) -> f64 {
-        1.0 - self.fraction_leq(x)
-    }
-
     /// Fraction of samples ≥ `x`.
     pub fn fraction_geq(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -376,7 +371,6 @@ mod tests {
         assert_eq!(c.fraction_leq(0.5), 0.0);
         assert_eq!(c.fraction_leq(2.0), 0.75);
         assert_eq!(c.fraction_leq(3.0), 1.0);
-        assert_eq!(c.fraction_gt(2.0), 0.25);
         assert_eq!(c.fraction_geq(2.0), 0.75);
         assert_eq!(c.quantile(0.5), 2.0);
     }
